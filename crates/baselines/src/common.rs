@@ -1,10 +1,9 @@
 //! Shared configuration and the common algorithm interface.
 
 use imdpp_core::{ImdppInstance, SeedGroup};
-use serde::{Deserialize, Serialize};
 
 /// Configuration shared by all baseline algorithms.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct BaselineConfig {
     /// Monte-Carlo samples per spread estimation.
     pub mc_samples: usize,

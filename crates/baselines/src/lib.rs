@@ -45,4 +45,4 @@ pub use drhga::Drhga;
 pub use hag::Hag;
 pub use opt::Opt;
 pub use ps::PathScore;
-pub use ris::{build_sketch_oracle, sketch_greedy_single_item, sketch_select_nominees};
+pub use ris::sketch_greedy_single_item;

@@ -1,35 +1,21 @@
 //! RIS-sketch baselines: TIM/IMM-flavoured selection driven by the
 //! `imdpp-sketch` reverse-reachable oracle instead of forward Monte-Carlo.
 //!
-//! These are the "callers choose the estimator" entry points: the same MCP
-//! selection machinery as [`imdpp_core::nominees`], but every `f(N)` query
-//! is answered from the amortized RR-set pool.  On the static restricted
-//! problem the selections agree with the Monte-Carlo greedy up to sampling
-//! noise while being orders of magnitude cheaper per query.
+//! The same MCP selection machinery as [`imdpp_core::nominees`], but every
+//! `f(N)` query is answered from the amortized RR-set pool of a
+//! [`SketchOracle`] (build one with `SketchOracle::build` on the instance's
+//! scenario; `select_nominees_with_oracle` takes it directly).  On the
+//! static restricted problem the selections agree with the Monte-Carlo
+//! greedy up to sampling noise while being orders of magnitude cheaper per
+//! query.
 //!
-//! The full Dysim pipeline (not just these baselines) can also run
+//! The full Dysim pipeline (not just this baseline) can also run
 //! sketch-backed: set `DysimConfig::oracle` to `OracleKind::RrSketch` and
-//! use the dispatching entry points in `imdpp_sketch::pipeline`.
+//! drive it through the `imdpp-engine` `Engine`.
 
-use imdpp_core::nominees::{select_nominees_with_oracle, NomineeSelection, NomineeSelectionConfig};
+use imdpp_core::nominees::{select_nominees_with_oracle, NomineeSelectionConfig};
 use imdpp_core::{ImdppInstance, ItemId, Seed, SeedGroup};
-use imdpp_sketch::{SketchConfig, SketchOracle};
-
-/// Builds the RR-sketch oracle for an instance's static restricted problem.
-pub fn build_sketch_oracle(instance: &ImdppInstance, config: SketchConfig) -> SketchOracle {
-    SketchOracle::build(instance.scenario(), config)
-}
-
-/// MCP nominee selection (Procedure 2) answered by the sketch oracle — a
-/// drop-in replacement for [`imdpp_core::nominees::select_nominees`].
-pub fn sketch_select_nominees(
-    instance: &ImdppInstance,
-    oracle: &SketchOracle,
-    universe: &[(imdpp_core::UserId, ItemId)],
-    config: &NomineeSelectionConfig,
-) -> NomineeSelection {
-    select_nominees_with_oracle(instance, oracle, universe, config)
-}
+use imdpp_sketch::SketchOracle;
 
 /// TIM-style single-item baseline: budget-constrained greedy seeding of one
 /// item, with marginal gains estimated from the RR sketch.  All chosen seeds
@@ -60,6 +46,14 @@ mod tests {
     use imdpp_core::{CostModel, Evaluator, SpreadOracle, UserId};
     use imdpp_diffusion::scenario::toy_scenario;
     use imdpp_diffusion::DynamicsConfig;
+    use imdpp_sketch::SketchConfig;
+
+    fn sketch(inst: &ImdppInstance, sets: usize, seed: u64) -> SketchOracle {
+        SketchOracle::build(
+            inst.scenario(),
+            SketchConfig::fixed(sets).with_base_seed(seed),
+        )
+    }
 
     fn instance(budget: f64) -> ImdppInstance {
         let scenario = toy_scenario();
@@ -70,7 +64,7 @@ mod tests {
     #[test]
     fn sketch_selection_is_feasible_and_deterministic() {
         let inst = instance(2.0);
-        let oracle = build_sketch_oracle(&inst, SketchConfig::fixed(512).with_base_seed(3));
+        let oracle = sketch(&inst, 512, 3);
         let a = sketch_greedy_single_item(&inst, ItemId(0), &oracle);
         let b = sketch_greedy_single_item(&inst, ItemId(0), &oracle);
         assert_eq!(a, b);
@@ -89,7 +83,7 @@ mod tests {
         let costs = CostModel::uniform(scenario.user_count(), scenario.item_count(), 1.0);
         let inst = ImdppInstance::new(scenario, costs, 2.0, 1).unwrap();
 
-        let oracle = build_sketch_oracle(&inst, SketchConfig::fixed(2048).with_base_seed(5));
+        let oracle = sketch(&inst, 2048, 5);
         let sketch_seeds = sketch_greedy_single_item(&inst, ItemId(0), &oracle);
         let mc_seeds =
             crate::classic::greedy_single_item(&inst, ItemId(0), &BaselineConfig::fast());
@@ -107,9 +101,9 @@ mod tests {
     #[test]
     fn nominee_selection_through_the_oracle_respects_budget() {
         let inst = instance(3.0);
-        let oracle = build_sketch_oracle(&inst, SketchConfig::fixed(256).with_base_seed(11));
+        let oracle = sketch(&inst, 256, 11);
         let universe = inst.nominee_universe(None);
-        let sel = sketch_select_nominees(
+        let sel = select_nominees_with_oracle(
             &inst,
             &oracle,
             &universe,

@@ -15,7 +15,10 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use imdpp_bench::{yelp_instance, BenchSummary};
 use imdpp_core::nominees::{select_nominees_with_oracle, NomineeSelectionConfig};
-use imdpp_core::{DysimConfig, EdgeUpdate, Evaluator, ImdppInstance, OracleKind, ScenarioUpdate};
+use imdpp_core::{
+    DysimConfig, EdgeUpdate, Evaluator, ImdppInstance, OracleKind, RefreshableOracle,
+    ScenarioUpdate,
+};
 use imdpp_engine::Engine;
 use imdpp_sketch::{SketchConfig, SketchOracle};
 use std::time::Instant;
@@ -269,15 +272,14 @@ fn bench_adaptive_pipeline(c: &mut Criterion) {
     });
     group.finish();
 
-    let updates = localized_edge_update(&instance, 0.1);
-    let drifted = scenario.with_edge_updates(&updates);
+    let update = ScenarioUpdate::Edges(localized_edge_update(&instance, 0.1));
+    let drifted = update.apply(scenario);
     let mut refresh = c.benchmark_group("yelp_edge_update_refresh");
     refresh.sample_size(10);
     refresh.bench_function("incremental_reuse", |b| {
         b.iter(|| {
             let mut o = sketch.clone();
-            o.apply_edge_update(black_box(&drifted), &updates)
-                .resampled_sets
+            o.refresh(black_box(&drifted), &update).0.resampled_sets
         })
     });
     refresh.bench_function("full_rebuild", |b| {
@@ -295,7 +297,7 @@ fn bench_adaptive_pipeline(c: &mut Criterion) {
     // once each for the machine-readable summary).
     let t = Instant::now();
     let mut refreshed = sketch.clone();
-    let refresh_stats = refreshed.apply_edge_update(&drifted, &updates);
+    let (refresh_stats, _) = refreshed.refresh(&drifted, &update);
     summary.record(
         "edge_refresh_incremental_seconds",
         t.elapsed().as_secs_f64(),
@@ -337,7 +339,7 @@ fn bench_adaptive_pipeline(c: &mut Criterion) {
         for _ in 0..7 {
             let mut o = oracle.clone();
             let t = Instant::now();
-            let stats = o.apply_edge_update(&drifted, &updates);
+            let (stats, _) = o.refresh(&drifted, &update);
             best = best.min(t.elapsed().as_secs_f64());
             assert_eq!(stats.full_rebuilds, 0, "refresh must patch, not rebuild");
             result = Some(o);

@@ -1,7 +1,7 @@
 //! Benchmarks and acceptance checks of the `imdpp-sketch` RR-sketch oracle:
 //!
 //! * sketch construction and per-query `f(N)` cost vs forward Monte-Carlo,
-//! * incremental refresh after a *localized* perception update — asserts
+//! * incremental refresh after a *localized* preference update — asserts
 //!   that fewer than 50% of the RR sets are re-sampled (the sample-reuse
 //!   guarantee) and reports the measured fraction,
 //! * greedy seed quality vs the Monte-Carlo greedy — asserts agreement of
@@ -10,10 +10,12 @@
 //! Key measurements are also written to `results/bench_sketch_oracle.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use imdpp_baselines::{build_sketch_oracle, sketch_greedy_single_item};
+use imdpp_baselines::sketch_greedy_single_item;
 use imdpp_bench::{tiny_amazon_instance, BenchSummary};
 use imdpp_core::nominees::{select_nominees_with_oracle, NomineeSelectionConfig};
-use imdpp_core::{Evaluator, ImdppInstance, Seed, SeedGroup, SpreadOracle};
+use imdpp_core::{
+    Evaluator, ImdppInstance, RefreshableOracle, ScenarioUpdate, Seed, SeedGroup, SpreadOracle,
+};
 use imdpp_diffusion::DynamicsConfig;
 use imdpp_graph::{ItemId, UserId};
 use imdpp_sketch::{SketchConfig, SketchOracle};
@@ -35,7 +37,7 @@ fn bench_sketch_oracle(c: &mut Criterion) {
         b.iter(|| SketchOracle::build(black_box(scenario), sketch_config).total_sets())
     });
 
-    let oracle = build_sketch_oracle(&instance, sketch_config);
+    let oracle = SketchOracle::build(scenario, sketch_config);
     let evaluator = Evaluator::new(&instance, 100, 7);
     let nominees: Vec<(UserId, ItemId)> = (0..4).map(|u| (UserId(u), ItemId(0))).collect();
 
@@ -48,15 +50,16 @@ fn bench_sketch_oracle(c: &mut Criterion) {
     });
     query.finish();
 
-    // --- Incremental refresh after a localized perception update. ---
+    // --- Incremental refresh after a localized preference update. ---
     let quiet = scenario
         .users()
         .min_by_key(|&u| (scenario.social().out_degree(u), std::cmp::Reverse(u.0)))
         .expect("instance has users");
-    let drifted = scenario.with_base_preference(quiet, ItemId(0), 0.9);
+    let update = ScenarioUpdate::Preferences(vec![(quiet, ItemId(0), 0.9)]);
+    let drifted = update.apply(scenario);
 
     let mut probe = oracle.clone();
-    let stats = probe.apply_update(&drifted, &[quiet]);
+    let (stats, _) = probe.refresh(&drifted, &update);
     println!(
         "incremental refresh after localized update of {quiet}: \
          re-sampled {}/{} RR sets ({:.2}%), reused {:.2}%",
@@ -80,7 +83,7 @@ fn bench_sketch_oracle(c: &mut Criterion) {
     refresh.bench_function("incremental_reuse", |b| {
         b.iter(|| {
             let mut o = oracle.clone();
-            o.apply_update(black_box(&drifted), &[quiet]).resampled_sets
+            o.refresh(black_box(&drifted), &update).0.resampled_sets
         })
     });
     refresh.bench_function("full_rebuild", |b| {
@@ -102,7 +105,7 @@ fn bench_sketch_oracle(c: &mut Criterion) {
     // A denser sketch for selection: per-singleton coverage noise must be
     // well under the 5% agreement target (relative error ~ 1/sqrt(coverage)).
     let selection_oracle =
-        build_sketch_oracle(&instance, SketchConfig::fixed(16_384).with_base_seed(5));
+        SketchOracle::build(scenario, SketchConfig::fixed(16_384).with_base_seed(5));
     let sketch_seeds: SeedGroup =
         select_nominees_with_oracle(&instance, &selection_oracle, &universe, &selection_config)
             .nominees

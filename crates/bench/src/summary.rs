@@ -4,7 +4,7 @@
 //! [`BenchSummary`] additionally records the key numbers as
 //! `results/bench_<name>.json` so the perf trajectory of the suite is
 //! captured per run (and per PR, when CI executes the benches).  The JSON is
-//! hand-rolled — the offline workspace has no `serde_json` — and the format
+//! hand-rolled — the workspace has no JSON library — and the format
 //! is deliberately flat:
 //!
 //! ```json

@@ -90,7 +90,8 @@ pub fn adaptive_dysim_with_oracle<O: RefreshableOracle>(
                     refresh_fractions.push(0.0);
                 } else {
                     let updated = update.apply(current.scenario());
-                    refresh_fractions.push(oracle.refresh(&updated, update).resampled_fraction());
+                    let (stats, _touched) = oracle.refresh(&updated, update);
+                    refresh_fractions.push(stats.resampled_fraction());
                     current = current
                         .with_scenario(updated)
                         .expect("scenario updates preserve instance dimensions");

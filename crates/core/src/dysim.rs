@@ -46,7 +46,6 @@ use crate::problem::ImdppInstance;
 use crate::tdsi::assign_timings;
 use imdpp_diffusion::{Seed, SeedGroup};
 use imdpp_graph::ItemId;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a Dysim run.
 ///
@@ -62,7 +61,7 @@ use serde::{Deserialize, Serialize};
 /// | `full_timing_search` | two-slot TDSI window vs full `[t̂, T]` search (Sec. V-C; `tdsi_window` bench) |
 /// | `use_guard_solutions` | auxiliary solution `N̄` of the Theorem 5 analysis |
 /// | `oracle` | estimator behind Procedure 2's `f(N)` queries (Monte-Carlo vs RR sketch) |
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DysimConfig {
     /// Monte-Carlo samples used by every spread / likelihood estimation
     /// during seed selection (the paper uses `M = 100`; smaller values trade

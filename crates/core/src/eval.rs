@@ -216,11 +216,12 @@ impl crate::oracle::RefreshableOracle for MonteCarloOracle {
         &mut self,
         updated: &Scenario,
         _update: &crate::oracle::ScenarioUpdate,
-    ) -> crate::oracle::RefreshStats {
+    ) -> (crate::oracle::RefreshStats, Option<Vec<Vec<UserId>>>) {
         self.frozen = updated.with_dynamics(DynamicsConfig::frozen());
         // Forward Monte-Carlo keeps no amortized state: swapping the
-        // scenario recomputes everything from the next query on.
-        crate::oracle::RefreshStats::full_rebuild()
+        // scenario recomputes everything from the next query on, and no
+        // estimate is certified unchanged.
+        (crate::oracle::RefreshStats::full_rebuild(), None)
     }
 
     fn begin_round(&mut self, round: u32) {
@@ -316,7 +317,9 @@ mod tests {
             .with_base_preference(UserId(1), ItemId(0), 0.95);
         let update = ScenarioUpdate::Preferences(vec![(UserId(1), ItemId(0), 0.95)]);
         let mut mc2 = mc.clone();
-        assert_eq!(mc2.refresh(&drifted, &update).resampled_fraction(), 1.0);
+        let (stats, touched) = mc2.refresh(&drifted, &update);
+        assert_eq!(stats.resampled_fraction(), 1.0);
+        assert!(touched.is_none());
         let fresh = MonteCarloOracle::new(&drifted, 16, 4);
         assert_eq!(mc2.static_spread(&nominees), fresh.static_spread(&nominees));
     }

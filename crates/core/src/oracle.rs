@@ -58,7 +58,6 @@
 use crate::nominees::Nominee;
 use imdpp_diffusion::Scenario;
 use imdpp_graph::{EdgeUpdate, ItemId, UserId};
-use serde::{Deserialize, Serialize};
 
 /// An estimator of the static first-promotion spread `f(N)`.
 ///
@@ -93,7 +92,7 @@ pub trait SpreadOracle {
 /// `imdpp_sketch::dispatch::ConfiguredOracle` and hence by every
 /// `imdpp-engine` `Engine`.  [`crate::dysim::Dysim::solve_with`] itself
 /// takes the oracle as an explicit argument.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OracleKind {
     /// Forward Monte-Carlo (the paper's reference estimator); sample count
     /// taken from `DysimConfig::mc_samples`.
@@ -113,7 +112,6 @@ pub enum OracleKind {
         /// (`0` = auto, capped at the machine's cores; the convention is
         /// defined on `imdpp_sketch::SketchConfig::threads`).  Estimates,
         /// seeds and refresh statistics are thread-count-independent.
-        #[serde(default)]
         threads: usize,
     },
 }
@@ -230,10 +228,22 @@ impl ScenarioUpdate {
 pub trait RefreshableOracle: SpreadOracle {
     /// Migrates the oracle to `updated`, which must equal
     /// `update.apply(previous_scenario)` for the scenario the oracle
-    /// currently estimates against.  Returns what the migration cost: see
-    /// [`RefreshStats`] ([`RefreshStats::resampled_fraction`] is `0.0` when
-    /// everything was reused, `1.0` for a full rebuild).
-    fn refresh(&mut self, updated: &Scenario, update: &ScenarioUpdate) -> RefreshStats;
+    /// currently estimates against — the one entry point every update
+    /// goes through.
+    ///
+    /// Returns what the migration cost — see [`RefreshStats`]
+    /// ([`RefreshStats::resampled_fraction`] is `0.0` when everything was
+    /// reused, `1.0` for a full rebuild) — and, for estimators with
+    /// amortized coverage state, the **touched users of each item**: a
+    /// nominee `(u, x)` with `u` absent from `touched[x]` kept every
+    /// estimate it contributes to bit-identical through the refresh (the
+    /// certificate maintained-solution repair rests on).  Estimators
+    /// without such state (forward Monte-Carlo) return `None`.
+    fn refresh(
+        &mut self,
+        updated: &Scenario,
+        update: &ScenarioUpdate,
+    ) -> (RefreshStats, Option<Vec<Vec<UserId>>>);
 
     /// Called at the start of each promotion round `t` (1-based) of the
     /// adaptive loop.  Per-query estimators use it to rotate their sampling

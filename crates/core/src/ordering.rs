@@ -11,10 +11,9 @@ use imdpp_kg::RelationKind;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// The metric used to order the target markets of a group.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MarketOrdering {
     /// Antagonistic Extent: markets whose items are *less* substitutable to
     /// the other markets' items are promoted earlier (ascending AE).  The

@@ -2,11 +2,10 @@
 
 use imdpp_diffusion::{ImdppError, Scenario, SeedGroup};
 use imdpp_graph::{ItemId, UserId};
-use serde::{Deserialize, Serialize};
 
 /// The hiring-cost model `c_{u,x}`: how much of the budget seeding user `u`
 /// with item `x` consumes.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CostModel {
     costs: Vec<f64>,
     user_count: usize,

@@ -12,10 +12,9 @@
 //! Gowalla have 3 node/edge types, Yelp and Amazon have 6.
 
 use crate::config::{DatasetConfig, ImportanceDistribution, SocialModel};
-use serde::{Deserialize, Serialize};
 
 /// The available dataset presets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// Scaled-down Douban-shaped dataset.
     DoubanSmall,

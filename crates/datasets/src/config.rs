@@ -1,10 +1,9 @@
 //! Declarative description of a synthetic dataset.
 
 use imdpp_diffusion::ImdppError;
-use serde::{Deserialize, Serialize};
 
 /// The random-graph model used for the friendship topology.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SocialModel {
     /// Preferential attachment with the given number of links per new node
     /// (heavy-tailed degrees, the default for the Table II datasets).
@@ -27,7 +26,7 @@ pub enum SocialModel {
 }
 
 /// Distribution of the item importances `w_x` (Table II reports the average).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ImportanceDistribution {
     /// Every item has the same importance.
     Uniform {
@@ -54,7 +53,7 @@ pub enum ImportanceDistribution {
 }
 
 /// Full synthetic dataset description.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DatasetConfig {
     /// Human-readable dataset name.
     pub name: String,

@@ -2,10 +2,9 @@
 
 use crate::generator::GeneratedDataset;
 use imdpp_kg::stats::KgStats;
-use serde::{Deserialize, Serialize};
 
 /// The row of Table II corresponding to one dataset.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DatasetStats {
     /// Dataset name.
     pub name: String,

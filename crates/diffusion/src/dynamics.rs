@@ -16,10 +16,9 @@
 use crate::error::ImdppError;
 use imdpp_graph::{ItemId, UserId};
 use imdpp_kg::PersonalPerception;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the dynamic factors.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DynamicsConfig {
     /// Learning rate of the meta-graph weighting update (relevance
     /// measurement).

@@ -22,7 +22,8 @@
 //! * [`scenario`] — the immutable world shared by all simulations,
 //! * [`state`] — per-simulation mutable state (adoptions + perception),
 //! * [`process`] — one stochastic realisation of the campaign,
-//! * [`montecarlo`] — parallel spread estimation.
+//! * [`montecarlo`] — parallel spread estimation,
+//! * [`par`] — the one work-queue every parallel loop of the suite runs on.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -31,8 +32,8 @@ pub mod dynamics;
 pub mod error;
 pub mod models;
 pub mod montecarlo;
+pub mod par;
 pub mod process;
-pub mod ris;
 pub mod scenario;
 pub mod seeds;
 pub mod state;
@@ -42,7 +43,6 @@ pub use error::ImdppError;
 pub use models::DiffusionModel;
 pub use montecarlo::{SpreadEstimate, SpreadEstimator};
 pub use process::{simulate, SimulationOutcome};
-pub use ris::RrSets;
 pub use scenario::{Scenario, ScenarioBuilder};
 pub use seeds::{Seed, SeedGroup};
 pub use state::DiffusionState;

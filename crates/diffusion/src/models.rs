@@ -6,10 +6,8 @@
 //! associations) extend either model; the experiments of the paper use the
 //! IC-based variant, so it is the default everywhere in this suite.
 
-use serde::{Deserialize, Serialize};
-
 /// Which triggering model governs a promotion attempt.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DiffusionModel {
     /// Independent Cascade: when `u'` newly adopts `x`, it gets one
     /// independent chance to make its friend `u` adopt `x` with probability

@@ -6,10 +6,10 @@
 //! threads, because each sample uses its own RNG stream derived from the
 //! base seed and the sample index.
 
+use crate::par::{effective_threads, run_queue};
 use crate::process::{simulate, SimulationOutcome};
 use crate::scenario::Scenario;
 use crate::seeds::SeedGroup;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -49,15 +49,11 @@ impl<'a> SpreadEstimator<'a> {
     /// uses `M = 100`).
     pub fn new(scenario: &'a Scenario, samples: usize, base_seed: u64) -> Self {
         assert!(samples >= 1, "at least one sample is required");
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(samples);
         SpreadEstimator {
             scenario,
             samples,
             base_seed,
-            threads,
+            threads: effective_threads(0, samples),
         }
     }
 
@@ -101,42 +97,17 @@ impl<'a> SpreadEstimator<'a> {
         self.estimate(seeds, promotions).mean
     }
 
-    /// Collects the raw per-sample metric values (ordered by sample index).
+    /// Collects the raw per-sample metric values (ordered by sample index):
+    /// one task per sample on the work-queue ([`run_queue`]), sample `i`
+    /// simulating with its own RNG stream `base_seed + i`.
     pub fn collect_metric<F>(&self, seeds: &SeedGroup, promotions: u32, metric: &F) -> Vec<f64>
     where
         F: Fn(&SimulationOutcome) -> f64 + Sync,
     {
-        let mut values = vec![0.0f64; self.samples];
-        if self.threads <= 1 || self.samples == 1 {
-            for (i, slot) in values.iter_mut().enumerate() {
-                let mut rng = StdRng::seed_from_u64(self.base_seed.wrapping_add(i as u64));
-                let out = simulate(self.scenario, seeds, promotions, &mut rng);
-                *slot = metric(&out);
-            }
-            return values;
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let results = Mutex::new(&mut values);
-        crossbeam::scope(|scope| {
-            for _ in 0..self.threads {
-                scope.spawn(|_| loop {
-                    // lint: allow(atomic-ordering) — work-stealing ticket
-                    // counter: the RMW is the only synchronisation needed
-                    // (each index is claimed exactly once; results land in
-                    // per-index slots behind the mutex).
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= self.samples {
-                        break;
-                    }
-                    let mut rng = StdRng::seed_from_u64(self.base_seed.wrapping_add(i as u64));
-                    let out = simulate(self.scenario, seeds, promotions, &mut rng);
-                    let value = metric(&out);
-                    results.lock()[i] = value;
-                });
-            }
+        run_queue((0..self.samples).collect(), self.threads, |_, i| {
+            let mut rng = StdRng::seed_from_u64(self.base_seed.wrapping_add(i as u64));
+            metric(&simulate(self.scenario, seeds, promotions, &mut rng))
         })
-        .expect("monte-carlo worker thread panicked");
-        values
     }
 }
 

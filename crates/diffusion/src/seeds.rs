@@ -1,12 +1,11 @@
 //! Seeds `(u, x, t)` and seed groups `S = ⋃_t S_t`.
 
 use imdpp_graph::{ItemId, UserId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A seed: user `u` is hired to promote item `x` starting at the `t`-th
 /// promotion (`t` is 1-based, `1 ≤ t ≤ T`).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Seed {
     /// The seeded user.
     pub user: UserId,
@@ -40,7 +39,7 @@ impl fmt::Debug for Seed {
 }
 
 /// A seed group: the complete solution of an IMDPP instance.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SeedGroup {
     seeds: Vec<Seed>,
 }

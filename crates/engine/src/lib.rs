@@ -1,10 +1,9 @@
 //! # imdpp-engine
 //!
 //! The snapshot-isolated session façade of the IMDPP suite: one long-lived
-//! [`Engine`] replaces the removed one-shot entry points (the `Dysim::run*`
-//! family and `imdpp_sketch::pipeline`, deleted after their deprecation
-//! cycle) with the shape a serving system needs — *build once, query many
-//! times, refresh incrementally as the world drifts*.
+//! [`Engine`] gives config-driven runs the shape a serving system needs —
+//! *build once, query many times, refresh incrementally as the world
+//! drifts*.
 //!
 //! ## Snapshot isolation
 //!
@@ -579,7 +578,7 @@ impl Engine {
         let _apply_span = self.metrics.apply_ns.start();
 
         let epoch = snap.epoch + 1;
-        let report = if update.is_empty() {
+        let (next, refresh, refresh_wall, solve_repair) = if update.is_empty() {
             // The world did not change, so a cached solution stays valid
             // verbatim: carry it to the new epoch.
             let solve_repair = {
@@ -602,23 +601,7 @@ impl Engine {
                 epoch,
                 ..(*snap).clone()
             });
-            // lint: allow(clock) — feeds the engine.swap_ns telemetry span
-            // and ApplyReport::swap_wall; no algorithm reads it.
-            let swap_started = Instant::now();
-            *self.current.write().map_err(|_| ImdppError::Poisoned {
-                what: "snapshot lock",
-            })? = next;
-            let swap_wall = swap_started.elapsed();
-            self.metrics.swap_ns.record_duration(swap_wall);
-            ApplyReport {
-                epoch,
-                was_empty: true,
-                refresh_fraction: 0.0,
-                refresh: RefreshStats::default(),
-                refresh_wall: Duration::ZERO,
-                swap_wall,
-                solve_repair,
-            }
+            (next, RefreshStats::default(), Duration::ZERO, solve_repair)
         } else {
             let maintain_bound = snap.config.maintain_bound;
             let cached = if self.maintenance_enabled(&snap) {
@@ -636,18 +619,13 @@ impl Engine {
             let updated = update.apply(snap.scenario());
             let mut oracle = snap.oracle.clone();
             // Refresh borrows `updated` before it moves into the instance,
-            // so the writer path copies the scenario exactly once.  With a
-            // cached solution to repair, the tracked variant additionally
-            // reports the per-item touched users (same RefreshStats, same
-            // refreshed state).
+            // so the writer path copies the scenario exactly once.  A
+            // sketch reports the per-item touched users the repair below
+            // intersects with the cached solution.
             // lint: allow(clock) — feeds the engine.refresh_ns telemetry
             // span and ApplyReport::refresh_wall; no algorithm reads it.
             let refresh_started = Instant::now();
-            let (refresh, touched) = if cached.is_some() {
-                oracle.refresh_tracked(&updated, update)
-            } else {
-                (oracle.refresh(&updated, update), None)
-            };
+            let (refresh, touched) = oracle.refresh(&updated, update);
             let refresh_wall = refresh_started.elapsed();
             self.metrics.refresh_ns.record_duration(refresh_wall);
             let instance = snap.instance.with_scenario(updated)?;
@@ -672,39 +650,40 @@ impl Engine {
                 oracle,
                 config: snap.config.clone(),
             });
-            // lint: allow(clock) — feeds the engine.swap_ns telemetry span
-            // and ApplyReport::swap_wall; no algorithm reads it.
-            let swap_started = Instant::now();
-            *self.current.write().map_err(|_| ImdppError::Poisoned {
-                what: "snapshot lock",
-            })? = next;
-            let swap_wall = swap_started.elapsed();
-            self.metrics.swap_ns.record_duration(swap_wall);
-            self.metrics
-                .refresh_sets_total
-                .add(refresh.total_sets as u64);
-            self.metrics
-                .refresh_sets_resampled
-                .add(refresh.resampled_sets as u64);
-            self.metrics
-                .refresh_entries_patched
-                .add(refresh.index_entries_patched);
-            self.metrics
-                .refresh_full_rebuilds
-                .add(refresh.full_rebuilds);
-            ApplyReport {
-                epoch,
-                was_empty: false,
-                refresh_fraction: refresh.resampled_fraction(),
-                refresh,
-                refresh_wall,
-                swap_wall,
-                solve_repair,
-            }
+            (next, refresh, refresh_wall, solve_repair)
         };
+        // lint: allow(clock) — feeds the engine.swap_ns telemetry span and
+        // ApplyReport::swap_wall; no algorithm reads it.
+        let swap_started = Instant::now();
+        *self.current.write().map_err(|_| ImdppError::Poisoned {
+            what: "snapshot lock",
+        })? = next;
+        let swap_wall = swap_started.elapsed();
+        self.metrics.swap_ns.record_duration(swap_wall);
+        // An empty update refreshed nothing, so these add zero.
+        self.metrics
+            .refresh_sets_total
+            .add(refresh.total_sets as u64);
+        self.metrics
+            .refresh_sets_resampled
+            .add(refresh.resampled_sets as u64);
+        self.metrics
+            .refresh_entries_patched
+            .add(refresh.index_entries_patched);
+        self.metrics
+            .refresh_full_rebuilds
+            .add(refresh.full_rebuilds);
         self.metrics.applies.incr();
         self.metrics.epoch.set(epoch);
-        Ok(report)
+        Ok(ApplyReport {
+            epoch,
+            was_empty: update.is_empty(),
+            refresh_fraction: refresh.resampled_fraction(),
+            refresh,
+            refresh_wall,
+            swap_wall,
+            solve_repair,
+        })
     }
 
     /// Repairs (or invalidates) the cached solution against the refreshed

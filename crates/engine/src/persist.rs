@@ -198,10 +198,10 @@ fn encode(snap: &EngineSnapshot, maintained: Option<&DysimReport>) -> Vec<u8> {
     out.extend_from_slice(MAGIC);
     codec::write_varint(VERSION, &mut out);
     write_fingerprint(snap, &mut out);
-    codec::write_varint64(snap.epoch, &mut out);
+    codec::write_varint(snap.epoch, &mut out);
     if let Some(sketch) = snap.oracle.as_sketch() {
         let payload = sketch.serialize();
-        codec::write_varint64(payload.len() as u64, &mut out);
+        codec::write_varint(payload.len() as u64, &mut out);
         out.extend_from_slice(&payload);
     }
     match maintained {
@@ -217,10 +217,10 @@ fn encode(snap: &EngineSnapshot, maintained: Option<&DysimReport>) -> Vec<u8> {
 /// The world-identity fields `restore` validates before trusting a payload.
 fn write_fingerprint(snap: &EngineSnapshot, out: &mut Vec<u8>) {
     let scenario = snap.instance.scenario();
-    codec::write_varint64(scenario.user_count() as u64, out);
-    codec::write_varint64(scenario.item_count() as u64, out);
-    codec::write_varint64(snap.config.base_seed, out);
-    codec::write_varint64(snap.config.mc_samples as u64, out);
+    codec::write_varint(scenario.user_count() as u64, out);
+    codec::write_varint(scenario.item_count() as u64, out);
+    codec::write_varint(snap.config.base_seed, out);
+    codec::write_varint(snap.config.mc_samples as u64, out);
     codec::write_f64(snap.instance.budget(), out);
     codec::write_varint(snap.instance.promotions(), out);
     match snap.oracle.kind() {
@@ -231,10 +231,10 @@ fn write_fingerprint(snap: &EngineSnapshot, out: &mut Vec<u8>) {
             ..
         } => {
             codec::write_varint(TAG_RR_SKETCH, out);
-            codec::write_varint64(sets_per_item as u64, out);
+            codec::write_varint(sets_per_item as u64, out);
             // The resolved shard count (0 already clamped to 1), so a
             // persist/restore pair with `0` and `1` fingerprints equal.
-            codec::write_varint64(shards as u64, out);
+            codec::write_varint(shards as u64, out);
         }
     }
 }
@@ -298,7 +298,7 @@ fn check_fingerprint(
 }
 
 fn encode_nominees(nominees: &[Nominee], out: &mut Vec<u8>) {
-    codec::write_varint64(nominees.len() as u64, out);
+    codec::write_varint(nominees.len() as u64, out);
     for &(u, x) in nominees {
         codec::write_varint(u.0, out);
         codec::write_varint(x.0, out);
@@ -324,7 +324,7 @@ fn decode_nominees(
 }
 
 fn encode_users(users: &[UserId], out: &mut Vec<u8>) {
-    codec::write_varint64(users.len() as u64, out);
+    codec::write_varint(users.len() as u64, out);
     for u in users {
         codec::write_varint(u.0, out);
     }
@@ -346,25 +346,25 @@ fn decode_users(input: &mut &[u8], user_count: usize) -> Result<Vec<UserId>, Imd
 /// Serializes a [`DysimReport`] field by field, in declaration order.
 fn encode_report(report: &DysimReport, out: &mut Vec<u8>) {
     let seeds = report.seeds.seeds();
-    codec::write_varint64(seeds.len() as u64, out);
+    codec::write_varint(seeds.len() as u64, out);
     for seed in seeds {
         codec::write_varint(seed.user.0, out);
         codec::write_varint(seed.item.0, out);
         codec::write_varint(seed.promotion, out);
     }
     encode_nominees(&report.nominees, out);
-    codec::write_varint64(report.markets.len() as u64, out);
+    codec::write_varint(report.markets.len() as u64, out);
     for market in &report.markets {
-        codec::write_varint64(market.index as u64, out);
+        codec::write_varint(market.index as u64, out);
         codec::write_varint(market.diameter, out);
         encode_nominees(&market.nominees, out);
         encode_users(&market.users, out);
     }
-    codec::write_varint64(report.groups.len() as u64, out);
+    codec::write_varint(report.groups.len() as u64, out);
     for group in &report.groups {
-        codec::write_varint64(group.len() as u64, out);
+        codec::write_varint(group.len() as u64, out);
         for &m in group {
-            codec::write_varint64(m as u64, out);
+            codec::write_varint(m as u64, out);
         }
     }
     codec::write_f64(report.total_cost, out);

@@ -7,10 +7,9 @@
 //! are both answered by one contiguous slice.
 
 use crate::ids::UserId;
-use serde::{Deserialize, Serialize};
 
 /// A directed edge with a floating-point weight (influence strength).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WeightedEdge {
     /// Source node.
     pub src: UserId,
@@ -25,7 +24,7 @@ pub struct WeightedEdge {
 /// Nodes are the dense indices `0..node_count()`.  Both the out-adjacency and
 /// the in-adjacency are materialised so that forward diffusion and reverse
 /// influence queries are O(degree).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CsrGraph {
     node_count: usize,
     // Forward adjacency.

@@ -20,10 +20,9 @@
 
 use crate::csr::CsrGraph;
 use crate::ids::UserId;
-use serde::{Deserialize, Serialize};
 
 /// A single mutation of a weighted directed graph.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum EdgeUpdate {
     /// Insert `src → dst` with the given weight; when the edge already
     /// exists this acts as a reweight (upsert).

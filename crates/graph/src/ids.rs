@@ -4,15 +4,14 @@
 //! two spaces from being mixed up at compile time while staying `Copy` and
 //! 4 bytes wide (the suite routinely stores millions of them in vectors).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a user (a node of the social network).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct UserId(pub u32);
 
 /// Identifier of an item (a promotable product / course / point of interest).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ItemId(pub u32);
 
 impl UserId {

@@ -5,14 +5,13 @@ use crate::csr::CsrGraph;
 use crate::edits::EdgeUpdate;
 use crate::ids::UserId;
 use crate::stats::DegreeStats;
-use serde::{Deserialize, Serialize};
 
 /// The social network of the IMDPP problem: a directed graph whose edge
 /// weights are the *initial* influence strengths `P_act(u, v, 0)`.
 ///
 /// The diffusion crate layers dynamic influence updates on top of these
 /// initial strengths; this type only owns the static topology.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SocialGraph {
     graph: CsrGraph,
     directed: bool,

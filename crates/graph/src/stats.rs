@@ -1,10 +1,9 @@
 //! Degree / density statistics for graphs (Table II style summaries).
 
 use crate::csr::CsrGraph;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of the degree distribution of a directed graph.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DegreeStats {
     /// Number of nodes.
     pub node_count: usize,

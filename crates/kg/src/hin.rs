@@ -7,12 +7,11 @@
 
 use crate::types::{EdgeType, NodeType};
 use imdpp_graph::ItemId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a knowledge-graph node.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct KgNodeId(pub u32);
 
 impl KgNodeId {
@@ -30,7 +29,7 @@ impl fmt::Debug for KgNodeId {
 }
 
 /// A typed undirected fact edge of the knowledge graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Fact {
     /// One endpoint.
     pub a: KgNodeId,
@@ -41,7 +40,7 @@ pub struct Fact {
 }
 
 /// Immutable knowledge graph.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct KnowledgeGraph {
     node_types: Vec<NodeType>,
     node_names: Vec<String>,

@@ -1,11 +1,10 @@
 //! The catalogue of promotable items with their campaign importances `w_x`.
 
 use imdpp_graph::ItemId;
-use serde::{Deserialize, Serialize};
 
 /// The target item set `I` together with the importance set `W = {w_x}`
 /// (Definition 1 of the paper) and optional display names.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ItemCatalog {
     importance: Vec<f64>,
     names: Vec<String>,

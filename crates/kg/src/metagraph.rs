@@ -18,13 +18,12 @@
 
 use crate::hin::KnowledgeGraph;
 use crate::types::{EdgeType, NodeType};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 
 /// Whether a meta-graph captures a complementary or a substitutable
 /// relationship between its two ITEM endpoints.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RelationKind {
     /// Adopting one endpoint increases the preference for the other
     /// (cross elasticity of complements).
@@ -44,7 +43,7 @@ impl fmt::Display for RelationKind {
 
 /// Index of a meta-graph within an ordered meta-graph collection (e.g.
 /// [`MetaGraph::default_set`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MetaGraphId(pub u32);
 
 impl MetaGraphId {
@@ -56,7 +55,7 @@ impl MetaGraphId {
 }
 
 /// The structural schema of a meta-graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MetaGraphShape {
     /// ITEM —edge— ITEM.
     DirectLink {
@@ -86,7 +85,7 @@ pub enum MetaGraphShape {
 }
 
 /// A meta-graph: a schema plus the relationship kind it describes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MetaGraph {
     /// The structural schema.
     pub shape: MetaGraphShape,

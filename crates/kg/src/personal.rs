@@ -14,7 +14,6 @@
 use crate::metagraph::{MetaGraphId, RelationKind};
 use crate::relevance::RelevanceModel;
 use imdpp_graph::{ItemId, UserId};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Lower bound kept on every meta-graph weighting so that no relationship
@@ -22,20 +21,12 @@ use std::sync::Arc;
 pub const MIN_WEIGHT: f64 = 0.01;
 
 /// Per-user dynamic meta-graph weightings over a shared [`RelevanceModel`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PersonalPerception {
-    #[serde(skip, default = "default_model")]
     model: Arc<RelevanceModel>,
     user_count: usize,
     /// Flat `user_count × model.len()` weight matrix.
     weights: Vec<f64>,
-}
-
-// Referenced only through the `#[serde(default = "default_model")]` attribute
-// above, which the offline serde stand-in accepts but never expands.
-#[allow(dead_code)]
-fn default_model() -> Arc<RelevanceModel> {
-    Arc::new(RelevanceModel::from_matrices(Vec::new(), Vec::new(), 0))
 }
 
 impl PersonalPerception {

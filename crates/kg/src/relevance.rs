@@ -18,11 +18,10 @@
 use crate::hin::KnowledgeGraph;
 use crate::metagraph::{MetaGraph, MetaGraphId, MetaGraphShape, RelationKind};
 use imdpp_graph::ItemId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A sparse symmetric item×item relevance matrix with scores in `[0, 1]`.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RelevanceMatrix {
     /// Per item: sorted list of `(other item, score)` with positive score.
     rows: Vec<Vec<(ItemId, f64)>>,
@@ -91,7 +90,7 @@ impl RelevanceMatrix {
 }
 
 /// The collection of meta-graphs together with their relevance matrices.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RelevanceModel {
     metagraphs: Vec<MetaGraph>,
     matrices: Vec<RelevanceMatrix>,

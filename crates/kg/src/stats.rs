@@ -1,10 +1,9 @@
 //! Knowledge-graph statistics in the shape of Table II of the paper.
 
 use crate::hin::KnowledgeGraph;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a knowledge graph.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct KgStats {
     /// Number of distinct node types present.
     pub node_type_count: usize,

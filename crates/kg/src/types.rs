@@ -6,11 +6,10 @@
 //! features, brands, categories, …) plus numbered custom types so that the
 //! synthetic Yelp/Amazon-style KGs can reach the type counts of Table II.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Type of a knowledge-graph node (`Φ(v)`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NodeType {
     /// A promotable item (product, course, point of interest).
     Item,
@@ -50,7 +49,7 @@ impl fmt::Display for NodeType {
 }
 
 /// Type of a knowledge-graph edge (`Ψ(e)`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EdgeType {
     /// ITEM *supports* FEATURE (Fig. 1(a) of the paper).
     Supports,

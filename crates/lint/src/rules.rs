@@ -67,14 +67,11 @@ const FLOAT_MARKERS: &[&str] = &[
 /// telemetry span it feeds.
 const CLOCK_ALLOWED_PREFIXES: &[&str] = &["crates/obs/", "crates/bench/"];
 
-/// The only files allowed to create threads: the sampler's stream-parallel
-/// worker pool and the shard fan-out built on it.  Ad-hoc threads elsewhere
-/// bypass `sampler::effective_threads` and the worker<->shard ownership map
-/// that makes scheduling irrelevant to results.
-const SPAWN_ALLOWED_FILES: &[&str] = &[
-    "crates/sketch/src/sampler.rs",
-    "crates/sketch/src/sharded.rs",
-];
+/// The only file allowed to create threads: the suite's one work-queue.
+/// Ad-hoc threads elsewhere bypass `par::effective_threads` and the
+/// task-owns-its-state discipline that makes scheduling irrelevant to
+/// results.
+const SPAWN_ALLOWED_FILES: &[&str] = &["crates/diffusion/src/par.rs"];
 
 /// Hash-container methods whose result order is the hasher's, not the
 /// program's.
@@ -545,9 +542,9 @@ fn check_clock(rel_path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
 // spawn
 // ---------------------------------------------------------------------------
 
-/// `thread::spawn` / `thread::scope` outside the sampler's worker pool and
-/// the shard fan-out: ad-hoc threads bypass `sampler::effective_threads`
-/// and the worker<->shard ownership that keeps scheduling out of results.
+/// `thread::spawn` / `thread::scope` outside the work-queue module: ad-hoc
+/// threads bypass `par::effective_threads` and the task ownership that
+/// keeps scheduling out of results.
 fn check_spawn(rel_path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
     if SPAWN_ALLOWED_FILES.contains(&rel_path) {
         return;
@@ -562,8 +559,8 @@ fn check_spawn(rel_path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
                 rule: RULE_SPAWN,
                 path: rel_path.to_string(),
                 line: tokens[i].line,
-                message: "thread creation outside sampler::for_each_shard — route work \
-                          through the shard worker pool, or justify the harness thread with \
+                message: "thread creation outside imdpp_diffusion::par — route work \
+                          through par::run_queue, or justify the harness thread with \
                           `// lint: allow(spawn) — <why>`"
                     .to_string(),
             });
@@ -708,8 +705,16 @@ fn f(a: &A) {
     #[test]
     fn spawn_scope() {
         let src = "fn f() { std::thread::spawn(|| {}); }";
-        assert!(findings("crates/sketch/src/sampler.rs", src).is_empty());
-        assert_eq!(findings("tests/engine_snapshot.rs", src).len(), 1);
+        assert!(findings("crates/diffusion/src/par.rs", src).is_empty());
+        // The parallel callers of the queue get no exemption of their own.
+        for path in [
+            "crates/sketch/src/sampler.rs",
+            "crates/sketch/src/sharded.rs",
+            "crates/diffusion/src/montecarlo.rs",
+            "tests/engine_snapshot.rs",
+        ] {
+            assert_eq!(findings(path, src).len(), 1, "{path}");
+        }
     }
 
     #[test]

@@ -110,19 +110,32 @@ fn clock_and_spawn_fire_outside_their_allowed_homes() {
 }
 
 #[test]
-fn clock_is_allowed_in_obs_and_spawn_in_the_sampler() {
+fn clock_is_allowed_in_obs_and_spawn_only_in_the_work_queue() {
     let in_obs = lint_fixture("clock_spawn_bad.rs", "crates/obs/src/fixture.rs");
     assert!(
         !fired(&in_obs).contains(&("clock", 6)),
         "clock reads are free inside crates/obs: {:#?}",
         in_obs.findings
     );
-    let in_sampler = lint_fixture("clock_spawn_bad.rs", "crates/sketch/src/sampler.rs");
+    let in_queue = lint_fixture("clock_spawn_bad.rs", "crates/diffusion/src/par.rs");
     assert!(
-        !fired(&in_sampler).contains(&("spawn", 7)),
-        "thread creation is free inside the sampler: {:#?}",
-        in_sampler.findings
+        !fired(&in_queue).contains(&("spawn", 7)),
+        "thread creation is free inside the work-queue module: {:#?}",
+        in_queue.findings
     );
+    // The parallel callers of the queue get no exemption of their own.
+    for path in [
+        "crates/sketch/src/sampler.rs",
+        "crates/sketch/src/sharded.rs",
+        "crates/diffusion/src/montecarlo.rs",
+    ] {
+        let result = lint_fixture("clock_spawn_bad.rs", path);
+        assert!(
+            fired(&result).contains(&("spawn", 7)),
+            "thread creation must be flagged in {path}: {:#?}",
+            result.findings
+        );
+    }
 }
 
 #[test]

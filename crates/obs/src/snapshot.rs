@@ -2,8 +2,8 @@
 //!
 //! [`TelemetrySnapshot`] is a plain owned struct: no atomics, no `Arc`s, no
 //! lifetimes — safe to move across threads, diff against another snapshot,
-//! or serialize.  The JSON is hand-rolled (the offline workspace has no
-//! `serde_json`) in the same style as `imdpp_bench::BenchSummary`:
+//! or serialize.  The JSON is hand-rolled (the workspace has no JSON
+//! library) in the same style as `imdpp_bench::BenchSummary`:
 //!
 //! ```json
 //! {

@@ -16,9 +16,11 @@
 //! [`SetMembers`] decodes a span back into its ascending member sequence
 //! without allocating.
 
-/// Appends one LEB128 varint to `out`.
+/// Appends one LEB128 varint to `out` — the one varint writer, shared by
+/// the arena and the persistence codec ([`crate::persist`]).
 #[inline]
-pub(crate) fn write_varint(mut value: u32, out: &mut Vec<u8>) {
+pub fn write_varint(value: impl Into<u64>, out: &mut Vec<u8>) {
+    let mut value = value.into();
     while value >= 0x80 {
         out.push((value as u8 & 0x7F) | 0x80);
         value >>= 7;

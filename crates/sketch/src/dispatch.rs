@@ -38,6 +38,7 @@ use imdpp_core::nominees::Nominee;
 use imdpp_core::oracle::{OracleKind, RefreshStats, RefreshableOracle, ScenarioUpdate};
 use imdpp_core::{MonteCarloOracle, SpreadOracle};
 use imdpp_diffusion::Scenario;
+use imdpp_graph::UserId;
 use imdpp_obs::Telemetry;
 
 /// The sketch configuration an [`OracleKind::RrSketch`] knob resolves to: a
@@ -164,26 +165,6 @@ impl ConfiguredOracle {
             ConfiguredOracle::RrSketch(o) => o.static_spread_batch(queries),
         }
     }
-
-    /// [`RefreshableOracle::refresh`] that additionally reports the per-item
-    /// touched users of a sketch-backed refresh
-    /// ([`SketchOracle::refresh_tracked`]) — the input of the engine's
-    /// maintained-solution repair.  The Monte-Carlo variant has no notion of
-    /// touched coverage (every estimate is recomputed from scratch), so it
-    /// refreshes normally and returns `None`.
-    pub fn refresh_tracked(
-        &mut self,
-        updated: &Scenario,
-        update: &ScenarioUpdate,
-    ) -> (RefreshStats, Option<Vec<Vec<imdpp_graph::UserId>>>) {
-        match self {
-            ConfiguredOracle::MonteCarlo(o) => (o.refresh(updated, update), None),
-            ConfiguredOracle::RrSketch(o) => {
-                let (stats, touched) = o.refresh_tracked(updated, update);
-                (stats, Some(touched))
-            }
-        }
-    }
 }
 
 impl SpreadOracle for ConfiguredOracle {
@@ -210,7 +191,15 @@ impl SpreadOracle for ConfiguredOracle {
 }
 
 impl RefreshableOracle for ConfiguredOracle {
-    fn refresh(&mut self, updated: &Scenario, update: &ScenarioUpdate) -> RefreshStats {
+    /// Dispatches to the inner oracle: the RR sketch reports its per-item
+    /// touched users (the input of the engine's maintained-solution
+    /// repair); forward Monte-Carlo has no notion of touched coverage and
+    /// returns `None`.
+    fn refresh(
+        &mut self,
+        updated: &Scenario,
+        update: &ScenarioUpdate,
+    ) -> (RefreshStats, Option<Vec<Vec<UserId>>>) {
         match self {
             ConfiguredOracle::MonteCarlo(o) => o.refresh(updated, update),
             ConfiguredOracle::RrSketch(o) => o.refresh(updated, update),
@@ -229,7 +218,7 @@ impl RefreshableOracle for ConfiguredOracle {
 mod tests {
     use super::*;
     use imdpp_diffusion::scenario::toy_scenario;
-    use imdpp_graph::{ItemId, UserId};
+    use imdpp_graph::ItemId;
 
     #[test]
     fn dispatch_resolves_both_kinds() {
@@ -368,7 +357,9 @@ mod tests {
         let drifted = update.apply(&s);
 
         let mut mc = ConfiguredOracle::build(&s, OracleKind::MonteCarlo, 8, 13);
-        assert_eq!(mc.refresh(&drifted, &update).resampled_fraction(), 1.0);
+        let (stats, touched) = mc.refresh(&drifted, &update);
+        assert_eq!(stats.resampled_fraction(), 1.0);
+        assert!(touched.is_none(), "Monte-Carlo tracks no coverage");
 
         let mut sk = ConfiguredOracle::build(
             &s,
@@ -380,8 +371,9 @@ mod tests {
             8,
             13,
         );
-        let stats = sk.refresh(&drifted, &update);
+        let (stats, touched) = sk.refresh(&drifted, &update);
         assert!((0.0..1.0).contains(&stats.resampled_fraction()));
+        assert_eq!(touched.map(|t| t.len()), Some(s.item_count()));
         assert_eq!(stats.full_rebuilds, 0);
         assert_eq!(sk.scenario().base_preference(UserId(1), ItemId(2)), 0.9);
     }

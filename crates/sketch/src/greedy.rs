@@ -1,5 +1,5 @@
-//! Greedy max-coverage seed selection over an [`RrStore`] with dense,
-//! incrementally-maintained counters.
+//! Greedy max-coverage seed selection over a [`ShardedRrStore`] with
+//! dense, incrementally-maintained counters.
 //!
 //! The selection core of TIM/IMM-family algorithms: repeatedly pick the user
 //! covering the most not-yet-covered RR sets.  Instead of recounting every
@@ -88,77 +88,17 @@ pub struct GreedySelection {
 
 /// Selects up to `k` users greedily maximizing RR-set coverage.
 ///
-/// Stops early when no remaining user covers an uncovered set.  Deterministic
-/// (ties toward smaller user ids), and `O(total pool size + k · n)`: a local
-/// inverted user → set index is built in one pass, the picked user's sets
-/// come from that index, and each RR-set entry is decremented exactly once —
-/// when its set first becomes covered.
-pub fn greedy_max_coverage(store: &RrStore, k: usize) -> GreedySelection {
-    let n = store.user_count();
-    let total = store.len();
-    if n == 0 || total == 0 || k == 0 {
-        return GreedySelection::default();
-    }
-
-    // A local inverted index (counting-sort CSR, like the store's own, but
-    // usable without `&mut RrStore`) plus the dense per-user counts of
-    // uncovered sets it implies.
-    let (inv_offsets, inv_sets) = local_inverted_index(store, n);
-    let mut counts: Vec<u32> = (0..n)
-        .map(|u| inv_offsets[u + 1] - inv_offsets[u])
-        .collect();
-
-    let mut covered = vec![false; total];
-    let mut covered_count = 0usize;
-    let mut chosen = Vec::with_capacity(k.min(n));
-    let mut argmax = TiledArgmax::new(n);
-
-    for _ in 0..k {
-        // Cache-tiled argmax over the dense counters; identical winner and
-        // tie-break (smallest id) to a flat scan.
-        let (best_user, best_count) = argmax.argmax(&counts);
-        if best_count == 0 {
-            break;
-        }
-        chosen.push(UserId(best_user as u32));
-        // The picked user's sets come straight from the inverted index;
-        // newly covered sets release their members' counts — the incremental
-        // update that replaces the per-iteration recount.
-        let lo = inv_offsets[best_user] as usize;
-        let hi = inv_offsets[best_user + 1] as usize;
-        for &id in &inv_sets[lo..hi] {
-            if covered[id as usize] {
-                continue;
-            }
-            covered[id as usize] = true;
-            covered_count += 1;
-            for u in store.set_members(id) {
-                counts[u as usize] -= 1;
-                argmax.touch(u as usize);
-            }
-        }
-        debug_assert_eq!(counts[best_user], 0);
-    }
-
-    GreedySelection {
-        estimated_adopters: n as f64 * covered_count as f64 / total as f64,
-        seeds: chosen,
-        covered: covered_count,
-    }
-}
-
-/// Selects up to `k` users greedily maximizing RR-set coverage over a
-/// sharded store — the same selection as [`greedy_max_coverage`], computed
-/// from *per-shard partial counters*.
-///
-/// Each shard contributes a local inverted index and local per-user counts;
-/// the argmax runs over the aggregated (summed) counts and covering a set
-/// releases its members' counts shard-locally.  Because the aggregated
-/// counters equal the flat store's counters at every step (the shards
-/// partition the same multiset of sets) the selection — seeds, order, tie
-/// breaks, coverage — is identical to running the flat greedy on the union,
-/// for any shard count.
-pub fn greedy_max_coverage_sharded(store: &ShardedRrStore, k: usize) -> GreedySelection {
+/// Stops early when no remaining user covers an uncovered set.
+/// Deterministic (ties toward smaller user ids), and `O(total pool size +
+/// k · n)`: each shard contributes a local inverted index and its per-user
+/// counts; the argmax runs over the aggregated (summed) counts, the picked
+/// user's sets come from the shard indexes, and covering a set releases its
+/// members' counts — each RR-set entry is decremented exactly once, when
+/// its set first becomes covered.  Because the aggregated counters equal
+/// the counters of one flat pool at every step (the shards partition the
+/// same multiset of sets), the selection — seeds, order, tie breaks,
+/// coverage — is the same for any shard count.
+pub fn greedy_max_coverage(store: &ShardedRrStore, k: usize) -> GreedySelection {
     let n = store.user_count();
     let total = store.len();
     let shard_count = store.shard_count();
@@ -251,18 +191,59 @@ mod tests {
         ids.iter().map(|&u| UserId(u)).collect()
     }
 
-    fn store_with(n: usize, sets: &[&[u32]]) -> RrStore {
-        let mut s = RrStore::new(ItemId(0), n);
-        for set in sets {
-            s.push_set(&users(set));
+    /// The reference every selection is checked against: the
+    /// recount-per-round greedy (count each user's uncovered sets afresh,
+    /// take the first maximum), returning the seeds and the covered count.
+    fn recount_greedy(sets: &[&[u32]], n: u32, k: usize) -> (Vec<UserId>, usize) {
+        let mut covered = vec![false; sets.len()];
+        let mut seeds = Vec::new();
+        for _ in 0..k {
+            let mut best = (0u32, 0usize);
+            for u in 0..n {
+                let c = sets
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, s)| !covered[*i] && s.contains(&u))
+                    .count();
+                if c > best.1 {
+                    best = (u, c);
+                }
+            }
+            if best.1 == 0 {
+                break;
+            }
+            seeds.push(UserId(best.0));
+            for (i, s) in sets.iter().enumerate() {
+                covered[i] |= s.contains(&best.0);
+            }
         }
-        s
+        (seeds, covered.iter().filter(|&&c| c).count())
+    }
+
+    /// Checks the greedy over `sets` against [`recount_greedy`] for every
+    /// shard count, returning the (shard-independent) selection.
+    fn checked_greedy(n: u32, sets: &[&[u32]], k: usize) -> GreedySelection {
+        let (seeds, covered) = recount_greedy(sets, n, k);
+        let selections = [1usize, 2, 4, 7].map(|shards| {
+            let mut store = ShardedRrStore::new(ItemId(0), n as usize, shards);
+            for set in sets {
+                store.push_set(&users(set));
+            }
+            let sel = greedy_max_coverage(&store, k);
+            assert_eq!(sel.seeds, seeds, "{shards} shards");
+            assert_eq!(sel.covered, covered, "{shards} shards");
+            sel
+        });
+        for other in &selections[1..] {
+            assert_eq!(other.estimated_adopters, selections[0].estimated_adopters);
+        }
+        let [sel, ..] = selections;
+        sel
     }
 
     #[test]
     fn picks_the_dominant_coverer_first() {
-        let s = store_with(5, &[&[0, 1], &[0, 2], &[0, 3], &[4]]);
-        let sel = greedy_max_coverage(&s, 2);
+        let sel = checked_greedy(5, &[&[0, 1], &[0, 2], &[0, 3], &[4]], 2);
         assert_eq!(sel.seeds, users(&[0, 4]));
         assert_eq!(sel.covered, 4);
         assert!((sel.estimated_adopters - 5.0).abs() < 1e-12);
@@ -270,33 +251,27 @@ mod tests {
 
     #[test]
     fn stops_when_everything_is_covered() {
-        let s = store_with(4, &[&[1], &[1, 2]]);
-        let sel = greedy_max_coverage(&s, 10);
+        let sel = checked_greedy(4, &[&[1], &[1, 2]], 10);
         assert_eq!(sel.seeds, users(&[1]));
         assert_eq!(sel.covered, 2);
     }
 
     #[test]
     fn ties_break_toward_smaller_ids() {
-        let s = store_with(4, &[&[2, 3], &[2, 3]]);
-        let sel = greedy_max_coverage(&s, 1);
+        let sel = checked_greedy(4, &[&[2, 3], &[2, 3]], 1);
         assert_eq!(sel.seeds, users(&[2]));
     }
 
     #[test]
     fn empty_inputs_yield_empty_selection() {
-        let s = store_with(4, &[]);
-        assert!(greedy_max_coverage(&s, 3).seeds.is_empty());
-        let s2 = store_with(4, &[&[0]]);
-        assert!(greedy_max_coverage(&s2, 0).seeds.is_empty());
-        let sh = ShardedRrStore::new(ItemId(0), 4, 3);
-        assert!(greedy_max_coverage_sharded(&sh, 3).seeds.is_empty());
+        assert!(checked_greedy(4, &[], 3).seeds.is_empty());
+        assert!(checked_greedy(4, &[&[0]], 0).seeds.is_empty());
     }
 
     #[test]
     fn matches_the_legacy_quadratic_greedy() {
-        // Moderately sized random-ish instance; compare against a direct
-        // reimplementation of the recount-per-iteration greedy.
+        // Moderately sized random-ish instance against the recount-per-round
+        // reference, at every shard count.
         let mut sets: Vec<Vec<u32>> = Vec::new();
         let mut x = 12345u64;
         for _ in 0..60 {
@@ -314,47 +289,8 @@ mod tests {
             }
             sets.push(set);
         }
-        let store = store_with(20, &sets.iter().map(|s| s.as_slice()).collect::<Vec<_>>());
-        let fast = greedy_max_coverage(&store, 5);
-
-        // The sharded selection must agree with the flat one (and hence with
-        // the legacy greedy below) for every shard count.
-        for shards in [1usize, 2, 4, 7] {
-            let mut sharded = ShardedRrStore::new(ItemId(0), 20, shards);
-            for set in &sets {
-                sharded.push_set(&users(set));
-            }
-            let sel = greedy_max_coverage_sharded(&sharded, 5);
-            assert_eq!(sel.seeds, fast.seeds, "{shards} shards");
-            assert_eq!(sel.covered, fast.covered);
-            assert_eq!(sel.estimated_adopters, fast.estimated_adopters);
-        }
-
-        // Legacy: recount everything each round.
-        let mut covered = vec![false; sets.len()];
-        let mut legacy = Vec::new();
-        for _ in 0..5 {
-            let mut best = (0u32, 0usize);
-            for u in 0..20u32 {
-                let c = sets
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, s)| !covered[*i] && s.contains(&u))
-                    .count();
-                if c > best.1 {
-                    best = (u, c);
-                }
-            }
-            if best.1 == 0 {
-                break;
-            }
-            legacy.push(UserId(best.0));
-            for (i, s) in sets.iter().enumerate() {
-                if s.contains(&best.0) {
-                    covered[i] = true;
-                }
-            }
-        }
-        assert_eq!(fast.seeds, legacy);
+        let sets: Vec<&[u32]> = sets.iter().map(|s| s.as_slice()).collect();
+        let sel = checked_greedy(20, &sets, 5);
+        assert_eq!(sel.seeds.len(), 5);
     }
 }

@@ -1,66 +1,40 @@
-//! Incremental sketch maintenance under perception drift and edge updates —
+//! Incremental sketch maintenance under preference drift and edge updates —
 //! the sample-reuse path (Zhang et al., *A Sample Reuse Strategy for Dynamic
 //! Influence Maximization*; Yalavarthi & Khan's local updating).
 //!
-//! When user perceptions change between promotions, the static triggering
-//! probability of an edge `u' → u` (`P_act(u', u) · P_pref(u, item)`) can
-//! change.  An RR set's traversal only ever draws randomness *at the nodes
-//! it visited* — every visited node is a member of the set — so a set whose
-//! members are all unaffected would be re-generated **bit-identically** by
-//! its RNG stream against the updated scenario.  Those sets are reused; only
-//! sets containing an affected user are re-sampled (found in O(1) per user
-//! via the store's inverted index).
+//! An RR set's traversal only ever draws randomness *at the nodes it
+//! visited* — every visited node is a member of the set — and the draws at
+//! a node `u` are for its in-edges `u' → u`, live with probability
+//! `P_act(u', u) · P_pref(u, item)`.  A set whose members' draws are all
+//! unaffected by an update is therefore re-generated **bit-identically** by
+//! its RNG stream against the updated scenario.  Those sets are reused;
+//! only sets containing an *affected head* are re-sampled (found in O(1)
+//! per head via the store's inverted index):
 //!
-//! A perception change at user `c` can move:
-//! * `P_pref(c, ·)` — felt on in-edges of `c`, i.e. when `c` is visited,
-//! * `P_act(c, w)` and `P_act(v, c)` — influence strengths involving `c`;
-//!   the draw for edge `c → w` happens when `w` is visited.
+//! * a **preference change** `(u, x)` moves `P_pref(u, x)`, felt only on
+//!   the in-edge draws of `u` for item `x` — so its head is `u`, in item
+//!   `x`'s store only;
+//! * an **edge update** (strength change, insertion, deletion of `v → w`)
+//!   changes the in-edge draws of `w` and nothing else about the
+//!   in-adjacency any *other* node presents (an order-preservation
+//!   guarantee of `CsrGraph::apply_edge_updates`) — so its head is the
+//!   destination `w` of each edge that actually changed, in every item's
+//!   store (see [`edge_update_frontier`]).
 //!
-//! Hence the *affected heads* of a perception update at `c` are
-//! `{c} ∪ out-neighbours(c)`, and invalidating every set containing an
-//! affected head is exact: the refreshed sketch equals a from-scratch
-//! rebuild with the same streams (a property the test-suite asserts).
-//!
-//! The same argument handles **edge updates** (strength changes, insertions,
-//! deletions of `v → w`) with an even tighter frontier: the traversal draws
-//! for the in-edges of `w` exactly when it visits `w`, and an update to
-//! `v → w` changes nothing else about the in-adjacency any *other* node
-//! presents (an order-preservation guarantee of
-//! `CsrGraph::apply_edge_updates`).  So the affected heads of an edge
-//! update are just the *destinations* of the edges that actually changed —
-//! see [`edge_update_frontier`] — and a set not containing any such
-//! destination replays to the identical member list.
-//!
-//! Refreshes also patch the store's inverted index incrementally
-//! (tombstone-and-append, see [`crate::store`]): the [`RefreshStats`]
-//! returned per refresh carries the index-maintenance deltas, and in debug
-//! builds every refresh `debug_assert`s the patched index against a full
-//! rebuild.
+//! Invalidating every set containing an affected head is exact: the
+//! refreshed sketch equals a from-scratch rebuild with the same streams (a
+//! property the test-suite asserts).  Refreshes also patch the store's
+//! inverted index incrementally (tombstone-and-append, see
+//! [`crate::store`]): the [`RefreshStats`] returned per refresh carries the
+//! index-maintenance deltas, and in debug builds every refresh
+//! `debug_assert`s the patched index against a full rebuild.  The refresh
+//! itself runs as (item × shard) tasks on the work-queue; see
+//! [`crate::sharded`].
 
-use crate::sharded::ShardedRrStore;
 use imdpp_diffusion::Scenario;
 use imdpp_graph::{EdgeUpdate, UserId};
 
 pub use imdpp_core::oracle::RefreshStats;
-
-/// Expands a set of perception-changed users to the *affected heads* whose
-/// in-edge draws could change: the users themselves plus their social
-/// out-neighbours.  Sorted and deduplicated.
-pub fn affected_heads(scenario: &Scenario, changed: &[UserId]) -> Vec<UserId> {
-    let mut heads: Vec<UserId> = Vec::with_capacity(changed.len() * 2);
-    for &c in changed {
-        if c.index() >= scenario.user_count() {
-            continue;
-        }
-        heads.push(c);
-        for (w, _) in scenario.social().influenced_by(c) {
-            heads.push(w);
-        }
-    }
-    heads.sort_unstable();
-    heads.dedup();
-    heads
-}
 
 /// Computes the affected heads of a batch of edge updates against the
 /// *pre-update* scenario: the destinations of the edges whose strength
@@ -96,43 +70,13 @@ pub fn edge_update_frontier(before: &Scenario, updates: &[EdgeUpdate]) -> Vec<Us
     heads
 }
 
-/// Refreshes one (sharded) store against `updated` (an already-frozen
-/// scenario): re-samples exactly the sets containing an affected head,
-/// replaying each set's original RNG stream, and reuses everything else.
-/// The owning shards' inverted indexes are patched, never rebuilt.
-///
-/// Delegates to [`ShardedRrStore::refresh`], which fans the frontier out
-/// **per shard** (each shard queried, re-sampled and patched on its own
-/// worker) and merges the per-shard counters; results and stats are
-/// identical for any `(threads, shards)` combination.
-pub fn refresh_store(
-    store: &mut ShardedRrStore,
-    updated: &Scenario,
-    base_seed: u64,
-    heads: &[UserId],
-    threads: usize,
-) -> RefreshStats {
-    store.refresh(updated, base_seed, heads, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sampler;
+    use crate::sharded::{grow_stores, refresh_stores, ShardedRrStore};
+    use crate::telemetry::SketchMetrics;
     use imdpp_diffusion::scenario::toy_scenario;
     use imdpp_graph::ItemId;
-
-    #[test]
-    fn affected_heads_include_self_and_out_neighbours() {
-        let s = toy_scenario();
-        // User 0 influences 1 and 2 in the toy graph.
-        let heads = affected_heads(&s, &[UserId(0)]);
-        assert_eq!(heads, vec![UserId(0), UserId(1), UserId(2)]);
-        // User 5 has no out-edges.
-        assert_eq!(affected_heads(&s, &[UserId(5)]), vec![UserId(5)]);
-        // Out-of-range users are ignored.
-        assert!(affected_heads(&s, &[UserId(99)]).is_empty());
-    }
 
     #[test]
     fn edge_update_frontier_contains_only_changed_destinations() {
@@ -194,22 +138,31 @@ mod tests {
     #[test]
     fn refresh_with_unchanged_scenario_is_a_fixed_point() {
         let s = toy_scenario();
+        let metrics = SketchMetrics::noop();
         for shards in [1usize, 3] {
-            let mut store = ShardedRrStore::new(ItemId(0), s.user_count(), shards);
-            for set in sampler::sample_range(&s, ItemId(0), 11, 0, 128, 2) {
-                store.push_set(&set);
-            }
-            store.rebuild_index();
-            let before: Vec<Vec<u32>> = store.iter().map(|(_, set)| set.to_vec()).collect();
-            // "Change" a user but hand the identical scenario: the re-sampled
-            // sets replay their streams and must come out identical.
-            let heads = affected_heads(&s, &[UserId(0)]);
-            let stats = refresh_store(&mut store, &s, 11, &heads, 2);
+            let mut stores = [ShardedRrStore::new(ItemId(0), s.user_count(), shards)];
+            grow_stores(
+                &mut stores,
+                &s,
+                11,
+                128,
+                2,
+                &metrics,
+                &metrics.shard_build_ns,
+            );
+            let before: Vec<Vec<u32>> = stores[0].iter().map(|(_, set)| set).collect();
+            // "Change" user 0 and its out-neighbours but hand the identical
+            // scenario: the re-sampled sets replay their streams and must
+            // come out identical.
+            let heads = [vec![UserId(0), UserId(1), UserId(2)]];
+            let (stats, touched) =
+                refresh_stores(&mut stores, &s, 11, &heads, 2, &metrics).swap_remove(0);
             assert_eq!(stats.total_sets, 128);
             assert!(stats.resampled_sets > 0);
             assert_eq!(stats.full_rebuilds, 0, "refresh must patch, not rebuild");
             assert!(stats.index_entries_patched > 0);
-            let after: Vec<Vec<u32>> = store.iter().map(|(_, set)| set.to_vec()).collect();
+            assert!(touched.contains(&UserId(0)));
+            let after: Vec<Vec<u32>> = stores[0].iter().map(|(_, set)| set).collect();
             assert_eq!(before, after);
             assert!((stats.resampled_fraction() + stats.reused_fraction() - 1.0).abs() < 1e-12);
         }

@@ -20,27 +20,30 @@
 //! * [`sharded`] — [`ShardedRrStore`]: the same sets partitioned across
 //!   `S` shards (deterministic `id mod S` placement), each shard owning
 //!   its own arena and index; estimates and selections are
-//!   shard-count-independent,
-//! * [`sampler`] — parallel RR-set generation with deterministic per-sample
-//!   RNG streams (thread-count-independent, replayable in isolation),
+//!   shard-count-independent.  Build, growth and refresh run as (item ×
+//!   shard) tasks on the suite's one work-queue
+//!   (`imdpp_diffusion::par`),
+//! * [`sampler`] — RR-set sampling with deterministic per-sample RNG
+//!   streams (thread-count-independent, replayable in isolation),
 //! * [`adaptive`] — the OPIM-style `(ε, δ)` stopping rule that sizes the
 //!   sketch instead of a fixed sample count,
 //! * [`incremental`] — invalidate-and-resample maintenance that reuses every
-//!   RR set a perception drift or an *edge update* (strength change,
+//!   RR set a preference drift or an *edge update* (strength change,
 //!   insertion, deletion) could not have touched,
-//! * [`maintain`] — maintained-solution repair: intersect a tracked
-//!   refresh's touched users with a cached greedy trace, re-run CELF from
+//! * [`maintain`] — maintained-solution repair: intersect a refresh's
+//!   touched users with a cached greedy trace, re-run CELF from
 //!   the first invalidated position, and keep the repaired seed set while
 //!   it stays within a configurable bound of fresh greedy,
 //! * [`greedy`] — dense-counter CELF-style greedy max-coverage selection,
 //! * [`oracle`] — [`SketchOracle`], the `imdpp_core::SpreadOracle`
-//!   implementation callers plug into nominee selection and baselines; it
-//!   also implements `imdpp_core::RefreshableOracle` for the adaptive loop,
+//!   implementation callers plug into nominee selection and baselines; its
+//!   `imdpp_core::RefreshableOracle::refresh` is the one entry point that
+//!   moves the sketch to a drifted world,
 //! * [`dispatch`] — [`ConfiguredOracle`], the one place the
 //!   `DysimConfig::oracle` knob resolves to a concrete estimator (consumed
 //!   by the `imdpp-engine` `Engine`),
 //! * [`telemetry`] — [`SketchMetrics`], the pre-resolved `imdpp-obs`
-//!   handles the build/extend/refresh paths record into (per-shard
+//!   handles the build/growth/refresh tasks record into (per-shard
 //!   wall-clock, sampled/resampled-set counters, frontier sizes); recording
 //!   never feeds the RNG, so metered runs stay bit-identical.
 //!
@@ -52,6 +55,7 @@
 //! ```
 //! use imdpp_diffusion::scenario::toy_scenario;
 //! use imdpp_graph::{EdgeUpdate, ItemId, UserId};
+//! use imdpp_sketch::{RefreshableOracle, ScenarioUpdate};
 //! use imdpp_sketch::{SketchConfig, SketchOracle, SpreadOracle};
 //!
 //! let scenario = toy_scenario();
@@ -64,13 +68,13 @@
 //!
 //! // An influence edge strengthens between promotions: re-sample only the
 //! // RR sets whose traversal could have crossed it...
-//! let update = [EdgeUpdate::Reweight {
+//! let update = ScenarioUpdate::Edges(vec![EdgeUpdate::Reweight {
 //!     src: UserId(0),
 //!     dst: UserId(1),
 //!     weight: 0.9,
-//! }];
-//! let drifted = scenario.with_edge_updates(&update);
-//! let stats = oracle.apply_edge_update(&drifted, &update);
+//! }]);
+//! let drifted = update.apply(&scenario);
+//! let (stats, _touched) = oracle.refresh(&drifted, &update);
 //! assert!(stats.resampled_sets < stats.total_sets);
 //!
 //! // ...and the refreshed sketch is bit-identical to a from-scratch rebuild.
@@ -101,12 +105,11 @@ pub mod telemetry;
 pub use adaptive::{AdaptiveReport, StoppingRule};
 pub use arena::SetMembers;
 pub use dispatch::ConfiguredOracle;
-pub use greedy::{greedy_max_coverage, greedy_max_coverage_sharded, GreedySelection};
-pub use incremental::{affected_heads, edge_update_frontier, RefreshStats};
+pub use greedy::{greedy_max_coverage, GreedySelection};
+pub use incremental::{edge_update_frontier, RefreshStats};
 pub use maintain::{first_invalidated_position, repair_nominees, RepairOutcome, RepairStats};
 pub use oracle::SketchOracle;
 pub use overlay::{PatchedSketch, SketchPatch};
-pub use sampler::effective_threads;
 pub use sharded::ShardedRrStore;
 pub use store::{IndexStats, RrStore, SetId};
 pub use telemetry::SketchMetrics;
@@ -127,20 +130,21 @@ pub struct SketchConfig {
     pub epsilon: f64,
     /// Failure probability of the `(ε, δ)` stopping rule.
     pub delta: f64,
-    /// Worker threads for sampling and shard-parallel maintenance.
+    /// Worker threads for the (item × shard) build, growth and refresh
+    /// tasks.
     ///
     /// This is *the* definition of the convention every path follows
-    /// (resolved by `sampler::effective_threads`):
+    /// (resolved by `imdpp_diffusion::par::effective_threads`):
     ///
     /// * **`0` means auto** — use every core `available_parallelism`
     ///   reports,
     /// * any explicit count is capped at `available_parallelism` and at
-    ///   the available work (streams to sample, shards to refresh), and
-    ///   floors at 1 (sequential),
-    /// * on sharded stores the unit of parallelism is the **shard**: each
-    ///   shard builds/refreshes on its own worker, so full utilization
-    ///   wants `shards >= threads`; a single-shard store parallelizes over
-    ///   sampling streams instead.
+    ///   the available work (the tasks of one build, growth or refresh),
+    ///   and floors at 1 (sequential),
+    /// * the unit of parallelism is **one shard of one item**: a build or
+    ///   refresh spreads `items × shards` tasks over the workers, so a
+    ///   single-item growth (`ensure_precision`) runs on at most `shards`
+    ///   workers.
     ///
     /// Results are bit-identical for every value — each RR set is its own
     /// deterministic RNG stream (`set id == stream id`), so the thread

@@ -11,9 +11,9 @@
 //! route of the dynamic influence-maximization literature (Yalavarthi &
 //! Khan; Yang et al.), this module repairs the *greedy trace* instead:
 //!
-//! 1. The tracked refresh reports, per item, the **touched users** — the
+//! 1. The refresh reports, per item, the **touched users** — the
 //!    union of every re-sampled RR set's members before and after
-//!    replacement ([`crate::ShardedRrStore::refresh_tracked_observed`]).
+//!    replacement ([`crate::SketchOracle`]'s `RefreshableOracle::refresh`).
 //!    A nominee `(u, x)` with `u` untouched for item `x` kept its covering
 //!    set-ids bit-identical, and since the sketch objective is a sum of
 //!    per-item coverage terms, every marginal computed among untouched
@@ -94,9 +94,9 @@ pub struct RepairOutcome {
 /// in `touched_by_item[x]`.  Returns `nominees.len()` when the whole trace
 /// survived (every per-item touched list misses every same-item nominee).
 ///
-/// `touched_by_item` is the per-item output of
-/// [`crate::SketchOracle::refresh_tracked`]; its lists are sorted, so each
-/// position costs one binary search.
+/// `touched_by_item` is the per-item output of the sketch's
+/// `RefreshableOracle::refresh`; its lists are sorted, so each position
+/// costs one binary search.
 pub fn first_invalidated_position(nominees: &[Nominee], touched_by_item: &[Vec<UserId>]) -> usize {
     nominees
         .iter()

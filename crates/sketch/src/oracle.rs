@@ -2,10 +2,10 @@
 //! estimation interface of `imdpp-core`.
 
 use crate::adaptive::{AdaptiveReport, StoppingRule};
-use crate::greedy::{greedy_max_coverage_sharded, GreedySelection};
-use crate::incremental::{affected_heads, edge_update_frontier, RefreshStats};
+use crate::greedy::{greedy_max_coverage, GreedySelection};
+use crate::incremental::{edge_update_frontier, RefreshStats};
 use crate::persist;
-use crate::sharded::ShardedRrStore;
+use crate::sharded::{grow_stores, refresh_stores, ShardedRrStore};
 use crate::store::IndexStats;
 use crate::telemetry::SketchMetrics;
 use crate::SketchConfig;
@@ -13,7 +13,7 @@ use imdpp_core::nominees::Nominee;
 use imdpp_core::oracle::{RefreshableOracle, ScenarioUpdate};
 use imdpp_core::SpreadOracle;
 use imdpp_diffusion::{DynamicsConfig, ImdppError, Scenario};
-use imdpp_graph::{EdgeUpdate, ItemId, UserId};
+use imdpp_graph::{ItemId, UserId};
 use imdpp_obs::Telemetry;
 
 /// A reverse-reachable-sketch estimator of the static first-promotion
@@ -23,7 +23,7 @@ use imdpp_obs::Telemetry;
 /// Construction freezes the scenario's dynamics (the Lemma 1 restriction
 /// both estimators target) and samples every store in parallel with
 /// deterministic per-set RNG streams.  Between promotions,
-/// [`SketchOracle::apply_update`] migrates the sketch to a drifted scenario
+/// [`RefreshableOracle::refresh`] migrates the sketch to a drifted scenario
 /// by re-sampling only the RR sets whose traversal could have observed the
 /// change — the incremental sample-reuse path — and patches the inverted
 /// indexes instead of rebuilding them.
@@ -77,20 +77,22 @@ impl SketchOracle {
         );
         let metrics = SketchMetrics::new(telemetry);
         let frozen = scenario.with_dynamics(DynamicsConfig::frozen());
-        // (item × shard) parallel generation on one dynamic work-queue:
-        // every task samples, pushes and index-builds one shard of one item
-        // on whichever worker claims it, so the pool stays busy even when
-        // items × shards far exceeds — or barely reaches — the core count.
-        // Every later maintenance step patches incrementally.
-        let items: Vec<ItemId> = frozen.items().collect();
-        let stores = crate::sharded::build_stores_observed(
+        // A build is growth from stream 0 of fresh stores: (item × shard)
+        // tasks on the work-queue, each sampling, pushing and index-building
+        // one shard of one item on whichever worker claims it.  Every later
+        // maintenance step patches incrementally.
+        let mut stores: Vec<ShardedRrStore> = frozen
+            .items()
+            .map(|item| ShardedRrStore::new(item, frozen.user_count(), config.shards))
+            .collect();
+        grow_stores(
+            &mut stores,
             &frozen,
-            &items,
-            config.shards,
             config.base_seed,
             config.initial_sets,
             config.threads,
             &metrics,
+            &metrics.shard_build_ns,
         );
         let oracle = SketchOracle {
             frozen,
@@ -186,7 +188,7 @@ impl SketchOracle {
     /// Greedy max-coverage selection of `k` seed users for one item,
     /// aggregating per-shard partial counters (shard-count-independent).
     pub fn greedy_seeds(&self, item: ItemId, k: usize) -> GreedySelection {
-        greedy_max_coverage_sharded(&self.stores[item.index()], k)
+        greedy_max_coverage(&self.stores[item.index()], k)
     }
 
     /// Grows `item`'s store until the `(ε, δ)` rule certifies the estimate
@@ -214,145 +216,22 @@ impl SketchOracle {
                 };
             }
             let grow = store.len().min(self.config.max_sets - store.len()).max(1);
-            // Shard-parallel growth; grown sets are patched into the
+            // The build's growth task: grown sets are patched into the
             // inverted index (no rebuild), and the `id mod S` stream
             // partition keeps placement thread-independent.
-            store.extend_observed(
+            grow_stores(
+                std::slice::from_mut(store),
                 &self.frozen,
                 self.config.base_seed,
                 grow,
                 self.config.threads,
                 &self.metrics,
+                &self.metrics.shard_extend_ns,
             );
             rounds += 1;
         };
         self.record_memory();
         report
-    }
-
-    /// Refreshes every store through the (item × shard) work-queue
-    /// (`frontiers[i]` = item `i`'s head list, `None` = skip with synthetic
-    /// stats), absorbing per-item reports in item order and refreshing the
-    /// memory gauge — the shared tail of every `apply_*` path.
-    fn refresh_all(
-        &mut self,
-        frontiers: &[Option<&[UserId]>],
-        track: bool,
-    ) -> (RefreshStats, Vec<Vec<UserId>>) {
-        let per_store = crate::sharded::refresh_stores_tracked_observed(
-            &mut self.stores,
-            &self.frozen,
-            self.config.base_seed,
-            frontiers,
-            self.config.threads,
-            &self.metrics,
-            track,
-        );
-        let mut stats = RefreshStats::default();
-        let mut touched: Vec<Vec<UserId>> = Vec::with_capacity(per_store.len());
-        for (store_stats, store_touched) in per_store {
-            stats.absorb(store_stats);
-            touched.push(store_touched);
-        }
-        self.record_memory();
-        (stats, touched)
-    }
-
-    /// Migrates the sketch to `updated` (whose dynamics are re-frozen) after
-    /// the perceptions/preferences of `changed_users` drifted, re-sampling
-    /// only the RR sets whose traversal could have observed the change.
-    ///
-    /// The refreshed sketch is *identical* to rebuilding from scratch
-    /// against `updated` with the same configuration.
-    pub fn apply_update(&mut self, updated: &Scenario, changed_users: &[UserId]) -> RefreshStats {
-        self.frozen = updated.with_dynamics(DynamicsConfig::frozen());
-        let heads = affected_heads(&self.frozen, changed_users);
-        let frontiers: Vec<Option<&[UserId]>> = vec![Some(heads.as_slice()); self.stores.len()];
-        self.refresh_all(&frontiers, false).0
-    }
-
-    /// Migrates the sketch after *preference-only* drift: each `(u, x)`
-    /// change affects the triggering probability only on in-edge draws of
-    /// `u` for item `x`, so only item `x`'s sets containing `u` are
-    /// re-sampled — a far tighter frontier than [`SketchOracle::apply_update`]
-    /// (which must assume influence strengths moved too).  Exactness is the
-    /// same: the result is identical to a from-scratch rebuild against
-    /// `updated`.
-    pub fn apply_preference_update(
-        &mut self,
-        updated: &Scenario,
-        changes: &[(UserId, ItemId)],
-    ) -> RefreshStats {
-        self.frozen = updated.with_dynamics(DynamicsConfig::frozen());
-        let mut by_item: Vec<Vec<UserId>> = vec![Vec::new(); self.stores.len()];
-        for &(u, x) in changes {
-            if x.index() < by_item.len() {
-                by_item[x.index()].push(u);
-            }
-        }
-        let frontiers: Vec<Option<&[UserId]>> = by_item
-            .iter()
-            .map(|users| (!users.is_empty()).then_some(users.as_slice()))
-            .collect();
-        self.refresh_all(&frontiers, false).0
-    }
-
-    /// [`SketchOracle::refresh`] that additionally reports, **per item**, the
-    /// touched users of that item's store: the union of every re-sampled RR
-    /// set's members before and after replacement (see
-    /// [`ShardedRrStore::refresh_tracked_observed`]).  A nominee `(u, x)`
-    /// with `u` absent from `touched[x]` kept its covering set-ids — and
-    /// therefore every marginal involving only such nominees — bit-identical
-    /// through the refresh.  The refreshed sketch and the [`RefreshStats`]
-    /// are identical to the untracked [`SketchOracle::refresh`].
-    pub fn refresh_tracked(
-        &mut self,
-        updated: &Scenario,
-        update: &ScenarioUpdate,
-    ) -> (RefreshStats, Vec<Vec<UserId>>) {
-        match update {
-            ScenarioUpdate::Preferences(changes) => {
-                let pairs: Vec<(UserId, ItemId)> =
-                    changes.iter().map(|&(u, x, _)| (u, x)).collect();
-                self.apply_preference_update_tracked(updated, &pairs)
-            }
-            ScenarioUpdate::Edges(updates) => self.apply_edge_update_tracked(updated, updates),
-        }
-    }
-
-    /// Tracked variant of [`SketchOracle::apply_preference_update`]; see
-    /// [`SketchOracle::refresh_tracked`] for the touched-user contract.
-    pub fn apply_preference_update_tracked(
-        &mut self,
-        updated: &Scenario,
-        changes: &[(UserId, ItemId)],
-    ) -> (RefreshStats, Vec<Vec<UserId>>) {
-        self.frozen = updated.with_dynamics(DynamicsConfig::frozen());
-        let mut by_item: Vec<Vec<UserId>> = vec![Vec::new(); self.stores.len()];
-        for &(u, x) in changes {
-            if x.index() < by_item.len() {
-                by_item[x.index()].push(u);
-            }
-        }
-        let frontiers: Vec<Option<&[UserId]>> = by_item
-            .iter()
-            .map(|users| (!users.is_empty()).then_some(users.as_slice()))
-            .collect();
-        self.refresh_all(&frontiers, true)
-    }
-
-    /// Tracked variant of [`SketchOracle::apply_edge_update`]; see
-    /// [`SketchOracle::refresh_tracked`] for the touched-user contract.
-    pub fn apply_edge_update_tracked(
-        &mut self,
-        updated: &Scenario,
-        updates: &[EdgeUpdate],
-    ) -> (RefreshStats, Vec<Vec<UserId>>) {
-        let heads = edge_update_frontier(&self.frozen, updates);
-        self.frozen = updated.with_dynamics(DynamicsConfig::frozen());
-        let frontier = (!heads.is_empty()).then_some(heads.as_slice());
-        let frontiers: Vec<Option<&[UserId]>> = vec![frontier; self.stores.len()];
-        self.refresh_all(&frontiers, true)
     }
 
     /// Answers a whole batch of static-spread queries in one pass over the
@@ -427,7 +306,7 @@ impl SketchOracle {
     /// a pure function of the sampled set contents.
     pub fn serialize(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        persist::write_varint(self.stores.len() as u32, &mut out);
+        persist::write_varint(self.stores.len() as u64, &mut out);
         for store in &self.stores {
             store.serialize_into(&mut out);
         }
@@ -490,51 +369,69 @@ impl SketchOracle {
         oracle.record_memory();
         Ok(oracle)
     }
-
-    /// Migrates the sketch after influence-edge updates (strength changes,
-    /// insertions, deletions), re-sampling only the RR sets whose traversal
-    /// could have crossed a touched edge.
-    ///
-    /// `updated` must be the oracle's current scenario with exactly
-    /// `updates` applied (i.e. `self.scenario().with_edge_updates(updates)`
-    /// up to dynamics configuration): the affected-set frontier is the
-    /// destinations of the edges that actually change
-    /// ([`edge_update_frontier`]), which is only exact when the adjacency
-    /// order of untouched users is preserved — the guarantee
-    /// `CsrGraph::apply_edge_updates` provides.  A batch of no-op updates
-    /// (removing absent edges, re-setting current strengths) re-samples
-    /// zero sets.
-    ///
-    /// The refreshed sketch is *identical* to rebuilding from scratch
-    /// against `updated` with the same configuration.
-    pub fn apply_edge_update(
-        &mut self,
-        updated: &Scenario,
-        updates: &[EdgeUpdate],
-    ) -> RefreshStats {
-        let heads = edge_update_frontier(&self.frozen, updates);
-        self.frozen = updated.with_dynamics(DynamicsConfig::frozen());
-        let frontier = (!heads.is_empty()).then_some(heads.as_slice());
-        let frontiers: Vec<Option<&[UserId]>> = vec![frontier; self.stores.len()];
-        self.refresh_all(&frontiers, false).0
-    }
 }
 
 impl RefreshableOracle for SketchOracle {
-    /// Dispatches a [`ScenarioUpdate`] to the matching sample-reuse path
-    /// ([`SketchOracle::apply_preference_update`] /
-    /// [`SketchOracle::apply_edge_update`]) and reports the refresh cost —
-    /// the adaptive loop records its resampled fraction per round and the
-    /// engine surfaces the whole value on `ApplyReport`.
-    fn refresh(&mut self, updated: &Scenario, update: &ScenarioUpdate) -> RefreshStats {
-        match update {
+    /// Migrates the sketch to `updated` (whose dynamics are re-frozen),
+    /// re-sampling only the RR sets whose traversal could have observed the
+    /// change, and reports the refresh cost plus, **per item**, the touched
+    /// users of that item's store: the union of every re-sampled set's
+    /// members before and after replacement.  A nominee `(u, x)` with `u`
+    /// absent from `touched[x]` kept its covering set ids — and therefore
+    /// every marginal involving only such nominees — bit-identical.
+    ///
+    /// The affected heads (see [`crate::incremental`]) are, per store:
+    ///
+    /// * [`ScenarioUpdate::Preferences`] — each changed `(u, x)` invalidates
+    ///   only item `x`'s sets containing `u`; stores of unchanged items are
+    ///   skipped,
+    /// * [`ScenarioUpdate::Edges`] — the destinations of the edges that
+    ///   actually change ([`edge_update_frontier`]), in every store.
+    ///   `updated` must be the oracle's current scenario with exactly those
+    ///   updates applied: the frontier is only exact when the adjacency
+    ///   order of untouched users is preserved, the guarantee
+    ///   `CsrGraph::apply_edge_updates` provides.  A batch of no-op updates
+    ///   re-samples zero sets.
+    ///
+    /// Either way the refreshed sketch is *identical* to rebuilding from
+    /// scratch against `updated` with the same configuration, and the
+    /// stats and touched lists are identical for any `(threads, shards)`.
+    fn refresh(
+        &mut self,
+        updated: &Scenario,
+        update: &ScenarioUpdate,
+    ) -> (RefreshStats, Option<Vec<Vec<UserId>>>) {
+        let heads: Vec<Vec<UserId>> = match update {
             ScenarioUpdate::Preferences(changes) => {
-                let pairs: Vec<(UserId, ItemId)> =
-                    changes.iter().map(|&(u, x, _)| (u, x)).collect();
-                self.apply_preference_update(updated, &pairs)
+                let mut by_item = vec![Vec::new(); self.stores.len()];
+                for &(u, x, _) in changes {
+                    if x.index() < by_item.len() {
+                        by_item[x.index()].push(u);
+                    }
+                }
+                by_item
             }
-            ScenarioUpdate::Edges(updates) => self.apply_edge_update(updated, updates),
+            ScenarioUpdate::Edges(updates) => {
+                vec![edge_update_frontier(&self.frozen, updates); self.stores.len()]
+            }
+        };
+        self.frozen = updated.with_dynamics(DynamicsConfig::frozen());
+        let per_store = refresh_stores(
+            &mut self.stores,
+            &self.frozen,
+            self.config.base_seed,
+            &heads,
+            self.config.threads,
+            &self.metrics,
+        );
+        let mut stats = RefreshStats::default();
+        let mut touched: Vec<Vec<UserId>> = Vec::with_capacity(per_store.len());
+        for (store_stats, store_touched) in per_store {
+            stats.absorb(store_stats);
+            touched.push(store_touched);
         }
+        self.record_memory();
+        (stats, Some(touched))
     }
 }
 
@@ -573,6 +470,7 @@ impl SpreadOracle for SketchOracle {
 mod tests {
     use super::*;
     use imdpp_diffusion::scenario::toy_scenario;
+    use imdpp_graph::EdgeUpdate;
 
     fn oracle(sets: usize) -> SketchOracle {
         SketchOracle::build(
@@ -676,35 +574,36 @@ mod tests {
     fn preference_update_is_exact_and_tighter_than_user_update() {
         let s = toy_scenario();
         let config = SketchConfig::fixed(256).with_base_seed(19);
-        let drifted = s.with_base_preference(UserId(1), ItemId(2), 0.9);
+        let pref = ScenarioUpdate::Preferences(vec![(UserId(1), ItemId(2), 0.9)]);
+        let drifted = pref.apply(&s);
 
         let mut precise = SketchOracle::build(&s, config);
-        let precise_stats = precise.apply_preference_update(&drifted, &[(UserId(1), ItemId(2))]);
+        let (precise_stats, _) = precise.refresh(&drifted, &pref);
 
+        // A user-level frontier — user 1 and its out-neighbours, in every
+        // item's store — must assume influence strengths moved too.
         let mut coarse = SketchOracle::build(&s, config);
-        let coarse_stats = coarse.apply_update(&drifted, &[UserId(1)]);
+        let user_heads = vec![UserId(1), UserId(3)];
+        let heads = vec![user_heads; s.item_count()];
+        let coarse_resampled: usize = refresh_stores(
+            &mut coarse.stores,
+            &drifted.with_dynamics(DynamicsConfig::frozen()),
+            config.base_seed,
+            &heads,
+            1,
+            &SketchMetrics::noop(),
+        )
+        .iter()
+        .map(|(stats, _)| stats.resampled_sets)
+        .sum();
 
         // Both must equal a from-scratch rebuild...
         let rebuilt = SketchOracle::build(&drifted, config);
-        for item in s.items() {
-            let reb: Vec<Vec<u32>> = rebuilt
-                .store(item)
-                .iter()
-                .map(|(_, s)| s.to_vec())
-                .collect();
-            let pre: Vec<Vec<u32>> = precise
-                .store(item)
-                .iter()
-                .map(|(_, s)| s.to_vec())
-                .collect();
-            let coa: Vec<Vec<u32>> = coarse.store(item).iter().map(|(_, s)| s.to_vec()).collect();
-            assert_eq!(pre, reb);
-            assert_eq!(coa, reb);
-        }
+        assert!(precise.stores_equal(&rebuilt));
+        assert!(coarse.stores_equal(&rebuilt));
         // ...but the preference-only frontier re-samples (much) less.
-        assert!(precise_stats.resampled_sets <= coarse_stats.resampled_sets);
+        assert!(precise_stats.resampled_sets <= coarse_resampled);
         assert!(precise_stats.resampled_sets < precise_stats.total_sets);
-        assert_eq!(precise_stats.total_sets, coarse_stats.total_sets);
     }
 
     #[test]
@@ -726,22 +625,9 @@ mod tests {
         let drifted = s.with_edge_updates(&updates);
 
         let mut incremental = SketchOracle::build(&s, config);
-        let stats = incremental.apply_edge_update(&drifted, &updates);
+        let (stats, _) = incremental.refresh(&drifted, &ScenarioUpdate::Edges(updates.to_vec()));
         let rebuilt = SketchOracle::build(&drifted, config);
-
-        for item in s.items() {
-            let inc: Vec<Vec<u32>> = incremental
-                .store(item)
-                .iter()
-                .map(|(_, s)| s.to_vec())
-                .collect();
-            let reb: Vec<Vec<u32>> = rebuilt
-                .store(item)
-                .iter()
-                .map(|(_, s)| s.to_vec())
-                .collect();
-            assert_eq!(inc, reb);
-        }
+        assert!(incremental.stores_equal(&rebuilt));
         assert!(stats.resampled_sets > 0);
         assert!(
             stats.resampled_fraction() < 0.5,
@@ -766,7 +652,9 @@ mod tests {
                 dst: UserId(0),
             },
         ];
-        let stats = oracle.apply_edge_update(&s.with_edge_updates(&noop), &noop);
+        let update = ScenarioUpdate::Edges(noop.to_vec());
+        let (stats, touched) = oracle.refresh(&update.apply(&s), &update);
+        assert_eq!(touched, Some(vec![Vec::new(); s.item_count()]));
         assert_eq!(stats.resampled_sets, 0);
         assert_eq!(stats.total_sets, 128 * s.item_count());
         assert_eq!(stats.resampled_fraction(), 0.0);
@@ -780,7 +668,7 @@ mod tests {
 
         let pref = ScenarioUpdate::Preferences(vec![(UserId(1), ItemId(2), 0.9)]);
         let drifted = pref.apply(&s);
-        let r1 = oracle.refresh(&drifted, &pref);
+        let (r1, _) = oracle.refresh(&drifted, &pref);
         assert!((0.0..1.0).contains(&r1.resampled_fraction()));
         assert_eq!(r1.full_rebuilds, 0, "refresh must patch the index");
 
@@ -790,7 +678,7 @@ mod tests {
             weight: 0.9,
         }]);
         let drifted2 = edges.apply(&drifted);
-        let r2 = oracle.refresh(&drifted2, &edges);
+        let (r2, _) = oracle.refresh(&drifted2, &edges);
         assert!((0.0..1.0).contains(&r2.resampled_fraction()));
         assert!(
             r2.resampled_sets > 0,
@@ -800,16 +688,7 @@ mod tests {
         assert_eq!(r2.full_rebuilds, 0);
 
         // After both refreshes the oracle equals a rebuild of the final world.
-        let rebuilt = SketchOracle::build(&drifted2, config);
-        for item in s.items() {
-            let inc: Vec<Vec<u32>> = oracle.store(item).iter().map(|(_, s)| s.to_vec()).collect();
-            let reb: Vec<Vec<u32>> = rebuilt
-                .store(item)
-                .iter()
-                .map(|(_, s)| s.to_vec())
-                .collect();
-            assert_eq!(inc, reb);
-        }
+        assert!(oracle.stores_equal(&SketchOracle::build(&drifted2, config)));
     }
 
     #[test]
@@ -819,13 +698,12 @@ mod tests {
         let pref = ScenarioUpdate::Preferences(vec![(UserId(1), ItemId(2), 0.9)]);
         let drifted = pref.apply(&s);
 
-        let mut plain = SketchOracle::build(&s, config);
-        let plain_stats = plain.refresh(&drifted, &pref);
         let mut tracked = SketchOracle::build(&s, config);
-        let (stats, touched) = tracked.refresh_tracked(&drifted, &pref);
+        let (stats, touched) = tracked.refresh(&drifted, &pref);
+        let touched = touched.unwrap_or_default();
 
-        assert_eq!(stats, plain_stats);
-        assert!(plain.stores_equal(&tracked));
+        // Tracking is bookkeeping: the refreshed sketch is the rebuild.
+        assert!(tracked.stores_equal(&SketchOracle::build(&drifted, config)));
         assert_eq!(touched.len(), s.item_count());
         // A preference-only change on item 2 touches no other item's store.
         for (x, users) in touched.iter().enumerate() {
@@ -846,9 +724,9 @@ mod tests {
                     .with_shards(shards)
                     .with_threads(threads),
             );
-            let (grid_stats, grid_touched) = grid.refresh_tracked(&drifted, &pref);
-            assert_eq!(grid_stats, plain_stats, "{shards}x{threads}");
-            assert_eq!(grid_touched, touched, "{shards}x{threads}");
+            let (grid_stats, grid_touched) = grid.refresh(&drifted, &pref);
+            assert_eq!(grid_stats, stats, "{shards}x{threads}");
+            assert_eq!(grid_touched.as_ref(), Some(&touched), "{shards}x{threads}");
         }
     }
 
@@ -896,8 +774,9 @@ mod tests {
                 .with_shards(shards);
             let mut original = SketchOracle::build(&s, config);
             // Drift once so the payload is not just the construction state.
-            let drifted = s.with_base_preference(UserId(1), ItemId(2), 0.9);
-            let _ = original.apply_preference_update(&drifted, &[(UserId(1), ItemId(2))]);
+            let pref = ScenarioUpdate::Preferences(vec![(UserId(1), ItemId(2), 0.9)]);
+            let drifted = pref.apply(&s);
+            let _ = original.refresh(&drifted, &pref);
 
             let bytes = original.serialize();
             let telemetry = Telemetry::new();
@@ -916,10 +795,9 @@ mod tests {
             // The restored index answers refreshes like the original.
             let mut a = original.clone();
             let mut b = restored;
-            let further = drifted.with_base_preference(UserId(2), ItemId(0), 0.8);
-            let sa = a.apply_preference_update(&further, &[(UserId(2), ItemId(0))]);
-            let sb = b.apply_preference_update(&further, &[(UserId(2), ItemId(0))]);
-            assert_eq!(sa, sb);
+            let pref = ScenarioUpdate::Preferences(vec![(UserId(2), ItemId(0), 0.8)]);
+            let further = pref.apply(&drifted);
+            assert_eq!(a.refresh(&further, &pref), b.refresh(&further, &pref));
             assert!(a.stores_equal(&b));
         }
     }
@@ -1002,7 +880,7 @@ mod tests {
             weight: 0.95,
         }];
         let drifted = s.with_edge_updates(&updates);
-        let stats = oracle.apply_edge_update(&drifted, &updates);
+        let (stats, _) = oracle.refresh(&drifted, &ScenarioUpdate::Edges(updates.to_vec()));
         assert!(stats.resampled_sets > 0);
         assert_eq!(stats.full_rebuilds, 0);
         let rebuilt = SketchOracle::build(&drifted, config);

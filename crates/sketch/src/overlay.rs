@@ -56,8 +56,8 @@ impl SketchPatch {
     /// this before calling.
     ///
     /// For each changed pair the base store's sets containing that user are
-    /// invalidated (the same frontier [`SketchOracle::apply_preference_update`]
-    /// refreshes), and each invalidated stream is replayed against the
+    /// invalidated (the frontier a preference refresh of the base sketch
+    /// would re-sample), and each invalidated stream is replayed against the
     /// tenant's frozen scenario — set id equals RNG stream id, so the
     /// replacements are bit-identical to the sets a tenant-owned sketch
     /// would hold.

@@ -17,29 +17,13 @@
 
 use imdpp_diffusion::ImdppError;
 
+pub use crate::arena::write_varint;
+
 /// A persistence-format violation: truncated buffer, bad magic, or a value
 /// that fails validation.  All decode errors funnel through here so the
 /// engine surfaces one typed error kind for corrupt snapshot files.
 pub fn corrupt(context: &str) -> ImdppError {
     ImdppError::invalid(format!("snapshot data corrupt: {context}"))
-}
-
-/// Appends one LEB128 varint (`u32`) to `out`.
-pub fn write_varint(mut value: u32, out: &mut Vec<u8>) {
-    while value >= 0x80 {
-        out.push((value as u8 & 0x7F) | 0x80);
-        value >>= 7;
-    }
-    out.push(value as u8);
-}
-
-/// Appends one LEB128 varint (`u64`) to `out`.
-pub fn write_varint64(mut value: u64, out: &mut Vec<u8>) {
-    while value >= 0x80 {
-        out.push((value as u8 & 0x7F) | 0x80);
-        value >>= 7;
-    }
-    out.push(value as u8);
 }
 
 /// Appends one `f64` as its raw little-endian bit pattern.
@@ -145,7 +129,7 @@ mod tests {
         }
         for v in [0u64, 127, 1 << 35, u64::MAX] {
             let mut buf = Vec::new();
-            write_varint64(v, &mut buf);
+            write_varint(v, &mut buf);
             let mut cursor = buf.as_slice();
             assert_eq!(read_varint64(&mut cursor).unwrap(), v);
             assert!(cursor.is_empty());
@@ -162,7 +146,7 @@ mod tests {
         assert!(read_varint64(&mut cursor).is_err());
         // A valid u64 varint that exceeds u32 fails the narrow reader.
         let mut buf = Vec::new();
-        write_varint64(u64::from(u32::MAX) + 1, &mut buf);
+        write_varint(u64::from(u32::MAX) + 1, &mut buf);
         let mut cursor = buf.as_slice();
         assert!(read_varint(&mut cursor).is_err());
     }

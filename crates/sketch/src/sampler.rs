@@ -1,13 +1,14 @@
-//! Parallel generation of reverse-reachable sets with deterministic
-//! per-sample RNG streams.
+//! Reverse-reachable set sampling with deterministic per-sample RNG
+//! streams.
 //!
 //! Every RR set is produced by its own RNG stream, seeded from
 //! `(base_seed, item, stream_id)` — the same idiom as
 //! `imdpp_diffusion::montecarlo`: the result is bit-identical regardless of
-//! the number of worker threads, and any single set can be *re-generated
-//! later in isolation* (against an updated scenario) by replaying its stream.
-//! That replay property is what makes incremental maintenance exact: see
-//! [`crate::incremental`].
+//! which worker of the (item × shard) build, growth and refresh tasks
+//! samples it (see [`crate::sharded`]), and any single set can be
+//! *re-generated later in isolation* (against an updated scenario) by
+//! replaying its stream.  That replay property is what makes incremental
+//! maintenance exact: see [`crate::incremental`].
 //!
 //! A set is sampled by drawing a uniform root and traversing in-edges
 //! backwards, each edge `u' → u` being live with probability
@@ -19,8 +20,6 @@ use imdpp_graph::{ItemId, UserId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Mixes `(base_seed, item, stream)` into one RNG seed (SplitMix64-style
 /// finalizers keep distinct streams statistically independent).
@@ -31,30 +30,6 @@ pub fn stream_seed(base_seed: u64, item: ItemId, stream: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Resolves a requested worker-thread count against the machine and the
-/// amount of work.
-///
-/// This is the **one** place the `threads` knob is interpreted (every
-/// sampling and refresh path funnels through it):
-///
-/// * `0` means *auto* — use every core `available_parallelism` reports
-///   (see the [`crate::SketchConfig::threads`] rustdoc, where the
-///   convention is documented for callers),
-/// * explicit requests are capped at `available_parallelism` — spawning
-///   more CPU-bound workers than cores only adds scheduling overhead —
-///   and at `work_items`, since a worker without work is pure spawn cost,
-/// * the result is never below 1.
-///
-/// Determinism never depends on the resolved value: every RR set is its own
-/// RNG stream, so any worker count produces bit-identical output.
-pub fn effective_threads(requested: usize, work_items: usize) -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let requested = if requested == 0 { cores } else { requested };
-    requested.min(cores).clamp(1, work_items.max(1))
 }
 
 /// Scratch state reused across samples so per-set allocations stay O(|set|).
@@ -118,97 +93,10 @@ pub(crate) fn sample_set_with(
     set
 }
 
-/// Samples the RR sets of `streams` in parallel, returning them ordered by
-/// stream id.  Deterministic regardless of `threads`; the requested count
-/// is resolved by [`effective_threads`] (`0` = auto, capped at the core
-/// count and the stream count).
-pub fn sample_streams(
-    scenario: &Scenario,
-    item: ItemId,
-    base_seed: u64,
-    streams: &[u64],
-    threads: usize,
-) -> Vec<Vec<UserId>> {
-    sample_streams_with_workers(
-        scenario,
-        item,
-        base_seed,
-        streams,
-        effective_threads(threads, streams.len()),
-    )
-}
-
-/// [`sample_streams`] with an already-resolved worker count — `pub(crate)`
-/// so tests can exercise the multi-worker path even on machines whose core
-/// count would cap the public knob to 1.
-pub(crate) fn sample_streams_with_workers(
-    scenario: &Scenario,
-    item: ItemId,
-    base_seed: u64,
-    streams: &[u64],
-    threads: usize,
-) -> Vec<Vec<UserId>> {
-    let count = streams.len();
-    let mut results: Vec<Vec<UserId>> = vec![Vec::new(); count];
-    if threads <= 1 || count <= 1 {
-        let mut scratch = Scratch::new(scenario.user_count());
-        for (slot, &stream) in results.iter_mut().zip(streams) {
-            *slot = sample_set_with(scenario, item, base_seed, stream, &mut scratch);
-        }
-        return results;
-    }
-    let next = AtomicUsize::new(0);
-    let slots = Mutex::new(&mut results);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut scratch = Scratch::new(scenario.user_count());
-                let mut local: Vec<(usize, Vec<UserId>)> = Vec::new();
-                loop {
-                    // lint: allow(atomic-ordering) — work-stealing ticket
-                    // counter: the RMW alone guarantees each stream index is
-                    // claimed once; results land in per-index slots behind
-                    // the mutex, so no further ordering is required.
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    let set = sample_set_with(scenario, item, base_seed, streams[i], &mut scratch);
-                    local.push((i, set));
-                    // Flush in batches to keep lock traffic low.
-                    if local.len() >= 64 {
-                        let mut guard = slots.lock().unwrap_or_else(|e| e.into_inner());
-                        for (j, s) in local.drain(..) {
-                            guard[j] = s;
-                        }
-                    }
-                }
-                let mut guard = slots.lock().unwrap_or_else(|e| e.into_inner());
-                for (j, s) in local.drain(..) {
-                    guard[j] = s;
-                }
-            });
-        }
-    });
-    results
-}
-
-/// Convenience wrapper sampling the contiguous stream range `first..first + count`.
-pub fn sample_range(
-    scenario: &Scenario,
-    item: ItemId,
-    base_seed: u64,
-    first: u64,
-    count: usize,
-    threads: usize,
-) -> Vec<Vec<UserId>> {
-    let streams: Vec<u64> = (first..first + count as u64).collect();
-    sample_streams(scenario, item, base_seed, &streams, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imdpp_diffusion::par::run_queue;
     use imdpp_diffusion::scenario::toy_scenario;
 
     #[test]
@@ -226,67 +114,44 @@ mod tests {
         }
     }
 
+    fn replayed(s: &Scenario, item: ItemId, count: u64) -> Vec<Vec<UserId>> {
+        (0..count)
+            .map(|stream| sample_set(s, item, 5, stream))
+            .collect()
+    }
+
     #[test]
     fn streams_are_deterministic_and_independent_of_thread_count() {
         let s = toy_scenario();
-        let streams: Vec<u64> = (0..64).collect();
-        let sequential = sample_range(&s, ItemId(0), 5, 0, 64, 1);
-        let parallel = sample_range(&s, ItemId(0), 5, 0, 64, 4);
-        assert_eq!(sequential, parallel);
-        // Force real multi-worker sampling regardless of the machine's core
-        // count (the public knob caps at available_parallelism).
+        let isolated = replayed(&s, ItemId(0), 64);
+        // One reused scratch buffer reproduces the isolated replays...
+        let mut scratch = Scratch::new(s.user_count());
+        let reused: Vec<Vec<UserId>> = (0..64)
+            .map(|stream| sample_set_with(&s, ItemId(0), 5, stream, &mut scratch))
+            .collect();
+        assert_eq!(reused, isolated);
+        // ...and so does any worker count on the work-queue, forced past
+        // the machine's core count.
         for workers in [2usize, 4, 8] {
-            let forced = sample_streams_with_workers(&s, ItemId(0), 5, &streams, workers);
-            assert_eq!(sequential, forced, "{workers} workers");
+            let queued = run_queue((0..64u64).collect(), workers, |_, stream| {
+                sample_set(&s, ItemId(0), 5, stream)
+            });
+            assert_eq!(queued, isolated, "{workers} workers");
         }
-        // Replaying one stream in isolation reproduces the batch result.
-        for (i, set) in sequential.iter().enumerate() {
-            assert_eq!(*set, sample_set(&s, ItemId(0), 5, i as u64));
-        }
-    }
-
-    #[test]
-    fn effective_threads_resolves_auto_and_caps() {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        // 0 = auto: every available core (still capped by the work size).
-        assert_eq!(effective_threads(0, usize::MAX), cores);
-        assert_eq!(effective_threads(0, 1), 1);
-        // Explicit requests cap at the core count...
-        assert_eq!(effective_threads(cores + 7, usize::MAX), cores);
-        // ...and at the number of work items, and never fall below 1.
-        assert_eq!(effective_threads(8, 3), 3.min(cores));
-        assert_eq!(effective_threads(1, 0), 1);
-        assert_eq!(effective_threads(0, 0), 1);
-    }
-
-    #[test]
-    fn effective_threads_floors_at_one_with_no_work() {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        // A request exceeding both the core count and the (empty) work
-        // list still floors at 1 — never 0 workers, never a spawn storm.
-        assert_eq!(effective_threads(cores + 5, 0), 1);
-        assert_eq!(effective_threads(usize::MAX, 0), 1);
-        // One work item pins the answer at 1 regardless of the request.
-        assert_eq!(effective_threads(usize::MAX, 1), 1);
-        assert_eq!(effective_threads(cores, 1), 1);
     }
 
     #[test]
     fn different_streams_differ_somewhere() {
         let s = toy_scenario();
-        let sets = sample_range(&s, ItemId(0), 5, 0, 32, 1);
+        let sets = replayed(&s, ItemId(0), 32);
         assert!(sets.windows(2).any(|w| w[0] != w[1]));
     }
 
     #[test]
     fn different_items_use_different_streams() {
         let s = toy_scenario();
-        let a = sample_range(&s, ItemId(0), 5, 0, 16, 1);
-        let b = sample_range(&s, ItemId(1), 5, 0, 16, 1);
+        let a = replayed(&s, ItemId(0), 16);
+        let b = replayed(&s, ItemId(1), 16);
         assert_ne!(a, b);
     }
 

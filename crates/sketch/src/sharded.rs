@@ -8,8 +8,9 @@
 //! touching them stalls on one memory region and (b) parallel generation
 //! cannot write shard-locally.  `ShardedRrStore` partitions the sets across
 //! `S` shards, each owning *its own arena and its own inverted index*, so
-//! maintenance work and (future) parallel generation touch only shard-local
-//! memory — the NUMA-friendly layout the ROADMAP's scale item asks for.
+//! build, growth and refresh run as one task per (item × shard) on the
+//! work-queue (`grow_stores`, `refresh_stores`) and touch only
+//! shard-local memory.
 //!
 //! ## Determinism invariants
 //!
@@ -37,264 +38,94 @@ use crate::persist;
 use crate::sampler;
 use crate::store::{IndexStats, RrStore, SetId};
 use crate::telemetry::SketchMetrics;
+use imdpp_diffusion::par::{effective_threads, run_queue};
 use imdpp_diffusion::{ImdppError, Scenario};
 use imdpp_graph::{ItemId, UserId};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use imdpp_obs::Histogram;
 
-/// Runs every task through `job` on a dynamic work-queue of up to `workers`
-/// scoped threads, returning the results **in task order**.  `workers` must
-/// already be resolved ([`sampler::effective_threads`]); `workers <= 1`
-/// runs inline.
+/// Appends `count` RR sets to every store — streams `len()..len() + count`
+/// of the store's item, sampled against `scenario` — as one **(item ×
+/// shard)** task per shard on the work-queue.  A task samples and pushes
+/// the streams of its shard's residue class (`id mod S`), then builds the
+/// shard's inverted index if it has none yet; an index that already exists
+/// is patched by the pushes instead.  A build is therefore this growth from
+/// stream 0 on fresh stores, ending in exactly one full index build per
+/// shard, and `ensure_precision` grows through the same task.
 ///
-/// Workers claim tasks with an atomic ticket counter, so load balances
-/// dynamically no matter how skewed individual tasks are — the property
-/// that lets one queue serve heterogeneous (item × shard) units instead of
-/// one thread per shard.  Each task runs exactly once (tickets are unique),
-/// and because a task owns whatever mutable state it carries (e.g. `&mut
-/// RrStore`), workers share nothing and the result is identical to the
-/// inline loop by construction.
-fn run_queue<S: Send, T: Send>(
-    tasks: Vec<S>,
-    workers: usize,
-    job: impl Fn(usize, S) -> T + Sync,
-) -> Vec<T> {
-    if workers <= 1 || tasks.len() <= 1 {
-        return tasks
-            .into_iter()
-            .enumerate()
-            .map(|(i, task)| job(i, task))
-            .collect();
-    }
-    let slots: Vec<Mutex<Option<S>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<T>> = (0..slots.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(slots.len()))
-            .map(|_| {
-                let slots = &slots;
-                let next = &next;
-                let job = &job;
-                scope.spawn(move || {
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        // lint: allow(atomic-ordering) — work-stealing
-                        // ticket counter: the RMW alone guarantees each task
-                        // index is claimed once; task state is handed over
-                        // through the slot mutex, so no further ordering is
-                        // required.
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= slots.len() {
-                            break;
-                        }
-                        let task = slots[i].lock().unwrap_or_else(|e| e.into_inner()).take();
-                        if let Some(task) = task {
-                            local.push((i, job(i, task)));
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            let local = match handle.join() {
-                Ok(local) => local,
-                Err(panic) => std::panic::resume_unwind(panic),
-            };
-            for (i, result) in local {
-                results[i] = Some(result);
-            }
-        }
-    });
-    results
-        .into_iter()
-        .map(|slot| match slot {
-            Some(result) => result,
-            None => unreachable!("every ticket is claimed exactly once"),
-        })
-        .collect()
-}
-
-/// Runs `job` once per shard on the dynamic work-queue ([`run_queue`]
-/// with one task per shard); results are returned in shard order.
-fn for_each_shard<T: Send>(
-    shards: &mut [RrStore],
-    workers: usize,
-    job: impl Fn(usize, &mut RrStore) -> T + Sync,
-) -> Vec<T> {
-    run_queue(shards.iter_mut().collect(), workers, |si, shard| {
-        job(si, shard)
-    })
-}
-
-/// One (item, shard) build task: samples and pushes the streams
-/// `{si, si + stride, …} < count` of the shard's item, then performs the
-/// shard's one full index build.  Pure shard-local work — the unit both
-/// [`ShardedRrStore::build_observed`] and the cross-item
-/// [`build_stores_observed`] queue fan out.
-fn build_shard_task(
-    shard: &mut RrStore,
-    si: usize,
-    stride: usize,
+/// `threads` is resolved by [`effective_threads`] against the task count.
+/// Every stream is its own RNG and lands in the shard its id names, so the
+/// grown stores are bit-identical to pushing the streams one by one — for
+/// any `(threads, shards)` combination and any task interleaving.  Each
+/// task records one observation into `shard_ns`; the grown-set count folds
+/// into `metrics.sets_sampled`.
+pub(crate) fn grow_stores(
+    stores: &mut [ShardedRrStore],
     scenario: &Scenario,
-    base_seed: u64,
-    count: usize,
-) {
-    let item = shard.item();
-    let mut scratch = sampler::Scratch::new(scenario.user_count());
-    let mut stream = si as u64;
-    while (stream as usize) < count {
-        let set = sampler::sample_set_with(scenario, item, base_seed, stream, &mut scratch);
-        let local = shard.push_set(&set);
-        debug_assert_eq!(local as u64 * stride as u64 + si as u64, stream);
-        stream += stride as u64;
-    }
-    shard.rebuild_index();
-}
-
-/// One (item, shard) refresh task: queries the shard's index with the
-/// prepared frontier, replays every invalidated stream against `updated`,
-/// and patches the shard's own index.  Returns the resampled count, the
-/// index-maintenance delta and (when `track`) the shard's touched users —
-/// the per-shard triple [`merge_refresh`] folds into one store report.
-fn refresh_shard_task(
-    shard: &mut RrStore,
-    si: usize,
-    stride: usize,
-    updated: &Scenario,
-    base_seed: u64,
-    prepared: &[u32],
-    track: bool,
-) -> (usize, IndexStats, Vec<UserId>) {
-    let item = shard.item();
-    let before = shard.index_stats();
-    let invalid = shard.sets_touching_prepared(prepared);
-    let mut scratch = sampler::Scratch::new(updated.user_count());
-    let mut touched: Vec<UserId> = Vec::new();
-    for &local in &invalid {
-        if track {
-            touched.extend(shard.set_members(local).map(UserId));
-        }
-        let stream = local as u64 * stride as u64 + si as u64;
-        let set = sampler::sample_set_with(updated, item, base_seed, stream, &mut scratch);
-        if track {
-            touched.extend_from_slice(&set);
-        }
-        shard.replace_set(local, &set);
-    }
-    (invalid.len(), shard.index_stats().since(before), touched)
-}
-
-/// Folds one store's per-shard refresh triples (in shard order) into the
-/// store-level [`RefreshStats`] and touched-user list, recording the
-/// semantic counters.  The set counters are shard-independent (the frontier
-/// partitions across shards) and the touched list is sorted + deduplicated,
-/// so the merged report is identical for any `(threads, shards)` grid point.
-fn merge_refresh(
-    total_sets: usize,
-    per_shard: Vec<(usize, IndexStats, Vec<UserId>)>,
-    metrics: &SketchMetrics,
-) -> (RefreshStats, Vec<UserId>) {
-    let mut stats = RefreshStats {
-        total_sets,
-        stores: 1,
-        ..RefreshStats::default()
-    };
-    let mut touched: Vec<UserId> = Vec::new();
-    for (resampled, delta, shard_touched) in per_shard {
-        stats.resampled_sets += resampled;
-        stats.index_entries_patched += delta.entries_patched;
-        stats.full_rebuilds += delta.full_rebuilds;
-        touched.extend(shard_touched);
-    }
-    touched.sort_unstable();
-    touched.dedup();
-    metrics.sets_resampled.add(stats.resampled_sets as u64);
-    metrics
-        .sets_reused
-        .add((stats.total_sets - stats.resampled_sets) as u64);
-    metrics
-        .index_entries_patched
-        .add(stats.index_entries_patched);
-    metrics.index_full_rebuilds.add(stats.full_rebuilds);
-    metrics
-        .refresh_resampled_permille
-        .record((1000.0 * stats.resampled_fraction()) as u64);
-    (stats, touched)
-}
-
-/// Builds one [`ShardedRrStore`] per item by fanning **(item × shard)**
-/// tasks onto one dynamic work-queue — the cross-item parallel path
-/// [`crate::oracle::SketchOracle`] builds through.  Each task samples and
-/// indexes one shard of one item ([`build_shard_task`]) and records one
-/// `shard_build_ns` observation, exactly like the per-store builds.
-///
-/// Shard `s` of every item still owns exactly the streams `{s, s + S, …}`
-/// and every stream is its own RNG, so the result is bit-identical to
-/// building the stores one by one — for any `(threads, shards)` combination
-/// and any task interleaving.
-pub(crate) fn build_stores_observed(
-    scenario: &Scenario,
-    items: &[ItemId],
-    shard_count: usize,
     base_seed: u64,
     count: usize,
     threads: usize,
     metrics: &SketchMetrics,
-) -> Vec<ShardedRrStore> {
-    let mut stores: Vec<ShardedRrStore> = items
-        .iter()
-        .map(|&item| ShardedRrStore::new(item, scenario.user_count(), shard_count))
-        .collect();
-    metrics.sets_sampled.add((count * items.len()) as u64);
-    let stride = stores.first().map_or(1, |s| s.shard_count());
-    let mut tasks: Vec<(usize, &mut RrStore)> = Vec::new();
+    shard_ns: &Histogram,
+) {
+    metrics.sets_sampled.add((count * stores.len()) as u64);
+    // (shard index, shard count, first stream, end stream, shard) per task.
+    let mut tasks: Vec<(u64, u64, u64, u64, &mut RrStore)> = Vec::new();
     for store in stores.iter_mut() {
+        let first = store.total as u64;
+        store.total += count;
+        let stride = store.shards.len() as u64;
         for (si, shard) in store.shards.iter_mut().enumerate() {
-            tasks.push((si, shard));
+            tasks.push((si as u64, stride, first, first + count as u64, shard));
         }
     }
-    let workers = sampler::effective_threads(threads, tasks.len());
-    run_queue(tasks, workers, |_, (si, shard)| {
-        let _span = metrics.shard_build_ns.start();
-        build_shard_task(shard, si, stride, scenario, base_seed, count);
+    let workers = effective_threads(threads, tasks.len());
+    run_queue(tasks, workers, |_, (si, stride, first, end, shard)| {
+        let _span = shard_ns.start();
+        let item = shard.item();
+        let mut scratch = sampler::Scratch::new(scenario.user_count());
+        // The smallest stream >= first congruent to si (mod S).
+        let mut stream = first + (si + stride - first % stride) % stride;
+        while stream < end {
+            let set = sampler::sample_set_with(scenario, item, base_seed, stream, &mut scratch);
+            let local = shard.push_set(&set);
+            debug_assert_eq!(u64::from(local) * stride + si, stream);
+            stream += stride;
+        }
+        shard.ensure_index();
     });
-    for store in stores.iter_mut() {
-        store.total = count;
-    }
-    stores
 }
 
-/// Refreshes many stores at once by fanning **(item × shard)** tasks onto
-/// one dynamic work-queue — the cross-item parallel path every
-/// [`crate::oracle::SketchOracle`] refresh goes through.  `frontiers[i]`
-/// is store `i`'s head list: `Some(heads)` refreshes the store (even when
-/// the prepared frontier comes out empty — the refresh is still counted),
-/// `None` skips it entirely, reporting the synthetic "nothing to do" stats
-/// and recording no telemetry, exactly like the sequential per-store loop
-/// this replaces.
+/// Refreshes many stores at once against `updated` (an already-frozen
+/// scenario) as one **(item × shard)** task per shard on the work-queue.
+/// Store `i` is refreshed iff `heads[i]` is non-empty: each of its shard
+/// tasks queries the shard's inverted index with the prepared frontier,
+/// replays every invalidated stream against `updated`, and patches the
+/// shard's own index — no cross-shard writes, no rebuilds.  A skipped store
+/// reports the synthetic "nothing to do" stats and records no telemetry.
 ///
 /// Returns one `(stats, touched users)` pair per store, in store order.
-/// Per-store results are merged from the per-shard triples in shard order
-/// ([`merge_refresh`]), so stats, touched lists and every recorded counter
-/// are bit-identical to the store-at-a-time path for any `(threads,
-/// shards)` combination and any task interleaving.
-pub(crate) fn refresh_stores_tracked_observed(
+/// The touched users are the sorted, deduplicated union of every
+/// re-sampled set's members *before and after* replacement: a user absent
+/// from the list kept its covering set ids bit-identical, so any coverage
+/// marginal involving only untouched users is unchanged — the invariant
+/// maintained-solution repair is built on.  Per-shard results are merged
+/// in shard order, so stats, touched lists and every recorded counter are
+/// identical for any `(threads, shards)` combination and any interleaving.
+pub(crate) fn refresh_stores(
     stores: &mut [ShardedRrStore],
     updated: &Scenario,
     base_seed: u64,
-    frontiers: &[Option<&[UserId]>],
+    heads: &[Vec<UserId>],
     threads: usize,
     metrics: &SketchMetrics,
-    track: bool,
 ) -> Vec<(RefreshStats, Vec<UserId>)> {
-    debug_assert_eq!(stores.len(), frontiers.len());
+    debug_assert_eq!(stores.len(), heads.len());
     // Prepared frontiers and per-store refresh telemetry, in store order.
     let prepared: Vec<Option<Vec<u32>>> = stores
         .iter()
-        .zip(frontiers)
-        .map(|(store, frontier)| {
-            frontier.map(|heads| {
+        .zip(heads)
+        .map(|(store, heads)| {
+            (!heads.is_empty()).then(|| {
                 let prepared = crate::store::prepare_heads(heads, store.user_count());
                 metrics.refreshes.incr();
                 metrics.refresh_frontier_heads.record(prepared.len() as u64);
@@ -302,53 +133,83 @@ pub(crate) fn refresh_stores_tracked_observed(
             })
         })
         .collect();
-    let strides: Vec<usize> = stores.iter().map(|s| s.shard_count()).collect();
-    let mut tasks: Vec<(usize, usize, &mut RrStore)> = Vec::new();
+    let mut tasks: Vec<(usize, usize, usize, &mut RrStore)> = Vec::new();
     for (ii, store) in stores.iter_mut().enumerate() {
         if prepared[ii].is_none() {
             continue;
         }
+        let stride = store.shard_count();
         for (si, shard) in store.shards.iter_mut().enumerate() {
-            tasks.push((ii, si, shard));
+            tasks.push((ii, si, stride, shard));
         }
     }
-    let workers = sampler::effective_threads(threads, tasks.len());
-    let results = run_queue(tasks, workers, |_, (ii, si, shard)| {
+    let workers = effective_threads(threads, tasks.len());
+    let results = run_queue(tasks, workers, |_, (ii, si, stride, shard)| {
         let _span = metrics.shard_refresh_ns.start();
-        let frontier = prepared[ii].as_deref().unwrap_or(&[]);
+        let item = shard.item();
+        let before = shard.index_stats();
+        let invalid = shard.sets_touching_prepared(prepared[ii].as_deref().unwrap_or(&[]));
+        let mut scratch = sampler::Scratch::new(updated.user_count());
+        let mut touched: Vec<UserId> = Vec::new();
+        for &local in &invalid {
+            touched.extend(shard.set_members(local).map(UserId));
+            let stream = local as u64 * stride as u64 + si as u64;
+            let set = sampler::sample_set_with(updated, item, base_seed, stream, &mut scratch);
+            touched.extend_from_slice(&set);
+            shard.replace_set(local, &set);
+        }
         (
             ii,
-            refresh_shard_task(shard, si, strides[ii], updated, base_seed, frontier, track),
+            invalid.len(),
+            shard.index_stats().since(before),
+            touched,
         )
     });
-    // Task order is store-major, shard-minor, so regrouping preserves the
-    // shard order merge_refresh expects.
-    let mut per_store: Vec<Vec<(usize, IndexStats, Vec<UserId>)>> =
-        (0..stores.len()).map(|_| Vec::new()).collect();
-    for (ii, triple) in results {
-        per_store[ii].push(triple);
-    }
-    stores
+    // Fold the per-shard results (store-major, shard-minor task order)
+    // into one report per store.  The set counters are shard-independent
+    // (the frontier partitions across shards) and the touched list is
+    // sorted + deduplicated.
+    let mut merged: Vec<(RefreshStats, Vec<UserId>)> = stores
         .iter()
-        .enumerate()
-        .map(|(ii, store)| {
-            if prepared[ii].is_none() {
-                return (
-                    RefreshStats {
-                        total_sets: store.len(),
-                        stores: 1,
-                        ..RefreshStats::default()
-                    },
-                    Vec::new(),
-                );
-            }
-            debug_assert!(
-                store.index_matches_rebuild(),
-                "patched inverted index diverged from rebuild_index"
-            );
-            merge_refresh(store.len(), std::mem::take(&mut per_store[ii]), metrics)
+        .map(|store| {
+            let stats = RefreshStats {
+                total_sets: store.len(),
+                stores: 1,
+                ..RefreshStats::default()
+            };
+            (stats, Vec::new())
         })
-        .collect()
+        .collect();
+    for (ii, resampled, delta, touched) in results {
+        let (stats, store_touched) = &mut merged[ii];
+        stats.resampled_sets += resampled;
+        stats.index_entries_patched += delta.entries_patched;
+        stats.full_rebuilds += delta.full_rebuilds;
+        store_touched.extend(touched);
+    }
+    for (ii, (stats, touched)) in merged.iter_mut().enumerate() {
+        if prepared[ii].is_none() {
+            continue;
+        }
+        debug_assert!(
+            stores[ii].index_matches_rebuild(),
+            "patched inverted index diverged from rebuild_index"
+        );
+        touched.sort_unstable();
+        touched.dedup();
+        metrics.sets_resampled.add(stats.resampled_sets as u64);
+        metrics
+            .sets_reused
+            .add((stats.total_sets - stats.resampled_sets) as u64);
+        metrics
+            .index_entries_patched
+            .add(stats.index_entries_patched);
+        metrics.index_full_rebuilds.add(stats.full_rebuilds);
+        metrics
+            .refresh_resampled_permille
+            .record((1000.0 * stats.resampled_fraction()) as u64);
+    }
+    merged
 }
 
 /// RR sets for one item, partitioned across shards by `id mod S`.
@@ -374,244 +235,6 @@ impl ShardedRrStore {
                 .collect(),
             total: 0,
         }
-    }
-
-    /// Builds a store by sampling RR sets `0..count` for `item` against
-    /// `scenario`, generating **shard-parallel**: each shard's sets are
-    /// sampled, pushed and indexed by one worker, writing only shard-local
-    /// memory (`threads` is resolved by [`sampler::effective_threads`];
-    /// workers are capped at the shard count, so `S = 1` falls back to the
-    /// stream-parallel flat path).
-    ///
-    /// Because shard `s` owns exactly the streams `{s, s + S, …}` and every
-    /// stream is its own RNG, the result is bit-identical to pushing streams
-    /// `0..count` sequentially — for any `(threads, shards)` combination.
-    /// Each worker ends with its shard's one full index build, so the
-    /// aggregated [`IndexStats::full_rebuilds`] is `shard_count` afterwards.
-    pub fn build(
-        scenario: &Scenario,
-        item: ItemId,
-        shard_count: usize,
-        base_seed: u64,
-        count: usize,
-        threads: usize,
-    ) -> Self {
-        Self::build_observed(
-            scenario,
-            item,
-            shard_count,
-            base_seed,
-            count,
-            threads,
-            &SketchMetrics::noop(),
-        )
-    }
-
-    /// [`ShardedRrStore::build`] with telemetry: each shard worker records
-    /// its wall-clock into `metrics.shard_build_ns` (one observation per
-    /// shard, so the spread measures worker imbalance) and the sampled-set
-    /// count folds into `metrics.sets_sampled`.  Recording is write-only —
-    /// the built store is bit-identical to the unmetered one.
-    pub fn build_observed(
-        scenario: &Scenario,
-        item: ItemId,
-        shard_count: usize,
-        base_seed: u64,
-        count: usize,
-        threads: usize,
-        metrics: &SketchMetrics,
-    ) -> Self {
-        let mut store = ShardedRrStore::new(item, scenario.user_count(), shard_count);
-        let shard_count = store.shard_count();
-        metrics.sets_sampled.add(count as u64);
-        if shard_count == 1 {
-            // One shard: the parallel unit degenerates to the stream level.
-            let _span = metrics.shard_build_ns.start();
-            for set in &sampler::sample_range(scenario, item, base_seed, 0, count, threads) {
-                store.shards[0].push_set(set);
-            }
-            store.shards[0].rebuild_index();
-            store.total = count;
-            return store;
-        }
-        let workers = sampler::effective_threads(threads, shard_count);
-        for_each_shard(&mut store.shards, workers, |si, shard| {
-            let _span = metrics.shard_build_ns.start();
-            build_shard_task(shard, si, shard_count, scenario, base_seed, count);
-        });
-        store.total = count;
-        store
-    }
-
-    /// Appends the sets of streams `len()..len() + count`, sampled against
-    /// `scenario`, shard-parallel like [`ShardedRrStore::build`] — the
-    /// growth path of adaptive sizing.  Unlike `build` this patches already
-    /// built indexes incrementally (no rebuild), and the stream → shard
-    /// partition (`id mod S`) is thread-independent, so grown stores stay
-    /// bit-identical to sequentially grown ones.
-    pub fn extend(&mut self, scenario: &Scenario, base_seed: u64, count: usize, threads: usize) {
-        self.extend_observed(scenario, base_seed, count, threads, &SketchMetrics::noop());
-    }
-
-    /// [`ShardedRrStore::extend`] with telemetry: per-shard wall-clock into
-    /// `metrics.shard_extend_ns`, grown-set count into
-    /// `metrics.sets_sampled`.
-    pub fn extend_observed(
-        &mut self,
-        scenario: &Scenario,
-        base_seed: u64,
-        count: usize,
-        threads: usize,
-        metrics: &SketchMetrics,
-    ) {
-        let item = self.item();
-        let first = self.total as u64;
-        let shard_count = self.shards.len();
-        metrics.sets_sampled.add(count as u64);
-        if shard_count == 1 {
-            let _span = metrics.shard_extend_ns.start();
-            for set in &sampler::sample_range(scenario, item, base_seed, first, count, threads) {
-                self.shards[0].push_set(set);
-            }
-            self.total += count;
-            return;
-        }
-        let end = first + count as u64;
-        let workers = sampler::effective_threads(threads, shard_count);
-        for_each_shard(&mut self.shards, workers, |si, shard| {
-            let _span = metrics.shard_extend_ns.start();
-            let mut scratch = sampler::Scratch::new(scenario.user_count());
-            // The smallest stream ≥ first congruent to si (mod S).
-            let s = shard_count as u64;
-            let mut stream = first + (si as u64 + s - first % s) % s;
-            while stream < end {
-                let set = sampler::sample_set_with(scenario, item, base_seed, stream, &mut scratch);
-                let local = shard.push_set(&set);
-                debug_assert_eq!(local as u64 * s + si as u64, stream);
-                stream += s;
-            }
-        });
-        self.total += count;
-    }
-
-    /// Re-samples exactly the sets containing any of `heads` against
-    /// `updated` (an already-frozen scenario), **refreshing every shard on
-    /// its own worker**: each worker queries its shard's inverted index
-    /// with the shared prepared frontier, replays the invalidated streams,
-    /// and patches its own index — no cross-shard writes, no rebuilds.
-    ///
-    /// Returns the merged per-shard [`RefreshStats`].  The frontier is a
-    /// pure function of `heads` and the (shard-count-independent) set
-    /// contents, and every re-sampled set replays its own RNG stream, so
-    /// the refreshed store *and* the returned counters are bit-identical
-    /// for any `(threads, shards)` combination.
-    pub fn refresh(
-        &mut self,
-        updated: &Scenario,
-        base_seed: u64,
-        heads: &[UserId],
-        threads: usize,
-    ) -> RefreshStats {
-        self.refresh_observed(updated, base_seed, heads, threads, &SketchMetrics::noop())
-    }
-
-    /// [`ShardedRrStore::refresh`] with telemetry: per-shard wall-clock into
-    /// `metrics.shard_refresh_ns`, the prepared frontier size into
-    /// `metrics.refresh_frontier_heads`, and the merged [`RefreshStats`]
-    /// folded into the `sets_resampled` / `sets_reused` /
-    /// `index_entries_patched` / `index_full_rebuilds` counters plus the
-    /// `refresh_resampled_permille` fraction histogram.  All of those
-    /// semantic values are pure functions of the store contents and the
-    /// frontier — shard- and thread-count-independent — so metered runs
-    /// stay bit-comparable across the grid.
-    pub fn refresh_observed(
-        &mut self,
-        updated: &Scenario,
-        base_seed: u64,
-        heads: &[UserId],
-        threads: usize,
-        metrics: &SketchMetrics,
-    ) -> RefreshStats {
-        self.refresh_impl(updated, base_seed, heads, threads, metrics, false)
-            .0
-    }
-
-    /// [`ShardedRrStore::refresh_observed`] that additionally reports the
-    /// **touched users**: the sorted, deduplicated union of every re-sampled
-    /// set's members *before and after* replacement.  A user absent from
-    /// this list kept its covering set-ids bit-identical through the
-    /// refresh, so any coverage-based marginal involving only untouched
-    /// users is numerically unchanged — the invariant the engine's
-    /// maintained-solution repair is built on.
-    ///
-    /// Tracking is read-only bookkeeping: the refreshed store and the
-    /// returned [`RefreshStats`] are bit-identical to the untracked path,
-    /// and the touched-user list is a pure function of the store contents
-    /// and the frontier (per-shard lists are merged in shard order, then
-    /// sorted), hence identical for any `(threads, shards)` combination.
-    pub fn refresh_tracked_observed(
-        &mut self,
-        updated: &Scenario,
-        base_seed: u64,
-        heads: &[UserId],
-        threads: usize,
-        metrics: &SketchMetrics,
-    ) -> (RefreshStats, Vec<UserId>) {
-        self.refresh_impl(updated, base_seed, heads, threads, metrics, true)
-    }
-
-    fn refresh_impl(
-        &mut self,
-        updated: &Scenario,
-        base_seed: u64,
-        heads: &[UserId],
-        threads: usize,
-        metrics: &SketchMetrics,
-        track: bool,
-    ) -> (RefreshStats, Vec<UserId>) {
-        let prepared = crate::store::prepare_heads(heads, self.user_count());
-        metrics.refreshes.incr();
-        metrics.refresh_frontier_heads.record(prepared.len() as u64);
-        let item = self.item();
-        let shard_count = self.shards.len();
-        let per_shard: Vec<(usize, IndexStats, Vec<UserId>)> = if shard_count == 1 {
-            // One shard: parallelize over the invalidated streams instead.
-            let _span = metrics.shard_refresh_ns.start();
-            let shard = &mut self.shards[0];
-            let before = shard.index_stats();
-            let invalid = shard.sets_touching_prepared(&prepared);
-            let mut touched: Vec<UserId> = Vec::new();
-            if track {
-                for &id in &invalid {
-                    touched.extend(shard.set_members(id).map(UserId));
-                }
-            }
-            let streams: Vec<u64> = invalid.iter().map(|&id| id as u64).collect();
-            let fresh = sampler::sample_streams(updated, item, base_seed, &streams, threads);
-            for (&id, set) in invalid.iter().zip(&fresh) {
-                if track {
-                    touched.extend_from_slice(set);
-                }
-                shard.replace_set(id, set);
-            }
-            vec![(invalid.len(), shard.index_stats().since(before), touched)]
-        } else {
-            let workers = sampler::effective_threads(threads, shard_count);
-            for_each_shard(&mut self.shards, workers, |si, shard| {
-                let _span = metrics.shard_refresh_ns.start();
-                refresh_shard_task(shard, si, shard_count, updated, base_seed, &prepared, track)
-            })
-        };
-        // The equivalence check the incremental index is specified by: after
-        // patching, membership answers match a from-scratch counting rebuild.
-        debug_assert!(
-            self.index_matches_rebuild(),
-            "patched inverted index diverged from rebuild_index"
-        );
-        // Merge the per-shard work into one store-level report.  The set
-        // counters are shard-independent (the frontier partitions across
-        // shards); only compaction timing — not counted here — may differ.
-        merge_refresh(self.total, per_shard, metrics)
     }
 
     /// The item the sets were sampled for.
@@ -822,8 +445,8 @@ impl ShardedRrStore {
     /// Writes the store's persistent form: shard count, global set count,
     /// then each shard's spans in shard order ([`RrStore::serialize_into`]).
     pub(crate) fn serialize_into(&self, out: &mut Vec<u8>) {
-        persist::write_varint(self.shards.len() as u32, out);
-        persist::write_varint64(self.total as u64, out);
+        persist::write_varint(self.shards.len() as u64, out);
+        persist::write_varint(self.total as u64, out);
         for shard in &self.shards {
             shard.serialize_into(out);
         }
@@ -1009,34 +632,66 @@ mod tests {
         }
     }
 
-    #[test]
-    fn for_each_shard_spawns_workers_and_preserves_order() {
-        // Forced worker counts exercise the scoped-spawn path even on
-        // single-core machines (the public knob caps at the core count).
-        for shards in [2usize, 3, 4, 7] {
-            let mut pool: Vec<RrStore> = (0..shards).map(|_| RrStore::new(ItemId(0), 4)).collect();
-            for workers in [1usize, 2, 3, 8] {
-                let indices = for_each_shard(&mut pool, workers, |si, shard| {
-                    shard.push_set(&users(&[si as u32 % 4]));
-                    si
-                });
-                assert_eq!(indices, (0..shards).collect::<Vec<_>>());
-            }
-            // Every job above ran exactly once per shard per worker count.
-            for shard in &pool {
-                assert_eq!(shard.len(), 4);
-            }
+    const SEED: u64 = 77;
+
+    /// A one-item store built by growth from stream 0 to `sizes[0]` sets,
+    /// then grown by each further entry of `sizes` in turn.
+    fn grown(
+        scenario: &Scenario,
+        shards: usize,
+        sizes: &[usize],
+        threads: usize,
+        metrics: &SketchMetrics,
+    ) -> ShardedRrStore {
+        let mut stores = [ShardedRrStore::new(
+            ItemId(0),
+            scenario.user_count(),
+            shards,
+        )];
+        for (round, &count) in sizes.iter().enumerate() {
+            let shard_ns = if round == 0 {
+                &metrics.shard_build_ns
+            } else {
+                &metrics.shard_extend_ns
+            };
+            grow_stores(
+                &mut stores,
+                scenario,
+                SEED,
+                count,
+                threads,
+                metrics,
+                shard_ns,
+            );
         }
+        let [store] = stores;
+        store
     }
 
-    fn sequential_reference(
-        scenario: &imdpp_diffusion::Scenario,
-        shards: usize,
-        count: usize,
-    ) -> ShardedRrStore {
+    /// Refreshes one store with one head list.
+    fn refreshed(
+        store: &mut ShardedRrStore,
+        updated: &Scenario,
+        heads: &[UserId],
+        threads: usize,
+        metrics: &SketchMetrics,
+    ) -> (RefreshStats, Vec<UserId>) {
+        let heads = [heads.to_vec()];
+        let mut per_store = refresh_stores(
+            std::slice::from_mut(store),
+            updated,
+            SEED,
+            &heads,
+            threads,
+            metrics,
+        );
+        per_store.swap_remove(0)
+    }
+
+    fn sequential_reference(scenario: &Scenario, shards: usize, count: usize) -> ShardedRrStore {
         let mut store = ShardedRrStore::new(ItemId(0), scenario.user_count(), shards);
-        for set in &sampler::sample_range(scenario, ItemId(0), 77, 0, count, 1) {
-            store.push_set(set);
+        for stream in 0..count as u64 {
+            store.push_set(&sampler::sample_set(scenario, ItemId(0), SEED, stream));
         }
         store.rebuild_index();
         store
@@ -1052,10 +707,11 @@ mod tests {
     #[test]
     fn parallel_build_matches_sequential_pushes() {
         let scenario = imdpp_diffusion::scenario::toy_scenario();
+        let metrics = SketchMetrics::noop();
         for shards in [1usize, 2, 4, 7] {
             let reference = sequential_reference(&scenario, shards, 96);
             for threads in [1usize, 2, 4, 8] {
-                let built = ShardedRrStore::build(&scenario, ItemId(0), shards, 77, 96, threads);
+                let built = grown(&scenario, shards, &[96], threads, &metrics);
                 assert_stores_identical(&built, &reference, &format!("{shards}x{threads}"));
                 assert!(built.index_matches_rebuild());
                 // Exactly one full index build per shard, none beyond.
@@ -1067,14 +723,12 @@ mod tests {
     #[test]
     fn parallel_extend_matches_sequential_growth() {
         let scenario = imdpp_diffusion::scenario::toy_scenario();
+        let metrics = SketchMetrics::noop();
         for shards in [1usize, 3, 4] {
             let reference = sequential_reference(&scenario, shards, 90);
             for threads in [1usize, 2, 8] {
                 // Build 32 then grow twice (odd amounts so shard loads skew).
-                let mut grown =
-                    ShardedRrStore::build(&scenario, ItemId(0), shards, 77, 32, threads);
-                grown.extend(&scenario, 77, 13, threads);
-                grown.extend(&scenario, 77, 45, threads);
+                let grown = grown(&scenario, shards, &[32, 13, 45], threads, &metrics);
                 assert_stores_identical(&grown, &reference, &format!("{shards}x{threads}"));
                 assert!(grown.index_matches_rebuild());
                 // Growth patches the index; rebuilds stay at construction.
@@ -1088,14 +742,14 @@ mod tests {
         let scenario = imdpp_diffusion::scenario::toy_scenario();
         let drifted = scenario.with_base_preference(UserId(1), ItemId(0), 0.9);
         let heads = [UserId(0), UserId(1), UserId(2)];
-        let mut flat = ShardedRrStore::build(&scenario, ItemId(0), 1, 77, 128, 1);
-        let flat_stats = flat.refresh(&drifted, 77, &heads, 1);
+        let metrics = SketchMetrics::noop();
+        let mut flat = grown(&scenario, 1, &[128], 1, &metrics);
+        let (flat_stats, _) = refreshed(&mut flat, &drifted, &heads, 1, &metrics);
         assert!(flat_stats.resampled_sets > 0);
         for shards in [2usize, 4, 7] {
             for threads in [1usize, 2, 8] {
-                let mut store =
-                    ShardedRrStore::build(&scenario, ItemId(0), shards, 77, 128, threads);
-                let stats = store.refresh(&drifted, 77, &heads, threads);
+                let mut store = grown(&scenario, shards, &[128], threads, &metrics);
+                let (stats, _) = refreshed(&mut store, &drifted, &heads, threads, &metrics);
                 assert_stores_identical(&store, &flat, &format!("{shards}x{threads}"));
                 // RefreshStats are bit-identical across the grid: the
                 // frontier partitions across shards and patched-entry
@@ -1114,15 +768,13 @@ mod tests {
         let telemetry = imdpp_obs::Telemetry::new();
         let metrics = SketchMetrics::new(&telemetry);
 
-        let mut observed =
-            ShardedRrStore::build_observed(&scenario, ItemId(0), 3, 77, 96, 2, &metrics);
-        observed.extend_observed(&scenario, 77, 32, 2, &metrics);
-        let observed_stats = observed.refresh_observed(&drifted, 77, &heads, 2, &metrics);
+        let mut observed = grown(&scenario, 3, &[96, 32], 2, &metrics);
+        let (observed_stats, _) = refreshed(&mut observed, &drifted, &heads, 2, &metrics);
 
         // Bit-identical to the unmetered path, including the stats.
-        let mut plain = ShardedRrStore::build(&scenario, ItemId(0), 3, 77, 96, 2);
-        plain.extend(&scenario, 77, 32, 2);
-        let plain_stats = plain.refresh(&drifted, 77, &heads, 2);
+        let noop = SketchMetrics::noop();
+        let mut plain = grown(&scenario, 3, &[96, 32], 2, &noop);
+        let (plain_stats, _) = refreshed(&mut plain, &drifted, &heads, 2, &noop);
         assert_stores_identical(&observed, &plain, "observed vs plain");
         assert_eq!(observed_stats, plain_stats);
 
@@ -1163,14 +815,14 @@ mod tests {
         let heads = [UserId(0), UserId(1), UserId(2)];
         let metrics = SketchMetrics::noop();
 
-        let mut plain = ShardedRrStore::build(&scenario, ItemId(0), 1, 77, 128, 1);
+        let mut plain = grown(&scenario, 1, &[128], 1, &metrics);
         // The invalidated ids, and their members before the refresh...
         let invalid = plain.sets_touching(&heads);
         let mut expected: Vec<UserId> = invalid
             .iter()
             .flat_map(|&id| plain.set(id).iter().map(|&u| UserId(u)).collect::<Vec<_>>())
             .collect();
-        let plain_stats = plain.refresh(&drifted, 77, &heads, 1);
+        let (plain_stats, _) = refreshed(&mut plain, &drifted, &heads, 1, &metrics);
         // ...plus the same ids' members after it.
         for &id in &invalid {
             expected.extend(plain.set(id).iter().map(|&u| UserId(u)));
@@ -1180,10 +832,8 @@ mod tests {
 
         for shards in [1usize, 2, 4, 7] {
             for threads in [1usize, 2, 8] {
-                let mut store =
-                    ShardedRrStore::build(&scenario, ItemId(0), shards, 77, 128, threads);
-                let (stats, touched) =
-                    store.refresh_tracked_observed(&drifted, 77, &heads, threads, &metrics);
+                let mut store = grown(&scenario, shards, &[128], threads, &metrics);
+                let (stats, touched) = refreshed(&mut store, &drifted, &heads, threads, &metrics);
                 assert_stores_identical(&store, &plain, &format!("{shards}x{threads}"));
                 assert_eq!(stats, plain_stats, "{shards}x{threads}");
                 assert!(!touched.is_empty());
@@ -1193,6 +843,37 @@ mod tests {
                 assert_eq!(touched, expected, "{shards}x{threads}");
             }
         }
+    }
+
+    #[test]
+    fn skipped_stores_report_nothing_to_do_and_record_nothing() {
+        let scenario = imdpp_diffusion::scenario::toy_scenario();
+        let telemetry = imdpp_obs::Telemetry::new();
+        let metrics = SketchMetrics::new(&telemetry);
+        let mut stores = [
+            grown(&scenario, 2, &[64], 1, &metrics),
+            grown(&scenario, 2, &[64], 1, &metrics),
+        ];
+        let before: Vec<Vec<Vec<u32>>> = stores
+            .iter()
+            .map(|s| s.iter().map(|(_, set)| set).collect())
+            .collect();
+        let heads = [Vec::new(), vec![UserId(1)]];
+        let per_store = refresh_stores(&mut stores, &scenario, SEED, &heads, 2, &metrics);
+        // The skipped store reports its size and nothing else...
+        let skipped = RefreshStats {
+            total_sets: 64,
+            stores: 1,
+            ..RefreshStats::default()
+        };
+        assert_eq!(per_store[0], (skipped, Vec::new()));
+        // ...the refreshed one replays identical sets against the same
+        // world, and only the refreshed store is counted.
+        assert!(per_store[1].0.resampled_sets > 0);
+        for (store, sets) in stores.iter().zip(&before) {
+            assert_eq!(&store.iter().map(|(_, set)| set).collect::<Vec<_>>(), sets);
+        }
+        assert_eq!(telemetry.snapshot().counter("sketch.refreshes"), Some(1));
     }
 
     #[test]
@@ -1260,14 +941,11 @@ mod tests {
     fn serialization_round_trips_across_the_shard_grid() {
         let scenario = imdpp_diffusion::scenario::toy_scenario();
         for shards in [1usize, 2, 4, 7] {
-            let mut store = ShardedRrStore::build(&scenario, ItemId(0), shards, 77, 96, 2);
+            let metrics = SketchMetrics::noop();
+            let mut store = grown(&scenario, shards, &[96], 2, &metrics);
             // Churn so the payload proves garbage is skipped.
-            let _ = store.refresh(
-                &scenario.with_base_preference(UserId(1), ItemId(0), 0.9),
-                77,
-                &[UserId(1)],
-                2,
-            );
+            let drifted = scenario.with_base_preference(UserId(1), ItemId(0), 0.9);
+            let _ = refreshed(&mut store, &drifted, &[UserId(1)], 2, &metrics);
             let mut out = Vec::new();
             store.serialize_into(&mut out);
             let mut cursor = out.as_slice();
@@ -1294,8 +972,8 @@ mod tests {
         }
         // Zero shards is rejected before any span is read.
         let mut zero = Vec::new();
-        persist::write_varint(0, &mut zero);
-        persist::write_varint64(0, &mut zero);
+        persist::write_varint(0u32, &mut zero);
+        persist::write_varint(0u64, &mut zero);
         let mut cursor = zero.as_slice();
         assert!(ShardedRrStore::deserialize_from(ItemId(0), 8, &mut cursor).is_err());
     }

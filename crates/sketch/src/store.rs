@@ -506,6 +506,14 @@ impl RrStore {
         self.index_stats.full_rebuilds += 1;
     }
 
+    /// Builds the inverted index if it was never built (a store filled by
+    /// bulk pushes); a no-op once it exists and maintains itself.
+    pub(crate) fn ensure_index(&mut self) {
+        if !self.inv_built {
+            self.rebuild_index();
+        }
+    }
+
     /// Folds tombstones and the overflow log back into a clean CSR once
     /// they outgrow the base index.  The threshold keeps both the wasted
     /// memory and the O(|log|) overflow scans of membership queries bounded
@@ -523,9 +531,7 @@ impl RrStore {
     /// first use; afterwards answers merge the base rows with the overflow
     /// log).
     pub fn sets_of(&mut self, user: UserId) -> Vec<SetId> {
-        if !self.inv_built {
-            self.rebuild_index();
-        }
+        self.ensure_index();
         if user.index() >= self.user_count {
             return Vec::new();
         }
@@ -562,9 +568,7 @@ impl RrStore {
     /// sorted, deduplicated) head list — lets the sharded store prepare the
     /// frontier once and query every shard with it.
     pub(crate) fn sets_touching_prepared(&mut self, heads: &[u32]) -> Vec<SetId> {
-        if !self.inv_built {
-            self.rebuild_index();
-        }
+        self.ensure_index();
         let mut ids = Vec::new();
         for &u in heads {
             let lo = self.inv_offsets[u as usize] as usize;
@@ -748,7 +752,7 @@ impl RrStore {
     /// walked).  The inverted index is *not* persisted; it is rebuilt once
     /// on restore, exactly like at construction.
     pub(crate) fn serialize_into(&self, out: &mut Vec<u8>) {
-        persist::write_varint(self.spans.len() as u32, out);
+        persist::write_varint(self.spans.len() as u64, out);
         for span in &self.spans {
             let lo = span.offset as usize;
             let hi = lo + span.bytes as usize;

@@ -1,17 +1,16 @@
 //! The RR-sketch influence oracle end to end: build a sketch over a
 //! generated instance, compare its static-spread estimates against forward
-//! Monte-Carlo, select seeds greedily, then drift one user's perception and
+//! Monte-Carlo, select seeds greedily, then drift one user's preference and
 //! refresh the sketch incrementally instead of rebuilding.
 //!
 //! Run with `cargo run --release --example sketch_oracle`.
 
-use imdpp_suite::baselines::build_sketch_oracle;
 use imdpp_suite::core::nominees::{select_nominees_with_oracle, NomineeSelectionConfig};
-use imdpp_suite::core::{Evaluator, SpreadOracle};
+use imdpp_suite::core::{Evaluator, RefreshableOracle, ScenarioUpdate, SpreadOracle};
 use imdpp_suite::datasets::{generate, DatasetKind};
 use imdpp_suite::diffusion::DynamicsConfig;
 use imdpp_suite::graph::{ItemId, UserId};
-use imdpp_suite::sketch::SketchConfig;
+use imdpp_suite::sketch::{SketchConfig, SketchOracle};
 use std::time::Instant;
 
 fn main() {
@@ -32,7 +31,7 @@ fn main() {
     // Build the sketch: 4096 RR sets per item on deterministic streams.
     // lint: allow(clock) — demo prints build time; nothing branches on it.
     let start = Instant::now();
-    let mut oracle = build_sketch_oracle(&frozen, SketchConfig::fixed(4096).with_base_seed(7));
+    let mut oracle = SketchOracle::build(scenario, SketchConfig::fixed(4096).with_base_seed(7));
     println!(
         "built {} RR sets across {} stores in {:.1?}",
         oracle.total_sets(),
@@ -78,17 +77,18 @@ fn main() {
         selection.evaluations,
     );
 
-    // Perception drift at the least influential user: refresh incrementally.
+    // Preference drift at the least influential user: refresh incrementally.
     let quiet = scenario
         .users()
         .min_by_key(|&u| (scenario.social().out_degree(u), std::cmp::Reverse(u.0)))
         .expect("instance has users");
-    let drifted = scenario.with_base_preference(quiet, ItemId(0), 0.9);
+    let update = ScenarioUpdate::Preferences(vec![(quiet, ItemId(0), 0.9)]);
+    let drifted = update.apply(scenario);
     // lint: allow(clock) — demo prints refresh latency; nothing branches on it.
     let t = Instant::now();
-    let stats = oracle.apply_update(&drifted, &[quiet]);
+    let (stats, _) = oracle.refresh(&drifted, &update);
     println!(
-        "perception drift at {quiet}: re-sampled {}/{} RR sets ({:.2}%) in {:.1?} — \
+        "preference drift at {quiet}: re-sampled {}/{} RR sets ({:.2}%) in {:.1?} — \
          {:.2}% of the sketch reused",
         stats.resampled_sets,
         stats.total_sets,

@@ -4,7 +4,9 @@
 //! re-sample nothing, and the sketch-backed adaptive Dysim pipeline must
 //! stay feasible while reusing a majority of its samples per round.
 
-use imdpp_suite::core::{DysimConfig, EdgeUpdate, OracleKind, ScenarioUpdate, SpreadOracle};
+use imdpp_suite::core::{
+    DysimConfig, EdgeUpdate, OracleKind, RefreshableOracle, ScenarioUpdate, SpreadOracle,
+};
 use imdpp_suite::datasets::{generate, DatasetKind};
 use imdpp_suite::diffusion::{DynamicsConfig, Scenario};
 use imdpp_suite::engine::Engine;
@@ -73,22 +75,16 @@ proptest! {
         ),
     ) {
         let before = build_scenario(10, edges);
-        let updates = decode_updates(10, &raw_updates);
-        let after = before.with_edge_updates(&updates);
+        let update = ScenarioUpdate::Edges(decode_updates(10, &raw_updates));
+        let after = update.apply(&before);
 
         let config = SketchConfig::fixed(256).with_base_seed(43);
         let mut incremental = SketchOracle::build(&before, config);
-        let stats = incremental.apply_edge_update(&after, &updates);
+        let (stats, _) = incremental.refresh(&after, &update);
         let rebuilt = SketchOracle::build(&after, config);
 
         prop_assert!(stats.resampled_sets <= stats.total_sets);
-        for item in after.items() {
-            let inc: Vec<Vec<u32>> =
-                incremental.store(item).iter().map(|(_, s)| s.to_vec()).collect();
-            let reb: Vec<Vec<u32>> =
-                rebuilt.store(item).iter().map(|(_, s)| s.to_vec()).collect();
-            prop_assert_eq!(inc, reb);
-        }
+        prop_assert!(incremental.stores_equal(&rebuilt));
         // Estimates agree exactly as well.
         let nominees: Vec<_> = after.users().map(|u| (u, ItemId(2))).collect();
         prop_assert!(
@@ -109,29 +105,21 @@ proptest! {
         pref_user in 0u32..8,
         pref in 0.55f64..0.95,
     ) {
-        use imdpp_suite::core::RefreshableOracle;
         let start = build_scenario(8, edges);
         let config = SketchConfig::fixed(128).with_base_seed(47);
         let mut oracle = SketchOracle::build(&start, config);
 
         let step1 = ScenarioUpdate::Edges(decode_updates(8, &raw_updates));
         let mid = step1.apply(&start);
-        let stats1 = oracle.refresh(&mid, &step1);
+        let (stats1, _) = oracle.refresh(&mid, &step1);
         prop_assert!(stats1.resampled_sets <= stats1.total_sets);
 
         let step2 = ScenarioUpdate::Preferences(vec![(UserId(pref_user), ItemId(0), pref)]);
         let end = step2.apply(&mid);
-        let stats2 = oracle.refresh(&end, &step2);
+        let (stats2, _) = oracle.refresh(&end, &step2);
         prop_assert!(stats2.resampled_sets <= stats2.total_sets);
 
-        let rebuilt = SketchOracle::build(&end, config);
-        for item in end.items() {
-            let inc: Vec<Vec<u32>> =
-                oracle.store(item).iter().map(|(_, s)| s.to_vec()).collect();
-            let reb: Vec<Vec<u32>> =
-                rebuilt.store(item).iter().map(|(_, s)| s.to_vec()).collect();
-            prop_assert_eq!(inc, reb);
-        }
+        prop_assert!(oracle.stores_equal(&SketchOracle::build(&end, config)));
     }
 }
 
@@ -180,8 +168,8 @@ fn noop_edge_update_resamples_zero_sets() {
     ];
 
     let mut oracle = SketchOracle::build(scenario, SketchConfig::fixed(512).with_base_seed(53));
-    let updated = scenario.with_edge_updates(&noop);
-    let stats = oracle.apply_edge_update(&updated, &noop);
+    let update = ScenarioUpdate::Edges(noop.to_vec());
+    let (stats, _) = oracle.refresh(&update.apply(scenario), &update);
     assert_eq!(
         stats.resampled_sets, 0,
         "a no-op batch must reuse every RR set"

@@ -3,7 +3,8 @@
 //! `shards ∈ {1, 2, 4, 7} × threads ∈ {1, 2, 4, 8}`, building a sketch,
 //! growing it and refreshing it through randomized edge / preference churn
 //! must produce **bit-identical** spread estimates, standard errors, greedy
-//! seed sets and [`RefreshStats`] — the invariant the sample-reuse papers
+//! seed sets, [`RefreshStats`] and per-item touched-user lists — the
+//! invariant the sample-reuse papers
 //! (Yalavarthi & Khan; Zhang et al.) rest on: locally-updated samples are
 //! statistically indistinguishable from fresh ones, which here is the
 //! stronger property that they are *the same bits* no matter how the work
@@ -51,11 +52,12 @@ struct Observations {
     greedy_seeds: Vec<Vec<UserId>>,
     greedy_covered: Vec<usize>,
     refresh_stats: Vec<RefreshStats>,
+    touched: Vec<Option<Vec<Vec<UserId>>>>,
 }
 
 /// Builds a sketch with the given `(shards, threads)`, drives it through
 /// `churn`, and records estimates / errors / greedy selections / refresh
-/// statistics along the way.
+/// statistics / touched users along the way.
 fn observe(
     start: &Scenario,
     churn: &[ScenarioUpdate],
@@ -73,6 +75,7 @@ fn observe(
         greedy_seeds: Vec::new(),
         greedy_covered: Vec::new(),
         refresh_stats: Vec::new(),
+        touched: Vec::new(),
     };
     let probes: [&[UserId]; 3] = [
         &[UserId(0)],
@@ -97,8 +100,9 @@ fn observe(
     record(&oracle, &mut obs);
     for update in churn {
         scenario = update.apply(&scenario);
-        let stats = oracle.refresh(&scenario, update);
+        let (stats, touched) = oracle.refresh(&scenario, update);
         obs.refresh_stats.push(stats);
+        obs.touched.push(touched);
         record(&oracle, &mut obs);
     }
     (oracle, obs)
@@ -110,7 +114,8 @@ proptest! {
     /// The tentpole invariant: for randomized worlds and randomized
     /// edge / preference churn, every `(shards, threads)` combination
     /// computes the *same bits* as the sequential flat reference —
-    /// estimates, standard errors, greedy seed sets and refresh statistics.
+    /// estimates, standard errors, greedy seed sets, refresh statistics and
+    /// the touched users each refresh reports.
     #[test]
     fn grid_of_shards_and_threads_is_bit_identical_under_churn(
         edges in proptest::collection::vec(
@@ -136,6 +141,12 @@ proptest! {
             ),
         ];
         let (reference_oracle, reference) = observe(&start, &churn, 1, 1);
+        // Every refresh reports one touched list per item.
+        let items = start.item_count();
+        prop_assert!(reference
+            .touched
+            .iter()
+            .all(|t| t.as_ref().is_some_and(|lists| lists.len() == items)));
         for &shards in &SHARD_GRID {
             for &threads in &THREAD_GRID {
                 if (shards, threads) == (1, 1) {
@@ -158,7 +169,6 @@ proptest! {
                 );
                 // No combination ever falls back to a full index rebuild
                 // after its per-shard construction builds.
-                let items = start.item_count();
                 prop_assert_eq!(
                     oracle.index_stats().full_rebuilds,
                     (shards * items) as u64

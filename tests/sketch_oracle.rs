@@ -3,9 +3,10 @@
 //! equivalence of incremental refresh and from-scratch rebuilds, and the
 //! sample-reuse guarantee under localized perception updates.
 
-use imdpp_suite::baselines::build_sketch_oracle;
 use imdpp_suite::core::nominees::{select_nominees_with_oracle, NomineeSelectionConfig};
-use imdpp_suite::core::{CostModel, Evaluator, ImdppInstance, SpreadOracle};
+use imdpp_suite::core::{
+    CostModel, Evaluator, ImdppInstance, RefreshableOracle, ScenarioUpdate, SpreadOracle,
+};
 use imdpp_suite::datasets::{generate, DatasetKind};
 use imdpp_suite::diffusion::{DynamicsConfig, Scenario, Seed, SeedGroup, SpreadEstimator};
 use imdpp_suite::graph::{ItemId, SocialGraph, UserId};
@@ -73,7 +74,7 @@ proptest! {
         );
     }
 
-    /// Incrementally refreshing the sketch after a perception update must be
+    /// Incrementally refreshing the sketch after a preference update must be
     /// *identical* to rebuilding it from scratch with the same RNG streams.
     #[test]
     fn incremental_refresh_matches_from_scratch_rebuild(
@@ -90,26 +91,21 @@ proptest! {
         };
         // The drifted world: the changed users' preference for every item
         // moves to `bump`.
-        let mut after = before.clone();
-        for &u in &changed_users {
-            for x in before.items() {
-                after = after.with_base_preference(u, x, bump);
-            }
-        }
+        let update = ScenarioUpdate::Preferences(
+            changed_users
+                .iter()
+                .flat_map(|&u| before.items().map(move |x| (u, x, bump)))
+                .collect(),
+        );
+        let after = update.apply(&before);
 
         let config = SketchConfig::fixed(256).with_base_seed(29);
         let mut incremental = SketchOracle::build(&before, config);
-        let stats = incremental.apply_update(&after, &changed_users);
+        let (stats, _) = incremental.refresh(&after, &update);
         let rebuilt = SketchOracle::build(&after, config);
 
         prop_assert!(stats.resampled_sets <= stats.total_sets);
-        for item in after.items() {
-            let inc: Vec<Vec<u32>> =
-                incremental.store(item).iter().map(|(_, s)| s.to_vec()).collect();
-            let reb: Vec<Vec<u32>> =
-                rebuilt.store(item).iter().map(|(_, s)| s.to_vec()).collect();
-            prop_assert_eq!(inc, reb);
-        }
+        prop_assert!(incremental.stores_equal(&rebuilt));
         // Estimates therefore agree exactly as well.
         let nominees: Vec<_> = after.users().map(|u| (u, ItemId(1))).collect();
         prop_assert!(
@@ -119,7 +115,7 @@ proptest! {
     }
 }
 
-/// A localized perception update on a 100-user instance must re-sample a
+/// A localized preference update on a 100-user instance must re-sample a
 /// minority of the RR sets — the sample-reuse guarantee of the sketch.
 #[test]
 fn localized_update_resamples_a_minority_of_sets() {
@@ -132,8 +128,8 @@ fn localized_update_resamples_a_minority_of_sets() {
         .expect("instance has users");
 
     let mut oracle = SketchOracle::build(scenario, SketchConfig::fixed(1024).with_base_seed(41));
-    let drifted = scenario.with_base_preference(quiet, ItemId(0), 0.9);
-    let stats = oracle.apply_update(&drifted, &[quiet]);
+    let update = ScenarioUpdate::Preferences(vec![(quiet, ItemId(0), 0.9)]);
+    let (stats, _) = oracle.refresh(&update.apply(scenario), &update);
 
     assert_eq!(stats.total_sets, 1024 * scenario.item_count());
     assert!(
@@ -178,8 +174,10 @@ fn sketch_greedy_matches_monte_carlo_greedy_within_5_percent() {
         };
         let universe: Vec<(UserId, ItemId)> =
             frozen.scenario().users().map(|u| (u, ItemId(0))).collect();
-        let oracle =
-            build_sketch_oracle(&frozen, SketchConfig::fixed(sketch_sets).with_base_seed(5));
+        let oracle = SketchOracle::build(
+            frozen.scenario(),
+            SketchConfig::fixed(sketch_sets).with_base_seed(5),
+        );
         let sketch_seeds: SeedGroup =
             select_nominees_with_oracle(&frozen, &oracle, &universe, &selection_config)
                 .nominees
