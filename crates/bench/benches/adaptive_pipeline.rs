@@ -166,15 +166,18 @@ fn bench_adaptive_pipeline(c: &mut Criterion) {
         );
     }
 
-    // --- Maintained solutions: repaired solve vs fresh greedy per batch. ---
+    // --- Maintained solutions: cache lookup vs the full pipeline. ---------
     // Two identical engines drift through the same localized churn; one
     // maintains its solution across applies (the default), the other
-    // re-solves from scratch every batch.  The gates are deterministic
+    // re-solves from scratch every batch.  A maintained solve is a lookup
+    // of the repaired cached answer — it skips TMI, DRE, TDSI and the
+    // guards — so `maintained_solve_speedup` compares a cache lookup with
+    // the full pipeline, not two solvers.  The gates are deterministic
     // *and* temporal: no batch may invalidate the maintained solution
     // (`full_resolves == 0` — localized churn is the regime maintenance
-    // exists for), and serving the maintained solution must be at least 3x
-    // faster than the fresh pipeline in aggregate (lookup vs full solve, so
-    // the real margin is orders of magnitude; 3x absorbs CI noise).
+    // exists for), and the lookup must be at least 3x faster than the full
+    // pipeline in aggregate (the real margin is orders of magnitude; 3x
+    // absorbs CI noise).
     let maintained_engine = Engine::for_instance(&instance)
         .config(sketched_config.clone())
         .build()
@@ -225,9 +228,10 @@ fn bench_adaptive_pipeline(c: &mut Criterion) {
     summary.record("maintained_seeds_retained_total", retained_total as f64);
     summary.record("maintained_positions_repaired_total", repaired_total as f64);
     println!(
-        "maintained solve over {} localized batches: served {:.3}ms vs fresh \
-         {:.3}ms ({maintained_speedup:.0}x), {retained_total} seeds retained, \
-         {repaired_total} positions repaired, {full_resolves} full resolves",
+        "maintained solve over {} localized batches: cache lookup {:.3}ms vs \
+         full pipeline {:.3}ms ({maintained_speedup:.0}x), {retained_total} \
+         seeds retained, {repaired_total} positions repaired, {full_resolves} \
+         full resolves",
         maintained_churn.len(),
         1e3 * maintained_solve_total,
         1e3 * fresh_solve_total,
@@ -238,8 +242,9 @@ fn bench_adaptive_pipeline(c: &mut Criterion) {
     );
     assert!(
         maintained_speedup >= 3.0,
-        "maintained solve must be >= 3x faster than fresh greedy under \
-         localized churn, got {maintained_speedup:.1}x ({:.3}ms vs {:.3}ms)",
+        "a maintained-solution lookup must be >= 3x faster than the full \
+         pipeline under localized churn, got {maintained_speedup:.1}x \
+         ({:.3}ms vs {:.3}ms)",
         1e3 * maintained_solve_total,
         1e3 * fresh_solve_total,
     );

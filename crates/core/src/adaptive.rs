@@ -141,34 +141,23 @@ pub fn adaptive_dysim_with_oracle<O: RefreshableOracle>(
         } else {
             // Keep only the nominees that prefer the current promotion over
             // the next one under substantial influence.
-            let eval_full =
-                Evaluator::new(&current, config.mc_samples, config.base_seed + t as u64);
-            let baseline_spread = eval_full.spread_in(&committed, &whole_market.users);
-            let baseline_likelihood =
-                eval_full.future_likelihood_in(&committed, &whole_market.users);
+            let eval_full = Evaluator::new(
+                &current,
+                config.mc_samples,
+                config.base_seed.wrapping_add(t as u64),
+            );
+            let users = &whole_market.users;
+            let baseline = eval_full.market_estimates(std::slice::from_ref(&committed), users)[0];
             for &(u, x) in &selection.nominees {
                 let cost = current.cost(u, x);
                 if cost > current.budget() - spent {
                     continue;
                 }
-                let now = substantial_influence(
-                    &eval_full,
-                    &whole_market,
-                    &committed,
-                    Seed::new(u, x, t),
-                    total_promotions,
-                    baseline_spread,
-                    baseline_likelihood,
-                );
-                let later = substantial_influence(
-                    &eval_full,
-                    &whole_market,
-                    &committed,
-                    Seed::new(u, x, t + 1),
-                    total_promotions,
-                    baseline_spread,
-                    baseline_likelihood,
-                );
+                let (now, later) = (Seed::new(u, x, t), Seed::new(u, x, t + 1));
+                let measured = eval_full
+                    .market_estimates(&[committed.with(now), committed.with(later)], users);
+                let now = substantial_influence(now, measured[0], baseline, total_promotions);
+                let later = substantial_influence(later, measured[1], baseline, total_promotions);
                 if now.substantial_influence >= later.substantial_influence {
                     committed.insert(Seed::new(u, x, t));
                     spent += cost;

@@ -63,8 +63,8 @@ impl ItemImpactModel {
             if neighbours.is_empty() {
                 continue;
             }
-            related.insert(x.0, neighbours.clone());
-            for y in neighbours {
+            related.insert(x.0, neighbours.to_vec());
+            for &y in neighbours {
                 let key = pair_key(x, y);
                 if avg_c.contains_key(&key) {
                     continue;

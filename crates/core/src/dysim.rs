@@ -342,35 +342,30 @@ impl Dysim {
         let mut guard_solution_used = false;
         if cfg.use_guard_solutions {
             let final_eval = Evaluator::new(instance, cfg.mc_samples, cfg.base_seed ^ 0x5EED);
-            let mut best = all_seeds.clone();
-            let mut best_value = final_eval.spread(&best);
-
-            // All nominees placed in the first promotion.
+            // The market-based solution, then the feasible guards: all
+            // nominees placed in the first promotion, and every single
+            // nominee.  One Monte-Carlo pass measures them all.
+            let mut contenders = vec![all_seeds];
             let nominees_first: SeedGroup =
                 nominees.iter().map(|&(u, x)| Seed::new(u, x, 1)).collect();
-            if instance.is_feasible(&nominees_first) {
-                let v = final_eval.spread(&nominees_first);
-                if v > best_value {
-                    best = nominees_first;
-                    best_value = v;
-                    guard_solution_used = true;
+            let singles = nominees
+                .iter()
+                .map(|&(u, x)| SeedGroup::from_seeds(vec![Seed::new(u, x, 1)]));
+            contenders.extend(
+                std::iter::once(nominees_first)
+                    .chain(singles)
+                    .filter(|group| instance.is_feasible(group)),
+            );
+            let values = final_eval.spreads(&contenders);
+            // A later contender replaces the best only when strictly better.
+            let mut best = 0;
+            for (i, &value) in values.iter().enumerate() {
+                if value > values[best] {
+                    best = i;
                 }
             }
-
-            // The best single affordable seed among the nominees.
-            for &(u, x) in &nominees {
-                let single = SeedGroup::from_seeds(vec![Seed::new(u, x, 1)]);
-                if !instance.is_feasible(&single) {
-                    continue;
-                }
-                let v = final_eval.spread(&single);
-                if v > best_value {
-                    best = single;
-                    best_value = v;
-                    guard_solution_used = true;
-                }
-            }
-            all_seeds = best;
+            guard_solution_used = best > 0;
+            all_seeds = contenders.swap_remove(best);
         }
 
         let total_cost = instance.total_cost(&all_seeds);

@@ -13,11 +13,24 @@
 use crate::nominees::Nominee;
 use crate::oracle::SpreadOracle;
 use crate::problem::ImdppInstance;
-use imdpp_diffusion::{simulate, DynamicsConfig, Scenario, Seed, SeedGroup, SpreadEstimator};
+use imdpp_diffusion::{
+    DynamicsConfig, Scenario, Seed, SeedGroup, SimulationOutcome, SpreadEstimate, SpreadEstimator,
+};
 use imdpp_graph::UserId;
 use imdpp_kg::PersonalPerception;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+
+/// The two per-market quantities TDSI scores a seed group by, estimated
+/// from the same simulations.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct MarketEstimate {
+    /// `σ_τ(S)`: the importance-aware spread restricted to the market's
+    /// users.
+    pub spread: f64,
+    /// `π_τ(S)`: the expected likelihood of the market's users adopting
+    /// their not-yet-adopted items in a further promotion after the
+    /// campaign of `S` has run (Eq. 13).
+    pub likelihood: f64,
+}
 
 /// Monte-Carlo evaluator bound to an IMDPP instance.
 #[derive(Clone, Debug)]
@@ -52,45 +65,82 @@ impl<'a> Evaluator<'a> {
         self.samples
     }
 
+    fn estimator(&self) -> SpreadEstimator<'_> {
+        SpreadEstimator::new(self.instance.scenario(), self.samples, self.base_seed)
+    }
+
+    /// Runs every non-empty group's samples in one pass and returns, per
+    /// group, the mean of `metric` over its samples (`empty` for an empty
+    /// group, which is not simulated).
+    fn means_per_group<const K: usize>(
+        &self,
+        groups: &[SeedGroup],
+        empty: [f64; K],
+        metric: impl Fn(&SimulationOutcome) -> [f64; K] + Sync,
+    ) -> Vec<[f64; K]> {
+        let (live, slots): (Vec<&SeedGroup>, Vec<usize>) = groups
+            .iter()
+            .enumerate()
+            .filter(|(_, g)| !g.is_empty())
+            .map(|(slot, g)| (g, slot))
+            .unzip();
+        let passes = self
+            .estimator()
+            .collect_groups(&live, self.instance.promotions(), &metric);
+        let mut means = vec![empty; groups.len()];
+        for (slot, samples) in slots.into_iter().zip(passes) {
+            means[slot] = std::array::from_fn(|k| {
+                let values: Vec<f64> = samples.iter().map(|v| v[k]).collect();
+                SpreadEstimate::from_samples(&values).mean
+            });
+        }
+        means
+    }
+
     /// Estimates the importance-aware influence spread `σ(S)` over the full
     /// campaign of `T` promotions.
     pub fn spread(&self, seeds: &SeedGroup) -> f64 {
         if seeds.is_empty() {
             return 0.0;
         }
-        SpreadEstimator::new(self.instance.scenario(), self.samples, self.base_seed)
+        self.estimator()
             .mean_spread(seeds, self.instance.promotions())
     }
 
-    /// Estimates `σ_τ(S)`: the spread restricted to the users of a target
-    /// market.
-    pub fn spread_in(&self, seeds: &SeedGroup, users: &[UserId]) -> f64 {
-        if seeds.is_empty() || users.is_empty() {
-            return 0.0;
-        }
+    /// Estimates `σ(S)` of every group in one pass on the work-queue: each
+    /// value equals [`Evaluator::spread`] of that group.
+    pub fn spreads(&self, groups: &[SeedGroup]) -> Vec<f64> {
         let scenario = self.instance.scenario();
-        SpreadEstimator::new(scenario, self.samples, self.base_seed)
-            .estimate_metric(seeds, self.instance.promotions(), |out| {
-                out.weighted_spread_in(scenario, users)
-            })
-            .mean
+        self.means_per_group(groups, [0.0], |out| [out.weighted_spread(scenario)])
+            .into_iter()
+            .map(|[spread]| spread)
+            .collect()
     }
 
-    /// Estimates `π_τ(S)`: the expected likelihood of the users in `users`
-    /// adopting their not-yet-adopted items in a further promotion after the
-    /// campaign of `S` has run (Eq. 13).
-    pub fn future_likelihood_in(&self, seeds: &SeedGroup, users: &[UserId]) -> f64 {
+    /// Estimates `σ_τ(S)` and `π_τ(S)` of every group on the market of
+    /// `users`, in one pass on the work-queue: one simulation per group and
+    /// sample yields both values.  Each is the mean over the group's
+    /// sample streams, so it equals a separate estimate of that value; an
+    /// empty group (no adoptions) and an empty market give zero for both.
+    pub fn market_estimates(&self, groups: &[SeedGroup], users: &[UserId]) -> Vec<MarketEstimate> {
         if users.is_empty() {
-            return 0.0;
+            return vec![MarketEstimate::default(); groups.len()];
         }
         let scenario = self.instance.scenario();
-        let users_vec = users.to_vec();
-        SpreadEstimator::new(scenario, self.samples, self.base_seed)
-            .estimate_metric(seeds, self.instance.promotions(), move |out| {
+        let mut members = vec![false; scenario.user_count()];
+        for u in users {
+            members[u.index()] = true;
+        }
+        self.means_per_group(groups, [0.0, 0.0], |out| {
+            [
+                out.weighted_spread_in(scenario, &members),
                 out.state()
-                    .future_adoption_likelihood(scenario, users_vec.iter().copied())
-            })
-            .mean
+                    .future_adoption_likelihood(scenario, users.iter().copied()),
+            ]
+        })
+        .into_iter()
+        .map(|[spread, likelihood]| MarketEstimate { spread, likelihood })
+        .collect()
     }
 
     /// The static nominee-selection objective `f(N)`: the spread of the
@@ -119,15 +169,18 @@ impl<'a> Evaluator<'a> {
             return perception;
         }
         let m_count = perception.metagraph_count();
+        let weights = self
+            .estimator()
+            .collect_metric(seeds, self.instance.promotions(), &|out| {
+                let perception = out.state().perception();
+                let rows = users.iter().map(|&u| perception.weight_vector(u));
+                rows.flatten().copied().collect::<Vec<f64>>()
+            });
+        // Summed in sample order, whatever worker ran which sample.
         let mut sums = vec![0.0f64; users.len() * m_count];
-        for i in 0..self.samples {
-            let mut rng = StdRng::seed_from_u64(self.base_seed.wrapping_add(i as u64));
-            let out = simulate(scenario, seeds, self.instance.promotions(), &mut rng);
-            for (ui, &u) in users.iter().enumerate() {
-                let w = out.state().perception().weight_vector(u);
-                for (mi, &wv) in w.iter().enumerate() {
-                    sums[ui * m_count + mi] += wv;
-                }
+        for sample in &weights {
+            for (sum, &w) in sums.iter_mut().zip(sample) {
+                *sum += w;
             }
         }
         for (ui, &u) in users.iter().enumerate() {
@@ -251,7 +304,14 @@ mod tests {
         let inst = instance();
         let ev = Evaluator::new(&inst, 8, 1);
         assert_eq!(ev.spread(&SeedGroup::new()), 0.0);
-        assert_eq!(ev.spread_in(&SeedGroup::new(), &[UserId(0)]), 0.0);
+        assert_eq!(
+            ev.market_estimates(&[SeedGroup::new()], &[UserId(0)]),
+            vec![MarketEstimate::default()]
+        );
+        assert_eq!(
+            ev.market_estimates(&[one_seed()], &[]),
+            vec![MarketEstimate::default()]
+        );
         assert_eq!(ev.static_first_promotion_spread(&[]), 0.0);
     }
 
@@ -268,8 +328,8 @@ mod tests {
         let ev = Evaluator::new(&inst, 16, 3);
         let all: Vec<UserId> = inst.scenario().users().collect();
         let total = ev.spread(&one_seed());
-        let subset = ev.spread_in(&one_seed(), &[UserId(0), UserId(1)]);
-        let everyone = ev.spread_in(&one_seed(), &all);
+        let subset = ev.market_estimates(&[one_seed()], &[UserId(0), UserId(1)])[0].spread;
+        let everyone = ev.market_estimates(&[one_seed()], &all)[0].spread;
         assert!(subset <= total + 1e-9);
         assert!((everyone - total).abs() < 1e-9);
     }
@@ -292,10 +352,54 @@ mod tests {
         let inst = instance();
         let ev = Evaluator::new(&inst, 16, 5);
         let users: Vec<UserId> = inst.scenario().users().collect();
-        let none = ev.future_likelihood_in(&SeedGroup::new(), &users);
-        let some = ev.future_likelihood_in(&one_seed(), &users);
+        let measured = ev.market_estimates(&[SeedGroup::new(), one_seed()], &users);
+        let (none, some) = (measured[0].likelihood, measured[1].likelihood);
         assert!(none >= 0.0);
         assert!(some >= none);
+    }
+
+    #[test]
+    fn one_pass_estimates_equal_separate_estimates_bit_for_bit() {
+        let inst = instance();
+        let scenario = inst.scenario();
+        let ev = Evaluator::new(&inst, 6, 9);
+        let users = [UserId(1), UserId(3), UserId(4)];
+        let groups = [
+            one_seed(),
+            SeedGroup::new(),
+            SeedGroup::from_seeds(vec![
+                Seed::new(UserId(2), ItemId(1), 1),
+                Seed::new(UserId(0), ItemId(2), 2),
+            ]),
+        ];
+        let measured = ev.market_estimates(&groups, &users);
+        let spreads = ev.spreads(&groups);
+        for (i, group) in groups.iter().enumerate() {
+            let separate = |metric: &(dyn Fn(&SimulationOutcome) -> f64 + Sync)| {
+                SpreadEstimator::new(scenario, 6, 9)
+                    .estimate_metric(group, inst.promotions(), metric)
+                    .mean
+            };
+            let in_market = |out: &SimulationOutcome| {
+                let rows = out.records().iter().filter(|r| users.contains(&r.user));
+                rows.map(|r| scenario.catalog().importance(r.item)).sum()
+            };
+            let likelihood = |out: &SimulationOutcome| {
+                let state = out.state();
+                state.future_adoption_likelihood(scenario, users.iter().copied())
+            };
+            let spread = if group.is_empty() {
+                0.0
+            } else {
+                separate(&in_market)
+            };
+            assert_eq!(measured[i].spread.to_bits(), spread.to_bits());
+            assert_eq!(
+                measured[i].likelihood.to_bits(),
+                separate(&likelihood).to_bits()
+            );
+            assert_eq!(spreads[i].to_bits(), ev.spread(group).to_bits());
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! timings `t ∈ [t̂, min(t̂ + 1, Σ_{i ≤ k} T_{τ_i})]` (Sec. IV-B justifies why
 //! this restriction loses nothing).
 
-use crate::eval::Evaluator;
+use crate::eval::{Evaluator, MarketEstimate};
 use crate::market::TargetMarket;
 use crate::nominees::Nominee;
 use imdpp_diffusion::{Seed, SeedGroup};
@@ -32,20 +32,17 @@ pub struct ScoredCandidate {
     pub marginal_likelihood: f64,
 }
 
-/// Computes the substantial influence of a candidate seed (Eq. 2).
+/// Computes the substantial influence of a candidate seed (Eq. 2) from the
+/// market estimates of the current seed group (`baseline`) and of the group
+/// extended by the candidate (`with`).
 pub fn substantial_influence(
-    evaluator: &Evaluator<'_>,
-    market: &TargetMarket,
-    seed_group: &SeedGroup,
     candidate: Seed,
+    with: MarketEstimate,
+    baseline: MarketEstimate,
     total_promotions: u32,
-    baseline_spread: f64,
-    baseline_likelihood: f64,
 ) -> ScoredCandidate {
-    let with = seed_group.with(candidate);
-    let marginal_adoption = evaluator.spread_in(&with, &market.users) - baseline_spread;
-    let marginal_likelihood =
-        evaluator.future_likelihood_in(&with, &market.users) - baseline_likelihood;
+    let marginal_adoption = with.spread - baseline.spread;
+    let marginal_likelihood = with.likelihood - baseline.likelihood;
     let t = candidate.promotion as f64;
     let horizon = total_promotions as f64;
     let weight = ((horizon - t + 1.0) / horizon).clamp(0.0, 1.0);
@@ -79,6 +76,11 @@ pub fn timing_window(
 /// market may use.  When `full_timing_search` is set, every timing in
 /// `[t̂, total_promotions]` is examined instead of the two-slot window (used
 /// by the ablation bench that validates the window restriction).
+///
+/// A round measures all its candidates in one Monte-Carlo pass.  Its
+/// baseline is the current group, measured once; after that the current
+/// group is the previous round's winning `with`, whose estimate the round
+/// already measured.
 #[allow(clippy::too_many_arguments)]
 pub fn assign_timings(
     evaluator: &Evaluator<'_>,
@@ -90,42 +92,43 @@ pub fn assign_timings(
     full_timing_search: bool,
 ) -> Vec<ScoredCandidate> {
     let mut placed = Vec::with_capacity(pending.len());
+    // The estimate of the current group as measured — never rebuilt as
+    // `baseline + marginal`, which can differ from it in the last ulp.
+    let mut baseline: Option<MarketEstimate> = None;
     while !pending.is_empty() {
-        let baseline_spread = evaluator.spread_in(seed_group, &market.users);
-        let baseline_likelihood = evaluator.future_likelihood_in(seed_group, &market.users);
+        let base = match baseline {
+            Some(measured) => measured,
+            None => evaluator.market_estimates(std::slice::from_ref(seed_group), &market.users)[0],
+        };
         let timings = if full_timing_search {
             let t_hat = seed_group.latest_promotion().max(1).min(total_promotions);
             (t_hat..=total_promotions).collect::<Vec<u32>>()
         } else {
             timing_window(seed_group, cumulative_duration, total_promotions)
         };
-        let mut best: Option<ScoredCandidate> = None;
-        for &(u, x) in &pending {
-            for &t in &timings {
-                let candidate = Seed::new(u, x, t);
-                if seed_group.contains_nominee(u, x) {
-                    continue;
-                }
-                let scored = substantial_influence(
-                    evaluator,
-                    market,
-                    seed_group,
-                    candidate,
-                    total_promotions,
-                    baseline_spread,
-                    baseline_likelihood,
-                );
-                let better = match &best {
-                    None => true,
-                    Some(b) => scored.substantial_influence > b.substantial_influence,
-                };
-                if better {
-                    best = Some(scored);
-                }
+        let candidates: Vec<Seed> = pending
+            .iter()
+            .filter(|&&(u, x)| !seed_group.contains_nominee(u, x))
+            .flat_map(|&(u, x)| timings.iter().map(move |&t| Seed::new(u, x, t)))
+            .collect();
+        let withs: Vec<SeedGroup> = candidates.iter().map(|&c| seed_group.with(c)).collect();
+        let measured = evaluator.market_estimates(&withs, &market.users);
+        // Candidates in nominee-then-timing order; a later one wins only
+        // when strictly better.
+        let mut best: Option<(usize, ScoredCandidate)> = None;
+        for (i, (&candidate, &with)) in candidates.iter().zip(&measured).enumerate() {
+            let scored = substantial_influence(candidate, with, base, total_promotions);
+            let better = match &best {
+                None => true,
+                Some((_, b)) => scored.substantial_influence > b.substantial_influence,
+            };
+            if better {
+                best = Some((i, scored));
             }
         }
-        let Some(chosen) = best else { break };
+        let Some((i, chosen)) = best else { break };
         seed_group.insert(chosen.seed);
+        baseline = Some(measured[i]);
         pending.retain(|&(u, x)| !(u == chosen.seed.user && x == chosen.seed.item));
         placed.push(chosen);
     }
@@ -178,49 +181,31 @@ mod tests {
         let ev = Evaluator::new(&inst, 16, 1);
         let market = whole_market(&inst);
         let sg = SeedGroup::new();
-        let scored = substantial_influence(
-            &ev,
-            &market,
-            &sg,
-            Seed::new(UserId(0), ItemId(0), 1),
-            inst.promotions(),
-            0.0,
-            0.0,
-        );
+        let candidate = Seed::new(UserId(0), ItemId(0), 1);
+        let measured = ev.market_estimates(&[sg.clone(), sg.with(candidate)], &market.users);
+        assert_eq!(measured[0], MarketEstimate::default());
+        let scored = substantial_influence(candidate, measured[1], measured[0], inst.promotions());
         assert!(scored.marginal_adoption >= 1.0);
         assert!(scored.substantial_influence >= scored.marginal_adoption);
     }
 
     #[test]
     fn later_timing_discounts_the_likelihood_component() {
-        let inst = instance();
-        let ev = Evaluator::new(&inst, 16, 2);
-        let market = whole_market(&inst);
-        let sg = SeedGroup::new();
-        let early = substantial_influence(
-            &ev,
-            &market,
-            &sg,
-            Seed::new(UserId(0), ItemId(0), 1),
-            inst.promotions(),
-            0.0,
-            0.0,
-        );
-        let late = substantial_influence(
-            &ev,
-            &market,
-            &sg,
-            Seed::new(UserId(0), ItemId(0), 4),
-            inst.promotions(),
-            0.0,
-            0.0,
-        );
+        let with = MarketEstimate {
+            spread: 3.0,
+            likelihood: 2.0,
+        };
+        let base = MarketEstimate {
+            spread: 1.0,
+            likelihood: 1.0,
+        };
+        let early = substantial_influence(Seed::new(UserId(0), ItemId(0), 1), with, base, 4);
+        let late = substantial_influence(Seed::new(UserId(0), ItemId(0), 4), with, base, 4);
+        assert_eq!(early.marginal_adoption, 2.0);
+        assert_eq!(early.marginal_likelihood, 1.0);
         // The likelihood weight is (T - t + 1) / T: 1.0 at t=1, 0.25 at t=4.
-        let early_weight_part = early.substantial_influence - early.marginal_adoption;
-        let late_weight_part = late.substantial_influence - late.marginal_adoption;
-        if early.marginal_likelihood > 0.0 {
-            assert!(early_weight_part > late_weight_part - 1e-9);
-        }
+        assert_eq!(early.substantial_influence, 3.0);
+        assert_eq!(late.substantial_influence, 2.25);
     }
 
     #[test]

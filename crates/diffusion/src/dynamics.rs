@@ -200,25 +200,33 @@ impl DynamicsConfig {
     }
 }
 
-/// Jaccard similarity of two item sets given as slices (not necessarily
-/// sorted); `0.0` when both are empty.
+/// Jaccard similarity of two item sets; `0.0` when both are empty.
+///
+/// Both slices must be sorted and free of duplicates — the adoption rows
+/// [`crate::DiffusionState`] keeps are — so the intersection is counted by
+/// one merge, without allocating.
 pub fn jaccard_similarity(a: &[ItemId], b: &[ItemId]) -> f64 {
+    debug_assert!(
+        a.windows(2).all(|w| w[0] < w[1]) && b.windows(2).all(|w| w[0] < w[1]),
+        "jaccard_similarity needs sorted, deduplicated item sets"
+    );
     if a.is_empty() && b.is_empty() {
         return 0.0;
     }
-    let sa: std::collections::HashSet<u32> = a.iter().map(|i| i.0).collect();
-    let sb: std::collections::HashSet<u32> = b.iter().map(|i| i.0).collect();
-    // lint: allow(hash-order) — only the cardinalities are used; counting
-    // is independent of iteration order.
-    let inter = sa.intersection(&sb).count();
-    // lint: allow(hash-order) — only the cardinalities are used; counting
-    // is independent of iteration order.
-    let union = sa.union(&sb).count();
-    if union == 0 {
-        0.0
-    } else {
-        inter as f64 / union as f64
+    let (mut i, mut j, mut inter) = (0, 0, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                inter += 1;
+                i += 1;
+                j += 1;
+            }
+        }
     }
+    let union = a.len() + b.len() - inter;
+    inter as f64 / union as f64
 }
 
 #[cfg(test)]
@@ -332,6 +340,36 @@ mod tests {
         assert!(related > 0.0);
         assert_eq!(unrelated, 0.0);
         assert!(related <= 1.0);
+    }
+
+    #[test]
+    fn merged_jaccard_matches_a_hash_set_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashSet;
+        let mut rng = StdRng::seed_from_u64(0x1ACC);
+        let random_set = |rng: &mut StdRng| -> Vec<ItemId> {
+            let len = rng.gen_range(0..12usize);
+            let mut items: Vec<ItemId> =
+                (0..len).map(|_| ItemId(rng.gen_range(0..16u32))).collect();
+            items.sort_unstable();
+            items.dedup();
+            items
+        };
+        for _ in 0..500 {
+            let a = random_set(&mut rng);
+            let b = random_set(&mut rng);
+            let sa: HashSet<ItemId> = a.iter().copied().collect();
+            let sb: HashSet<ItemId> = b.iter().copied().collect();
+            let inter = a.iter().filter(|x| sb.contains(x)).count();
+            let union = sa.len() + sb.len() - inter;
+            let reference = if union == 0 {
+                0.0
+            } else {
+                inter as f64 / union as f64
+            };
+            assert_eq!(jaccard_similarity(&a, &b).to_bits(), reference.to_bits());
+        }
     }
 
     #[test]

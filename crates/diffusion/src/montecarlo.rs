@@ -5,6 +5,11 @@
 //! fixed `(base_seed, sample_count)` pair regardless of the number of worker
 //! threads, because each sample uses its own RNG stream derived from the
 //! base seed and the sample index.
+//!
+//! Callers that compare several seed groups (TDSI's candidates, the guard
+//! solutions) measure them in one pass, [`SpreadEstimator::collect_groups`]:
+//! every group sees the same sample streams it would see on its own, and a
+//! pass forks and joins the workers once instead of once per group.
 
 use crate::par::{effective_threads, run_queue};
 use crate::process::{simulate, SimulationOutcome};
@@ -25,6 +30,23 @@ pub struct SpreadEstimate {
 }
 
 impl SpreadEstimate {
+    /// Summarizes per-sample values: the mean is their sum in sample order
+    /// divided by their count; the standard deviation is the sample one.
+    pub fn from_samples(values: &[f64]) -> Self {
+        let n = values.len();
+        let mean = values.iter().sum::<f64>() / n as f64;
+        let variance = if n > 1 {
+            values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n as f64 - 1.0)
+        } else {
+            0.0
+        };
+        SpreadEstimate {
+            mean,
+            std_dev: variance.sqrt(),
+            samples: n,
+        }
+    }
+
     /// Standard error of the mean.
     pub fn std_error(&self) -> f64 {
         if self.samples <= 1 {
@@ -41,7 +63,9 @@ pub struct SpreadEstimator<'a> {
     scenario: &'a Scenario,
     samples: usize,
     base_seed: u64,
-    threads: usize,
+    /// Worker override; `None` resolves `effective_threads(0, tasks)` per
+    /// pass.
+    threads: Option<usize>,
 }
 
 impl<'a> SpreadEstimator<'a> {
@@ -53,13 +77,13 @@ impl<'a> SpreadEstimator<'a> {
             scenario,
             samples,
             base_seed,
-            threads: effective_threads(0, samples),
+            threads: None,
         }
     }
 
     /// Overrides the number of worker threads (1 = sequential).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.threads = Some(threads.max(1));
         self
     }
 
@@ -83,8 +107,7 @@ impl<'a> SpreadEstimator<'a> {
     where
         F: Fn(&SimulationOutcome) -> f64 + Sync,
     {
-        let values = self.collect_metric(seeds, promotions, &metric);
-        summarize(&values)
+        SpreadEstimate::from_samples(&self.collect_metric(seeds, promotions, &metric))
     }
 
     /// Estimates the importance-aware influence spread `σ(S)`.
@@ -98,31 +121,47 @@ impl<'a> SpreadEstimator<'a> {
     }
 
     /// Collects the raw per-sample metric values (ordered by sample index):
-    /// one task per sample on the work-queue ([`run_queue`]), sample `i`
-    /// simulating with its own RNG stream `base_seed + i`.
-    pub fn collect_metric<F>(&self, seeds: &SeedGroup, promotions: u32, metric: &F) -> Vec<f64>
+    /// the one-group case of [`SpreadEstimator::collect_groups`].
+    pub fn collect_metric<T, F>(&self, seeds: &SeedGroup, promotions: u32, metric: &F) -> Vec<T>
     where
-        F: Fn(&SimulationOutcome) -> f64 + Sync,
+        T: Send,
+        F: Fn(&SimulationOutcome) -> T + Sync,
     {
-        run_queue((0..self.samples).collect(), self.threads, |_, i| {
-            let mut rng = StdRng::seed_from_u64(self.base_seed.wrapping_add(i as u64));
-            metric(&simulate(self.scenario, seeds, promotions, &mut rng))
-        })
+        let groups = self.collect_groups(&[seeds], promotions, metric);
+        groups.into_iter().flatten().collect()
     }
-}
 
-fn summarize(values: &[f64]) -> SpreadEstimate {
-    let n = values.len();
-    let mean = values.iter().sum::<f64>() / n as f64;
-    let variance = if n > 1 {
-        values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n as f64 - 1.0)
-    } else {
-        0.0
-    };
-    SpreadEstimate {
-        mean,
-        std_dev: variance.sqrt(),
-        samples: n,
+    /// Collects the per-sample metric values of every group, each in sample
+    /// order, from one pass on the work-queue ([`run_queue`]): task
+    /// `g · samples + i` simulates group `g` with the RNG stream
+    /// `base_seed + i`, the stream sample `i` of a one-group estimate uses.
+    pub fn collect_groups<T, F>(
+        &self,
+        groups: &[&SeedGroup],
+        promotions: u32,
+        metric: &F,
+    ) -> Vec<Vec<T>>
+    where
+        T: Send,
+        F: Fn(&SimulationOutcome) -> T + Sync,
+    {
+        let tasks = groups.len() * self.samples;
+        let workers = self.threads.unwrap_or_else(|| effective_threads(0, tasks));
+        let mut values = run_queue((0..tasks).collect(), workers, |_, task| {
+            let (group, i) = (task / self.samples, task % self.samples);
+            let mut rng = StdRng::seed_from_u64(self.base_seed.wrapping_add(i as u64));
+            metric(&simulate(
+                self.scenario,
+                groups[group],
+                promotions,
+                &mut rng,
+            ))
+        })
+        .into_iter();
+        groups
+            .iter()
+            .map(|_| values.by_ref().take(self.samples).collect())
+            .collect()
     }
 }
 
@@ -213,8 +252,32 @@ mod tests {
     }
 
     #[test]
+    fn one_pass_over_groups_matches_each_group_on_its_own() {
+        let s = toy_scenario();
+        let groups = [
+            one_seed(),
+            SeedGroup::new(),
+            SeedGroup::from_seeds(vec![
+                Seed::new(UserId(2), ItemId(1), 1),
+                Seed::new(UserId(0), ItemId(0), 2),
+            ]),
+        ];
+        let metric = |out: &SimulationOutcome| out.weighted_spread(&s);
+        for threads in [1, 3] {
+            let est = SpreadEstimator::new(&s, 6, 17).with_threads(threads);
+            let pass = est.collect_groups(&groups.iter().collect::<Vec<_>>(), 2, &metric);
+            assert_eq!(pass.len(), groups.len());
+            for (group, values) in groups.iter().zip(&pass) {
+                let alone = est.collect_metric(group, 2, &metric);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(values), bits(&alone));
+            }
+        }
+    }
+
+    #[test]
     fn summary_statistics_are_correct() {
-        let e = super::summarize(&[1.0, 3.0]);
+        let e = SpreadEstimate::from_samples(&[1.0, 3.0]);
         assert_eq!(e.mean, 2.0);
         assert!((e.std_dev - (2.0f64).sqrt()).abs() < 1e-12);
         assert!((e.std_error() - 1.0).abs() < 1e-12);

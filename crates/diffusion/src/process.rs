@@ -59,12 +59,12 @@ impl SimulationOutcome {
     }
 
     /// The importance-aware influence restricted to a user subset (used for
-    /// the per-target-market spread `σ_τ`).
-    pub fn weighted_spread_in(&self, scenario: &Scenario, users: &[UserId]) -> f64 {
-        let set: std::collections::HashSet<u32> = users.iter().map(|u| u.0).collect();
+    /// the per-target-market spread `σ_τ`): the adoptions of the users `u`
+    /// with `members[u.index()]` set.
+    pub fn weighted_spread_in(&self, scenario: &Scenario, members: &[bool]) -> f64 {
         self.records
             .iter()
-            .filter(|r| set.contains(&r.user.0))
+            .filter(|r| members[r.user.index()])
             .map(|r| scenario.catalog().importance(r.item))
             .sum()
     }
@@ -165,16 +165,23 @@ pub fn simulate(
                     }
                     // Item associations: being promoted `item` can trigger the
                     // adoption of relevant items regardless of whether `item`
-                    // itself was adopted (footnote 9 of the paper).
+                    // itself was adopted (footnote 9 of the paper).  `P_ext`
+                    // reuses this visit's `strength` and `preference`: the
+                    // state only changes at the end of the step.  A related
+                    // item without complementary relevance has `P_ext = 0`
+                    // and draws nothing.
                     if !scenario.dynamics().frozen {
-                        for (relevant, _, _) in
-                            state.perception().personal_item_network(friend, item)
-                        {
+                        for &relevant in state.perception().model().related_items(item) {
                             if state.has_adopted(friend, relevant) {
                                 continue;
                             }
-                            let p_ext = state.extra_adoption_probability(
-                                scenario, friend, promoter, item, relevant,
+                            let p_ext = scenario.dynamics().extra_adoption_probability(
+                                state.perception(),
+                                strength,
+                                preference,
+                                friend,
+                                item,
+                                relevant,
                             );
                             if p_ext > 0.0 && rng.gen::<f64>() < p_ext {
                                 next_newly.push((friend, relevant, true));
@@ -386,7 +393,13 @@ mod tests {
         let s = toy_scenario();
         let mut rng = StdRng::seed_from_u64(13);
         let out = simulate(&s, &seeds(&[(0, 0, 1)]), 2, &mut rng);
-        let subset = [UserId(0), UserId(1)];
-        assert!(out.weighted_spread_in(&s, &subset) <= out.weighted_spread(&s) + 1e-12);
+        let mut members = vec![false; s.user_count()];
+        members[0] = true;
+        members[1] = true;
+        assert!(out.weighted_spread_in(&s, &members) <= out.weighted_spread(&s) + 1e-12);
+        assert_eq!(
+            out.weighted_spread_in(&s, &vec![true; s.user_count()]),
+            out.weighted_spread(&s)
+        );
     }
 }

@@ -4,7 +4,9 @@
 //! *derived* quantities (functions of the adoption sets, the perceptions and
 //! the scenario's base values) exactly as in Fig. 3 of the paper, so the
 //! state only stores the two primary quantities and recomputes the rest on
-//! demand.
+//! demand.  Both change only in [`DiffusionState::record_adoptions`], at the
+//! end of a diffusion step, so a derived value read during a step stays
+//! valid for the rest of that step.
 
 use crate::scenario::Scenario;
 use imdpp_graph::{ItemId, UserId};
@@ -90,11 +92,10 @@ impl DiffusionState {
         }
         if !scenario.dynamics().frozen {
             for (u, new_items) in per_user {
-                let all = self.adopted[u.index()].clone();
                 self.perception.update_on_adoption(
                     u,
                     &new_items,
-                    &all,
+                    &self.adopted[u.index()],
                     scenario.dynamics().weight_learning_rate,
                 );
             }
@@ -122,28 +123,6 @@ impl DiffusionState {
             v,
             self.adopted_items(u),
             self.adopted_items(v),
-        )
-    }
-
-    /// Extra-adoption probability `P_ext(u, u', x, y, ζ)` under the current
-    /// state (the item-association factor).
-    pub fn extra_adoption_probability(
-        &self,
-        scenario: &Scenario,
-        user: UserId,
-        promoter: UserId,
-        promoted: ItemId,
-        relevant: ItemId,
-    ) -> f64 {
-        let influence = self.influence(scenario, promoter, user);
-        let preference = self.preference(scenario, user, promoted);
-        scenario.dynamics().extra_adoption_probability(
-            &self.perception,
-            influence,
-            preference,
-            user,
-            promoted,
-            relevant,
         )
     }
 

@@ -956,9 +956,9 @@ impl EngineBuilder {
     /// # Errors
     /// [`ImdppError::MissingComponent`] when no budget was set;
     /// [`ImdppError::DimensionMismatch`] / [`ImdppError::InvalidConfig`]
-    /// when the instance is inconsistent or the RR sketch is requested on a
-    /// Linear Threshold scenario (the sketch encodes the Independent
-    /// Cascade triggering distribution).
+    /// when the instance is inconsistent, `mc_samples` is 0, or the RR
+    /// sketch is requested on a Linear Threshold scenario (the sketch
+    /// encodes the Independent Cascade triggering distribution).
     pub fn build(self) -> Result<Engine, ImdppError> {
         let (instance, config, telemetry) = self.prepare()?;
         let oracle = ConfiguredOracle::build_with_telemetry(
@@ -985,12 +985,18 @@ impl EngineBuilder {
 
     /// The validation prelude [`EngineBuilder::build`] and
     /// [`EngineBuilder::restore`] share: resolves costs and budget into an
-    /// instance, rejects the sketch-on-LT combination, and takes the
-    /// telemetry registry out of the builder.
+    /// instance, rejects zero Monte-Carlo samples and the sketch-on-LT
+    /// combination, and takes the telemetry registry out of the builder.
     fn prepare(self) -> Result<(ImdppInstance, DysimConfig, Telemetry), ImdppError> {
         let budget = self
             .budget
             .ok_or(ImdppError::MissingComponent { what: "budget" })?;
+        if self.config.mc_samples == 0 {
+            return Err(ImdppError::invalid(
+                "mc_samples must be at least 1: every Monte-Carlo estimate is a mean over \
+                 that many simulations",
+            ));
+        }
         let costs = self.costs.unwrap_or_else(|| {
             CostModel::uniform(self.scenario.user_count(), self.scenario.item_count(), 1.0)
         });
@@ -1063,6 +1069,36 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ImdppError::InvalidConfig { .. }));
         assert!(err.to_string().contains("Independent Cascade"));
+    }
+
+    #[test]
+    fn builder_rejects_zero_monte_carlo_samples() {
+        let err = Engine::builder(toy_scenario())
+            .budget(3.0)
+            .config(DysimConfig {
+                mc_samples: 0,
+                ..DysimConfig::fast()
+            })
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, ImdppError::InvalidConfig { .. }));
+        assert!(err.to_string().contains("mc_samples"));
+    }
+
+    #[test]
+    fn adaptive_runs_with_the_largest_seed() -> Result<(), ImdppError> {
+        // Each round re-seeds the Monte-Carlo estimator at `base_seed + t`,
+        // which must wrap rather than overflow.
+        let engine = Engine::builder(toy_scenario())
+            .budget(3.0)
+            .promotions(3)
+            .config(DysimConfig::fast())
+            .seed(u64::MAX)
+            .build()?;
+        let report = engine.adaptive(3, &[]);
+        assert_eq!(report.per_promotion.len(), 3);
+        assert!(engine.snapshot().instance().is_feasible(&report.seeds));
+        Ok(())
     }
 
     #[test]

@@ -528,6 +528,24 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_zero_monte_carlo_samples() -> Result<(), ImdppError> {
+        let engine = builder(OracleKind::MonteCarlo).build()?;
+        let path = temp_path("zero-samples");
+        engine.persist(&path)?;
+        let restored = builder(OracleKind::MonteCarlo)
+            .config(DysimConfig {
+                mc_samples: 0,
+                ..DysimConfig::fast()
+            })
+            .restore(&path);
+        std::fs::remove_file(&path)?;
+        let err = restored.unwrap_err();
+        assert!(matches!(err, ImdppError::InvalidConfig { .. }));
+        assert!(err.to_string().contains("mc_samples"));
+        Ok(())
+    }
+
+    #[test]
     fn restore_rejects_mismatched_worlds_and_corrupt_files() {
         let engine = builder(sketch_kind(2)).build().unwrap();
         let _ = engine.solve();

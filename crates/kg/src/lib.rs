@@ -35,7 +35,7 @@ pub use hin::{KgNodeId, KnowledgeGraph, KnowledgeGraphBuilder};
 pub use items::ItemCatalog;
 pub use metagraph::{MetaGraph, MetaGraphId, MetaGraphShape, RelationKind};
 pub use personal::PersonalPerception;
-pub use relevance::{RelevanceMatrix, RelevanceModel};
+pub use relevance::{PairTerm, RelevanceMatrix, RelevanceModel};
 pub use types::{EdgeType, NodeType};
 
 pub use imdpp_graph::{ItemId, UserId};

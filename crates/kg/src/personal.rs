@@ -114,17 +114,20 @@ impl PersonalPerception {
     /// meta-graphs describe the relationship — the perceived relevance grows,
     /// which is exactly the behaviour the Fig. 13 sensitivity study relies
     /// on.
+    ///
+    /// Only the pair's non-zero scores are summed, in meta-graph order: a
+    /// skipped term is `W · 0.0 = +0.0`, and adding it to the non-negative
+    /// sum would leave every bit of the sum unchanged.
     pub fn relevance(&self, u: UserId, x: ItemId, y: ItemId, kind: RelationKind) -> f64 {
         if x == y {
             return 0.0;
         }
+        let weights = self.weight_vector(u);
         let mut total = 0.0;
-        for (idx, mg) in self.model.metagraphs().iter().enumerate() {
-            if mg.kind != kind {
-                continue;
+        for term in self.model.pair_terms(x, y) {
+            if term.kind == kind {
+                total += weights[term.metagraph.index()] * term.score;
             }
-            let id = MetaGraphId(idx as u32);
-            total += self.weight(u, id) * self.model.matrix(id).score(x, y);
         }
         total.clamp(0.0, 1.0)
     }
@@ -169,8 +172,8 @@ impl PersonalPerception {
     pub fn personal_item_network(&self, u: UserId, x: ItemId) -> Vec<(ItemId, f64, f64)> {
         self.model
             .related_items(x)
-            .into_iter()
-            .map(|y| (y, self.complementary(u, x, y), self.substitutable(u, x, y)))
+            .iter()
+            .map(|&y| (y, self.complementary(u, x, y), self.substitutable(u, x, y)))
             .filter(|(_, c, s)| *c > 0.0 || *s > 0.0)
             .collect()
     }
@@ -194,16 +197,13 @@ impl PersonalPerception {
         if newly_adopted.is_empty() || self.model.is_empty() {
             return;
         }
-        let m_count = self.model.len();
-        let mut evidence = vec![0.0f64; m_count];
+        // Only non-zero scores are added, each in pair order, so every
+        // evidence sum is bit-identical to summing all meta-graphs.
+        let mut evidence = vec![0.0f64; self.model.len()];
         for &a in newly_adopted {
             for &b in all_adopted {
-                if a == b {
-                    continue;
-                }
-                for (idx, e) in evidence.iter_mut().enumerate() {
-                    let id = MetaGraphId(idx as u32);
-                    *e += self.model.matrix(id).score(a, b);
+                for term in self.model.pair_terms(a, b) {
+                    evidence[term.metagraph.index()] += term.score;
                 }
             }
         }

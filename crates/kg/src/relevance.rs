@@ -89,12 +89,86 @@ impl RelevanceMatrix {
     }
 }
 
+/// One non-zero relevance score `s(x, y | m)` of an item pair, tagged with
+/// the kind of its meta-graph.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PairTerm {
+    /// The meta-graph `m`.
+    pub metagraph: MetaGraphId,
+    /// The relationship kind of `m`.
+    pub kind: RelationKind,
+    /// The score `s(x, y | m)`, positive.
+    pub score: f64,
+}
+
+/// The non-zero scores of every related item pair, laid out flat once per
+/// model: the hot relevance queries of the diffusion kernel read them
+/// without a per-meta-graph binary search or an allocation.
+#[derive(Clone, Debug, Default)]
+struct PairIndex {
+    /// Row `x` is `related[related_offsets[x]..related_offsets[x + 1]]`:
+    /// the items related to `x`, sorted.
+    related_offsets: Vec<usize>,
+    related: Vec<ItemId>,
+    /// The pair at position `p` of `related` owns
+    /// `terms[term_offsets[p]..term_offsets[p + 1]]`, in meta-graph order;
+    /// the last offset is `terms.len()`.
+    term_offsets: Vec<usize>,
+    terms: Vec<PairTerm>,
+}
+
+impl PairIndex {
+    fn build(metagraphs: &[MetaGraph], matrices: &[RelevanceMatrix], item_count: usize) -> Self {
+        let mut index = PairIndex {
+            related_offsets: vec![0],
+            terms: Vec::with_capacity(matrices.iter().map(RelevanceMatrix::nnz).sum()),
+            ..PairIndex::default()
+        };
+        let mut row: Vec<(ItemId, PairTerm)> = Vec::new();
+        for x in 0..item_count {
+            row.clear();
+            for (m, (mg, matrix)) in metagraphs.iter().zip(matrices).enumerate() {
+                for (y, score) in matrix.neighbours(ItemId(x as u32)) {
+                    let metagraph = MetaGraphId(m as u32);
+                    let kind = mg.kind;
+                    row.push((
+                        y,
+                        PairTerm {
+                            metagraph,
+                            kind,
+                            score,
+                        },
+                    ));
+                }
+            }
+            // Stable: the terms of one pair keep their meta-graph order.
+            row.sort_by_key(|(y, _)| y.0);
+            let row_start = index.related.len();
+            for &(y, term) in &row {
+                if index.related[row_start..].last() != Some(&y) {
+                    index.related.push(y);
+                    index.term_offsets.push(index.terms.len());
+                }
+                index.terms.push(term);
+            }
+            index.related_offsets.push(index.related.len());
+        }
+        index.term_offsets.push(index.terms.len());
+        index
+    }
+
+    fn row(&self, x: ItemId) -> std::ops::Range<usize> {
+        self.related_offsets[x.index()]..self.related_offsets[x.index() + 1]
+    }
+}
+
 /// The collection of meta-graphs together with their relevance matrices.
 #[derive(Clone, Debug)]
 pub struct RelevanceModel {
     metagraphs: Vec<MetaGraph>,
     matrices: Vec<RelevanceMatrix>,
     item_count: usize,
+    pairs: PairIndex,
 }
 
 impl RelevanceModel {
@@ -110,11 +184,7 @@ impl RelevanceModel {
         for mg in &metagraphs {
             matrices.push(Self::compute_matrix(kg, mg));
         }
-        RelevanceModel {
-            metagraphs,
-            matrices,
-            item_count,
-        }
+        Self::assemble(metagraphs, matrices, item_count)
     }
 
     /// Builds a model from precomputed matrices (used by tests and synthetic
@@ -132,10 +202,20 @@ impl RelevanceModel {
         for m in &matrices {
             assert_eq!(m.item_count(), item_count, "matrix item count mismatch");
         }
+        Self::assemble(metagraphs, matrices, item_count)
+    }
+
+    fn assemble(
+        metagraphs: Vec<MetaGraph>,
+        matrices: Vec<RelevanceMatrix>,
+        item_count: usize,
+    ) -> Self {
+        let pairs = PairIndex::build(&metagraphs, &matrices, item_count);
         RelevanceModel {
             metagraphs,
             matrices,
             item_count,
+            pairs,
         }
     }
 
@@ -285,11 +365,11 @@ impl RelevanceModel {
     /// sensitivity study on the number of meta-graphs).
     pub fn truncated(&self, k: usize) -> RelevanceModel {
         let k = k.min(self.metagraphs.len());
-        RelevanceModel {
-            metagraphs: self.metagraphs[..k].to_vec(),
-            matrices: self.matrices[..k].to_vec(),
-            item_count: self.item_count,
-        }
+        Self::assemble(
+            self.metagraphs[..k].to_vec(),
+            self.matrices[..k].to_vec(),
+            self.item_count,
+        )
     }
 
     /// The unweighted average relevance of kind `kind` between `x` and `y`
@@ -305,19 +385,22 @@ impl RelevanceModel {
     }
 
     /// Items that have positive relevance (of either kind) to `x` under any
-    /// meta-graph, without duplicates.
-    pub fn related_items(&self, x: ItemId) -> Vec<ItemId> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for m in &self.matrices {
-            for (y, _) in m.neighbours(x) {
-                if seen.insert(y.0) {
-                    out.push(y);
-                }
+    /// meta-graph, sorted and without duplicates.
+    pub fn related_items(&self, x: ItemId) -> &[ItemId] {
+        &self.pairs.related[self.pairs.row(x)]
+    }
+
+    /// The non-zero scores `s(x, y | m)` of the pair, in meta-graph order
+    /// (empty when no meta-graph relates `x` and `y`, and for `x == y`).
+    pub fn pair_terms(&self, x: ItemId, y: ItemId) -> &[PairTerm] {
+        let row = self.pairs.row(x);
+        match self.pairs.related[row.clone()].binary_search(&y) {
+            Ok(pos) => {
+                let p = row.start + pos;
+                &self.pairs.terms[self.pairs.term_offsets[p]..self.pairs.term_offsets[p + 1]]
             }
+            Err(_) => &[],
         }
-        out.sort_unstable_by_key(|i| i.0);
-        out
     }
 }
 
@@ -415,6 +498,30 @@ mod tests {
         let rel = m.related_items(ItemId(0));
         // iPhone is related to AirPods (feature/brand), charger (feature), cable (direct link).
         assert_eq!(rel, vec![ItemId(1), ItemId(2), ItemId(3)]);
+    }
+
+    #[test]
+    fn pair_terms_are_the_non_zero_scores_in_metagraph_order() {
+        for m in [model(), model().truncated(2)] {
+            for x in 0..m.item_count() as u32 {
+                for y in 0..m.item_count() as u32 {
+                    let (x, y) = (ItemId(x), ItemId(y));
+                    let expected: Vec<PairTerm> = m
+                        .metagraphs()
+                        .iter()
+                        .enumerate()
+                        .map(|(i, mg)| PairTerm {
+                            metagraph: MetaGraphId(i as u32),
+                            kind: mg.kind,
+                            score: m.matrix(MetaGraphId(i as u32)).score(x, y),
+                        })
+                        .filter(|t| t.score > 0.0)
+                        .collect();
+                    assert_eq!(m.pair_terms(x, y), &expected[..]);
+                    assert_eq!(m.related_items(x).contains(&y), !expected.is_empty());
+                }
+            }
+        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ proptest! {
         for a in 0..5u32 {
             let related = model.related_items(ItemId(a));
             prop_assert!(!related.contains(&ItemId(a)));
-            for y in related {
+            for &y in related {
                 let any_positive = (0..model.len()).any(|m| {
                     model
                         .matrix(imdpp_suite::kg::MetaGraphId(m as u32))
