@@ -147,7 +147,7 @@ pub fn adaptive_dysim_with_oracle<O: RefreshableOracle>(
                 config.base_seed.wrapping_add(t as u64),
             );
             let users = &whole_market.users;
-            let baseline = eval_full.market_estimates(std::slice::from_ref(&committed), users)[0];
+            let baseline = eval_full.market_estimate(&committed, users);
             for &(u, x) in &selection.nominees {
                 let cost = current.cost(u, x);
                 if cost > current.budget() - spent {

@@ -100,11 +100,7 @@ impl<'a> Evaluator<'a> {
     /// Estimates the importance-aware influence spread `σ(S)` over the full
     /// campaign of `T` promotions.
     pub fn spread(&self, seeds: &SeedGroup) -> f64 {
-        if seeds.is_empty() {
-            return 0.0;
-        }
-        self.estimator()
-            .mean_spread(seeds, self.instance.promotions())
+        self.spreads(std::slice::from_ref(seeds))[0]
     }
 
     /// Estimates `σ(S)` of every group in one pass on the work-queue: each
@@ -115,6 +111,11 @@ impl<'a> Evaluator<'a> {
             .into_iter()
             .map(|[spread]| spread)
             .collect()
+    }
+
+    /// [`Evaluator::market_estimates`] of one group.
+    pub fn market_estimate(&self, seeds: &SeedGroup, users: &[UserId]) -> MarketEstimate {
+        self.market_estimates(std::slice::from_ref(seeds), users)[0]
     }
 
     /// Estimates `σ_τ(S)` and `π_τ(S)` of every group on the market of

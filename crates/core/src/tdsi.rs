@@ -98,7 +98,7 @@ pub fn assign_timings(
     while !pending.is_empty() {
         let base = match baseline {
             Some(measured) => measured,
-            None => evaluator.market_estimates(std::slice::from_ref(seed_group), &market.users)[0],
+            None => evaluator.market_estimate(seed_group, &market.users),
         };
         let timings = if full_timing_search {
             let t_hat = seed_group.latest_promotion().max(1).min(total_promotions);
@@ -115,20 +115,20 @@ pub fn assign_timings(
         let measured = evaluator.market_estimates(&withs, &market.users);
         // Candidates in nominee-then-timing order; a later one wins only
         // when strictly better.
-        let mut best: Option<(usize, ScoredCandidate)> = None;
-        for (i, (&candidate, &with)) in candidates.iter().zip(&measured).enumerate() {
+        let mut best: Option<(ScoredCandidate, MarketEstimate)> = None;
+        for (&candidate, &with) in candidates.iter().zip(&measured) {
             let scored = substantial_influence(candidate, with, base, total_promotions);
             let better = match &best {
                 None => true,
-                Some((_, b)) => scored.substantial_influence > b.substantial_influence,
+                Some((b, _)) => scored.substantial_influence > b.substantial_influence,
             };
             if better {
-                best = Some((i, scored));
+                best = Some((scored, with));
             }
         }
-        let Some((i, chosen)) = best else { break };
+        let Some((chosen, with)) = best else { break };
         seed_group.insert(chosen.seed);
-        baseline = Some(measured[i]);
+        baseline = Some(with);
         pending.retain(|&(u, x)| !(u == chosen.seed.user && x == chosen.seed.item));
         placed.push(chosen);
     }

@@ -60,11 +60,12 @@ impl SimulationOutcome {
 
     /// The importance-aware influence restricted to a user subset (used for
     /// the per-target-market spread `σ_τ`): the adoptions of the users `u`
-    /// with `members[u.index()]` set.
+    /// with `members[u.index()]` set (users past the end of `members` are
+    /// outside the subset).
     pub fn weighted_spread_in(&self, scenario: &Scenario, members: &[bool]) -> f64 {
         self.records
             .iter()
-            .filter(|r| members[r.user.index()])
+            .filter(|r| members.get(r.user.index()) == Some(&true))
             .map(|r| scenario.catalog().importance(r.item))
             .sum()
     }
