@@ -13,9 +13,15 @@
 //!   TDSI measures per candidate,
 //! * the `expected_perception` weights DRE reads,
 //! * a digest of `simulate`'s adoption records for every sample stream,
-//! * the `ScoredCandidate`s of `assign_timings`,
-//! * the seeds of `Dysim::solve_with` under `DysimConfig::fast()` and of
-//!   `adaptive_dysim_with_oracle`.
+//! * the `ScoredCandidate`s of `assign_timings` — over the two-slot
+//!   window, over the full `[t̂, T]` search (several timings per round),
+//!   and from a group whose latest seed sits in promotion 2,
+//! * the seeds of `Dysim::solve_with` under `DysimConfig::fast()`, with
+//!   and without the full timing search, and of
+//!   `adaptive_dysim_with_oracle`,
+//! * on the Independent Cascade worlds, the nominees and seeds of
+//!   `Dysim::solve_with` driven by an RR-sketch oracle, and the selection
+//!   of `select_nominees_plain_greedy_with_oracle` through that sketch.
 //!
 //! A kernel or estimator change that claims to be exact must leave every
 //! pinned value unchanged.  On a mismatch the assertion prints the whole
@@ -23,6 +29,9 @@
 
 use imdpp_suite::core::eval::MonteCarloOracle;
 use imdpp_suite::core::market::TargetMarket;
+use imdpp_suite::core::nominees::{
+    select_nominees_plain_greedy_with_oracle, NomineeSelectionConfig,
+};
 use imdpp_suite::core::tdsi::assign_timings;
 use imdpp_suite::core::{
     adaptive_dysim_with_oracle, CostModel, Dysim, DysimConfig, Evaluator, ImdppError,
@@ -34,6 +43,7 @@ use imdpp_suite::diffusion::{
     simulate, DiffusionModel, DynamicsConfig, Seed, SeedGroup, SpreadEstimator,
 };
 use imdpp_suite::graph::{ItemId, UserId};
+use imdpp_suite::sketch::{SketchConfig, SketchOracle};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -41,6 +51,8 @@ use rand::SeedableRng;
 const SAMPLES: usize = 8;
 /// Base seed of every estimator in this file.
 const BASE_SEED: u64 = 0x601D;
+/// RR sets per item of the sketch-driven pins.
+const SKETCH_SETS: usize = 512;
 
 /// One world with the seed groups and the market the pins are taken on.
 struct Case {
@@ -52,6 +64,8 @@ struct Case {
     market_users: Vec<UserId>,
     /// The group TDSI extends (non-empty, so its baseline is measured).
     timing_group: SeedGroup,
+    /// A group whose latest seed sits in promotion 2 (`t̂ = 2`).
+    late_group: SeedGroup,
     /// The nominees TDSI places.
     pending: Vec<(UserId, ItemId)>,
 }
@@ -72,6 +86,7 @@ fn toy_case(name: &'static str, model: DiffusionModel, frozen: bool) -> Result<C
         seeds: SeedGroup::from_seeds(vec![seed(0, 0, 1), seed(2, 1, 2), seed(4, 2, 3)]),
         market_users: vec![UserId(0), UserId(1), UserId(3), UserId(5)],
         timing_group: SeedGroup::from_seeds(vec![seed(1, 3, 1)]),
+        late_group: SeedGroup::from_seeds(vec![seed(1, 3, 1), seed(3, 2, 2)]),
         pending: vec![
             (UserId(0), ItemId(0)),
             (UserId(2), ItemId(0)),
@@ -91,6 +106,7 @@ fn amazon_case() -> Case {
         seeds: SeedGroup::from_seeds(vec![seed(0, 0, 1), seed(7, 1, 1), seed(13, 2, 2)]),
         market_users: (0..100).step_by(3).map(UserId).collect(),
         timing_group: SeedGroup::from_seeds(vec![seed(21, 3, 1)]),
+        late_group: SeedGroup::from_seeds(vec![seed(21, 3, 2)]),
         pending: vec![
             (UserId(0), ItemId(0)),
             (UserId(7), ItemId(1)),
@@ -109,6 +125,12 @@ fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
         }
     }
     h
+}
+
+fn nominees_digest(nominees: &[(UserId, ItemId)]) -> u64 {
+    fnv(nominees
+        .iter()
+        .flat_map(|&(u, x)| [u64::from(u.0), u64::from(x.0)]))
 }
 
 fn seeds_digest(group: &SeedGroup) -> u64 {
@@ -185,28 +207,37 @@ fn measure(case: &Case) -> Vec<(String, u64)> {
         users: users.clone(),
         diameter: 3,
     };
-    let mut group = case.timing_group.clone();
-    let placed = assign_timings(
-        &evaluator,
-        &market,
-        case.pending.clone(),
-        &mut group,
-        promotions,
-        promotions,
-        false,
-    );
-    for (i, c) in placed.iter().enumerate() {
-        pin(
-            &format!("assign_timings[{i}]"),
-            fnv([
-                u64::from(c.seed.user.0),
-                u64::from(c.seed.item.0),
-                u64::from(c.seed.promotion),
-                c.substantial_influence.to_bits(),
-                c.marginal_adoption.to_bits(),
-                c.marginal_likelihood.to_bits(),
-            ]),
+    // The two-slot window, the full [t̂, T] search, and the window from a
+    // group whose latest seed is in promotion 2.
+    let timing_runs = [
+        ("assign_timings", &case.timing_group, false),
+        ("assign_timings.full", &case.timing_group, true),
+        ("assign_timings.late", &case.late_group, false),
+    ];
+    for (label, start, full_timing_search) in timing_runs {
+        let mut group = start.clone();
+        let placed = assign_timings(
+            &evaluator,
+            &market,
+            case.pending.clone(),
+            &mut group,
+            promotions,
+            promotions,
+            full_timing_search,
         );
+        for (i, c) in placed.iter().enumerate() {
+            pin(
+                &format!("{label}[{i}]"),
+                fnv([
+                    u64::from(c.seed.user.0),
+                    u64::from(c.seed.item.0),
+                    u64::from(c.seed.promotion),
+                    c.substantial_influence.to_bits(),
+                    c.marginal_adoption.to_bits(),
+                    c.marginal_likelihood.to_bits(),
+                ]),
+            );
+        }
     }
 
     let config = DysimConfig::fast();
@@ -214,13 +245,7 @@ fn measure(case: &Case) -> Vec<(String, u64)> {
     let reference = Evaluator::new(&case.instance, config.mc_samples, config.base_seed);
     let report = dysim.solve_with(&case.instance, &reference);
     pin("dysim.seeds", seeds_digest(&report.seeds));
-    pin(
-        "dysim.nominees",
-        fnv(report
-            .nominees
-            .iter()
-            .flat_map(|&(u, x)| [u64::from(u.0), u64::from(x.0)])),
-    );
+    pin("dysim.nominees", nominees_digest(&report.nominees));
     // Without the guard solutions the answer is TDSI's own seed group.
     let unguarded = Dysim::new(DysimConfig {
         use_guard_solutions: false,
@@ -228,6 +253,39 @@ fn measure(case: &Case) -> Vec<(String, u64)> {
     })
     .solve_with(&case.instance, &reference);
     pin("dysim.unguarded_seeds", seeds_digest(&unguarded.seeds));
+    let full_search = Dysim::new(DysimConfig {
+        full_timing_search: true,
+        use_guard_solutions: false,
+        ..config.clone()
+    })
+    .solve_with(&case.instance, &reference);
+    pin("dysim.full_search_seeds", seeds_digest(&full_search.seeds));
+
+    // The RR sketch encodes the Independent Cascade triggering model only.
+    if scenario.model() == DiffusionModel::IndependentCascade {
+        let sketch = SketchOracle::build(
+            scenario,
+            SketchConfig::fixed(SKETCH_SETS).with_base_seed(BASE_SEED),
+        );
+        let via_sketch = dysim.solve_with(&case.instance, &sketch);
+        pin(
+            "sketch.dysim.nominees",
+            nominees_digest(&via_sketch.nominees),
+        );
+        pin("sketch.dysim.seeds", seeds_digest(&via_sketch.seeds));
+        let universe = case.instance.nominee_universe(config.candidate_users);
+        let plain = select_nominees_plain_greedy_with_oracle(
+            &case.instance,
+            &sketch,
+            &universe,
+            &NomineeSelectionConfig::default(),
+        );
+        pin(
+            "sketch.plain_greedy.nominees",
+            nominees_digest(&plain.nominees),
+        );
+        pin("sketch.plain_greedy.objective", plain.objective.to_bits());
+    }
 
     let drift = [ScenarioUpdate::Preferences(vec![(
         UserId(1),
@@ -241,7 +299,10 @@ fn measure(case: &Case) -> Vec<(String, u64)> {
 }
 
 /// The values computed by the estimator before the allocation-free kernel
-/// and the fused TDSI pass; both must reproduce them bit for bit.
+/// and the fused TDSI pass; both must reproduce them bit for bit.  The
+/// full-search, `t̂ = 2`, full-search Dysim and sketch-driven pins were
+/// taken before batched nominee selection and prefix-shared TDSI rounds,
+/// which must reproduce them too.
 const GOLDEN: &[(&str, u64)] = &[
     ("toy-ic.sigma.mean", 0x400a333333333334),
     ("toy-ic.sigma.std_dev", 0x3feeeb3bb8e3d4fe),
@@ -260,9 +321,20 @@ const GOLDEN: &[(&str, u64)] = &[
     ("toy-ic.assign_timings[0]", 0x4d1b896c2cd21bcb),
     ("toy-ic.assign_timings[1]", 0xc073a58bb12a2831),
     ("toy-ic.assign_timings[2]", 0xa9651529c3c0138c),
+    ("toy-ic.assign_timings.full[0]", 0x4d1b896c2cd21bcb),
+    ("toy-ic.assign_timings.full[1]", 0xc073a58bb12a2831),
+    ("toy-ic.assign_timings.full[2]", 0xa9651529c3c0138c),
+    ("toy-ic.assign_timings.late[0]", 0x32788d2d922ea7e1),
+    ("toy-ic.assign_timings.late[1]", 0xb433d603d87a045e),
+    ("toy-ic.assign_timings.late[2]", 0xf4f37b32ddb05ea3),
     ("toy-ic.dysim.seeds", 0x11d77dff2aa364a5),
     ("toy-ic.dysim.nominees", 0x00f2a5795e6d62e4),
     ("toy-ic.dysim.unguarded_seeds", 0x99d09d9b188af166),
+    ("toy-ic.dysim.full_search_seeds", 0x99d09d9b188af166),
+    ("toy-ic.sketch.dysim.nominees", 0x4ff0bb4171827b25),
+    ("toy-ic.sketch.dysim.seeds", 0xfe9803b1e9821b44),
+    ("toy-ic.sketch.plain_greedy.nominees", 0x4ff0bb4171827b25),
+    ("toy-ic.sketch.plain_greedy.objective", 0x4010633333333333),
     ("toy-ic.adaptive.seeds", 0x11d77dff2aa364a5),
     ("toy-lt.sigma.mean", 0x400b333333333334),
     ("toy-lt.sigma.std_dev", 0x3ff084710fce510a),
@@ -281,9 +353,16 @@ const GOLDEN: &[(&str, u64)] = &[
     ("toy-lt.assign_timings[0]", 0x90673ecf9006323e),
     ("toy-lt.assign_timings[1]", 0x4102045673bfb394),
     ("toy-lt.assign_timings[2]", 0xf06088fe15bff1d8),
+    ("toy-lt.assign_timings.full[0]", 0x90673ecf9006323e),
+    ("toy-lt.assign_timings.full[1]", 0x4102045673bfb394),
+    ("toy-lt.assign_timings.full[2]", 0xf06088fe15bff1d8),
+    ("toy-lt.assign_timings.late[0]", 0xaa8fbb39ce7c327a),
+    ("toy-lt.assign_timings.late[1]", 0xe29558b5835b0eb1),
+    ("toy-lt.assign_timings.late[2]", 0x5577f9cdb90d3dc5),
     ("toy-lt.dysim.seeds", 0x99d09d9b188af166),
     ("toy-lt.dysim.nominees", 0x00f2a5795e6d62e4),
     ("toy-lt.dysim.unguarded_seeds", 0x99d09d9b188af166),
+    ("toy-lt.dysim.full_search_seeds", 0x99d09d9b188af166),
     ("toy-lt.adaptive.seeds", 0xfe9803b1e9821b44),
     ("toy-frozen.sigma.mean", 0x4010266666666666),
     ("toy-frozen.sigma.std_dev", 0x3ff13b2ffc0d1a57),
@@ -302,9 +381,26 @@ const GOLDEN: &[(&str, u64)] = &[
     ("toy-frozen.assign_timings[0]", 0x9aaec8a02154a9bf),
     ("toy-frozen.assign_timings[1]", 0xc1907cdaaff09822),
     ("toy-frozen.assign_timings[2]", 0x9b90e17c3add7925),
+    ("toy-frozen.assign_timings.full[0]", 0x9aaec8a02154a9bf),
+    ("toy-frozen.assign_timings.full[1]", 0xc1907cdaaff09822),
+    ("toy-frozen.assign_timings.full[2]", 0x9b90e17c3add7925),
+    ("toy-frozen.assign_timings.late[0]", 0x6f29c14f2f5be79d),
+    ("toy-frozen.assign_timings.late[1]", 0x9f67f803611f53cd),
+    ("toy-frozen.assign_timings.late[2]", 0x9a2245ca9a422b95),
     ("toy-frozen.dysim.seeds", 0x7ad5d6920d9ba745),
     ("toy-frozen.dysim.nominees", 0x00f2a5795e6d62e4),
     ("toy-frozen.dysim.unguarded_seeds", 0x7ad5d6920d9ba745),
+    ("toy-frozen.dysim.full_search_seeds", 0x7ad5d6920d9ba745),
+    ("toy-frozen.sketch.dysim.nominees", 0x4ff0bb4171827b25),
+    ("toy-frozen.sketch.dysim.seeds", 0x0b8b7b15420470a4),
+    (
+        "toy-frozen.sketch.plain_greedy.nominees",
+        0x4ff0bb4171827b25,
+    ),
+    (
+        "toy-frozen.sketch.plain_greedy.objective",
+        0x4010633333333333,
+    ),
     ("toy-frozen.adaptive.seeds", 0x11d77dff2aa364a5),
     ("amazon-tiny.sigma.mean", 0x4045ff5797824b93),
     ("amazon-tiny.sigma.std_dev", 0x40466353df626117),
@@ -323,9 +419,26 @@ const GOLDEN: &[(&str, u64)] = &[
     ("amazon-tiny.assign_timings[0]", 0x3a0f11ddfb776893),
     ("amazon-tiny.assign_timings[1]", 0xcdce33062f55f26d),
     ("amazon-tiny.assign_timings[2]", 0xde4364edf097e62d),
+    ("amazon-tiny.assign_timings.full[0]", 0x3a0f11ddfb776893),
+    ("amazon-tiny.assign_timings.full[1]", 0xcdce33062f55f26d),
+    ("amazon-tiny.assign_timings.full[2]", 0xde4364edf097e62d),
+    ("amazon-tiny.assign_timings.late[0]", 0x1bb2b9da457903e7),
+    ("amazon-tiny.assign_timings.late[1]", 0x453fb8e78894755c),
+    ("amazon-tiny.assign_timings.late[2]", 0x70893eb932a73a99),
     ("amazon-tiny.dysim.seeds", 0x2d9f776b54de7d63),
     ("amazon-tiny.dysim.nominees", 0x7c89e90391256860),
     ("amazon-tiny.dysim.unguarded_seeds", 0x2d9f776b54de7d63),
+    ("amazon-tiny.dysim.full_search_seeds", 0x2d9f776b54de7d63),
+    ("amazon-tiny.sketch.dysim.nominees", 0xe8a6dff676937e6e),
+    ("amazon-tiny.sketch.dysim.seeds", 0x41f62d1b659dfa0d),
+    (
+        "amazon-tiny.sketch.plain_greedy.nominees",
+        0xe8a6dff676937e6e,
+    ),
+    (
+        "amazon-tiny.sketch.plain_greedy.objective",
+        0x40361c42192311ea,
+    ),
     ("amazon-tiny.adaptive.seeds", 0x1c16ea94ff9647f8),
 ];
 
