@@ -154,8 +154,7 @@ pub fn adaptive_dysim_with_oracle<O: RefreshableOracle>(
                     continue;
                 }
                 let (now, later) = (Seed::new(u, x, t), Seed::new(u, x, t + 1));
-                let measured = eval_full
-                    .market_estimates(&[committed.with(now), committed.with(later)], users);
+                let measured = eval_full.candidate_estimates(&committed, &[now, later], users);
                 let now = substantial_influence(now, measured[0], baseline, total_promotions);
                 let later = substantial_influence(later, measured[1], baseline, total_promotions);
                 if now.substantial_influence >= later.substantial_influence {

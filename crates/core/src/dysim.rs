@@ -190,6 +190,13 @@ pub struct DysimReport {
     pub total_cost: f64,
     /// Whether a guard solution replaced the market-based solution.
     pub guard_solution_used: bool,
+    /// The `f(N)` queries TMI's nominee selection made
+    /// ([`crate::nominees::NomineeSelection::evaluations`]).
+    pub tmi_queries: usize,
+    /// The oracle calls that answered them: each batched wave of
+    /// independent queries is one call
+    /// ([`crate::nominees::NomineeSelection::oracle_calls`]).
+    pub tmi_oracle_calls: usize,
 }
 
 /// The Dysim algorithm.
@@ -243,9 +250,14 @@ impl Dysim {
                 stop_on_nonpositive_gain: true,
             },
         );
-        let nominees = selection.nominees.clone();
+        let (tmi_queries, tmi_oracle_calls) = (selection.evaluations, selection.oracle_calls);
+        let nominees = selection.nominees;
         if nominees.is_empty() {
-            return DysimReport::default();
+            return DysimReport {
+                tmi_queries,
+                tmi_oracle_calls,
+                ..DysimReport::default()
+            };
         }
 
         // ---- TMI: target markets ----------------------------------------------
@@ -376,6 +388,8 @@ impl Dysim {
             groups,
             total_cost,
             guard_solution_used,
+            tmi_queries,
+            tmi_oracle_calls,
         }
     }
 }

@@ -69,34 +69,6 @@ impl<'a> Evaluator<'a> {
         SpreadEstimator::new(self.instance.scenario(), self.samples, self.base_seed)
     }
 
-    /// Runs every non-empty group's samples in one pass and returns, per
-    /// group, the mean of `metric` over its samples (`empty` for an empty
-    /// group, which is not simulated).
-    fn means_per_group<const K: usize>(
-        &self,
-        groups: &[SeedGroup],
-        empty: [f64; K],
-        metric: impl Fn(&SimulationOutcome) -> [f64; K] + Sync,
-    ) -> Vec<[f64; K]> {
-        let (live, slots): (Vec<&SeedGroup>, Vec<usize>) = groups
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| !g.is_empty())
-            .map(|(slot, g)| (g, slot))
-            .unzip();
-        let passes = self
-            .estimator()
-            .collect_groups(&live, self.instance.promotions(), &metric);
-        let mut means = vec![empty; groups.len()];
-        for (slot, samples) in slots.into_iter().zip(passes) {
-            means[slot] = std::array::from_fn(|k| {
-                let values: Vec<f64> = samples.iter().map(|v| v[k]).collect();
-                SpreadEstimate::from_samples(&values).mean
-            });
-        }
-        means
-    }
-
     /// Estimates the importance-aware influence spread `σ(S)` over the full
     /// campaign of `T` promotions.
     pub fn spread(&self, seeds: &SeedGroup) -> f64 {
@@ -107,41 +79,84 @@ impl<'a> Evaluator<'a> {
     /// value equals [`Evaluator::spread`] of that group.
     pub fn spreads(&self, groups: &[SeedGroup]) -> Vec<f64> {
         let scenario = self.instance.scenario();
-        self.means_per_group(groups, [0.0], |out| [out.weighted_spread(scenario)])
-            .into_iter()
-            .map(|[spread]| spread)
-            .collect()
+        let estimator = self.estimator();
+        means_per_group(
+            &estimator,
+            self.instance.promotions(),
+            groups,
+            [0.0],
+            |out| [out.weighted_spread(scenario)],
+        )
+        .into_iter()
+        .map(|[spread]| spread)
+        .collect()
     }
 
-    /// [`Evaluator::market_estimates`] of one group.
-    pub fn market_estimate(&self, seeds: &SeedGroup, users: &[UserId]) -> MarketEstimate {
-        self.market_estimates(std::slice::from_ref(seeds), users)[0]
-    }
-
-    /// Estimates `σ_τ(S)` and `π_τ(S)` of every group on the market of
-    /// `users`, in one pass on the work-queue: one simulation per group and
-    /// sample yields both values.  Each is the mean over the group's
-    /// sample streams, so it equals a separate estimate of that value; an
-    /// empty group (no adoptions) and an empty market give zero for both.
-    pub fn market_estimates(&self, groups: &[SeedGroup], users: &[UserId]) -> Vec<MarketEstimate> {
-        if users.is_empty() {
-            return vec![MarketEstimate::default(); groups.len()];
-        }
+    /// The per-simulation `[σ_τ, π_τ]` of the market of `users` (non-empty).
+    fn market_metric<'s>(
+        &'s self,
+        users: &'s [UserId],
+    ) -> impl Fn(&SimulationOutcome) -> [f64; 2] + Sync + 's {
         let scenario = self.instance.scenario();
         let mut members = vec![false; scenario.user_count()];
         for u in users {
             members[u.index()] = true;
         }
-        self.means_per_group(groups, [0.0, 0.0], |out| {
+        move |out| {
             [
                 out.weighted_spread_in(scenario, &members),
                 out.state()
                     .future_adoption_likelihood(scenario, users.iter().copied()),
             ]
-        })
-        .into_iter()
-        .map(|[spread, likelihood]| MarketEstimate { spread, likelihood })
-        .collect()
+        }
+    }
+
+    /// Estimates `σ_τ(S)` and `π_τ(S)` of a group on the market of `users`:
+    /// one simulation per sample yields both values, each the mean over the
+    /// group's sample streams, so it equals a separate estimate of that
+    /// value.  An empty group (no adoptions) and an empty market give zero
+    /// for both.
+    pub fn market_estimate(&self, seeds: &SeedGroup, users: &[UserId]) -> MarketEstimate {
+        if users.is_empty() {
+            return MarketEstimate::default();
+        }
+        let [spread, likelihood] = means_per_group(
+            &self.estimator(),
+            self.instance.promotions(),
+            std::slice::from_ref(seeds),
+            [0.0, 0.0],
+            self.market_metric(users),
+        )[0];
+        MarketEstimate { spread, likelihood }
+    }
+
+    /// [`Evaluator::market_estimate`] of `base.with(c)` for every candidate
+    /// `c`, bit for bit, from one pass that shares each sample's prefix:
+    /// a candidate resumes from the sample's state at the start of its own
+    /// promotion instead of re-simulating the promotions before it
+    /// ([`SpreadEstimator::collect_candidates`]).
+    pub fn candidate_estimates(
+        &self,
+        base: &SeedGroup,
+        candidates: &[Seed],
+        users: &[UserId],
+    ) -> Vec<MarketEstimate> {
+        if users.is_empty() {
+            return vec![MarketEstimate::default(); candidates.len()];
+        }
+        self.estimator()
+            .collect_candidates(
+                base,
+                candidates,
+                self.instance.promotions(),
+                &self.market_metric(users),
+            )
+            .iter()
+            .map(|samples| {
+                let [spread, likelihood] = component_means(samples);
+                MarketEstimate { spread, likelihood }
+            })
+            .collect()
     }
 
     /// The static nominee-selection objective `f(N)`: the spread of the
@@ -149,12 +164,7 @@ impl<'a> Evaluator<'a> {
     /// `P_ext` fixed at their initial values (the conditions of Lemma 1 under
     /// which `f` is submodular).
     pub fn static_first_promotion_spread(&self, nominees: &[Nominee]) -> f64 {
-        if nominees.is_empty() {
-            return 0.0;
-        }
-        let seeds: SeedGroup = nominees.iter().map(|&(u, x)| Seed::new(u, x, 1)).collect();
-        SpreadEstimator::new(&self.frozen_scenario, self.samples, self.base_seed)
-            .mean_spread(&seeds, 1)
+        self.static_spread_batch(&[nominees])[0]
     }
 
     /// The expected post-campaign perceptions of a set of users: the
@@ -197,11 +207,69 @@ impl<'a> Evaluator<'a> {
     }
 }
 
+/// Runs every non-empty group's samples in one pass and returns, per
+/// group, the mean of `metric` over its samples (`empty` for an empty
+/// group, which is not simulated).
+fn means_per_group<const K: usize>(
+    estimator: &SpreadEstimator<'_>,
+    promotions: u32,
+    groups: &[SeedGroup],
+    empty: [f64; K],
+    metric: impl Fn(&SimulationOutcome) -> [f64; K] + Sync,
+) -> Vec<[f64; K]> {
+    let (live, slots): (Vec<&SeedGroup>, Vec<usize>) = groups
+        .iter()
+        .enumerate()
+        .filter(|(_, g)| !g.is_empty())
+        .map(|(slot, g)| (g, slot))
+        .unzip();
+    let passes = estimator.collect_groups(&live, promotions, &metric);
+    let mut means = vec![empty; groups.len()];
+    for (slot, samples) in slots.into_iter().zip(passes) {
+        means[slot] = component_means(&samples);
+    }
+    means
+}
+
+/// The mean of each component over the samples, summed in sample order.
+fn component_means<const K: usize>(samples: &[[f64; K]]) -> [f64; K] {
+    std::array::from_fn(|k| {
+        let values: Vec<f64> = samples.iter().map(|v| v[k]).collect();
+        SpreadEstimate::from_samples(&values).mean
+    })
+}
+
+/// `f(N)` of every query from one work-queue pass of `estimator` (over a
+/// frozen scenario): each query's nominees are seeded in promotion 1 and
+/// its value is the mean spread over the sample streams, what
+/// `estimator.mean_spread(.., 1)` gives for that query alone.  An empty
+/// query is 0.0 and is not simulated.
+fn static_spreads(estimator: &SpreadEstimator<'_>, queries: &[&[Nominee]]) -> Vec<f64> {
+    let groups: Vec<SeedGroup> = queries
+        .iter()
+        .map(|q| q.iter().map(|&(u, x)| Seed::new(u, x, 1)).collect())
+        .collect();
+    let scenario = estimator.scenario();
+    means_per_group(estimator, 1, &groups, [0.0], |out| {
+        [out.weighted_spread(scenario)]
+    })
+    .into_iter()
+    .map(|[spread]| spread)
+    .collect()
+}
+
 impl SpreadOracle for Evaluator<'_> {
     /// Forward Monte-Carlo estimation of `f(N)` (the paper's reference
     /// estimator): a frozen-dynamics simulation per sample.
     fn static_spread(&self, nominees: &[Nominee]) -> f64 {
         self.static_first_promotion_spread(nominees)
+    }
+
+    /// Every query's samples in one pass on the work-queue; `results[q]`
+    /// equals `self.static_spread(queries[q])` bit for bit.
+    fn static_spread_batch(&self, queries: &[&[Nominee]]) -> Vec<f64> {
+        let estimator = SpreadEstimator::new(&self.frozen_scenario, self.samples, self.base_seed);
+        static_spreads(&estimator, queries)
     }
 
     fn name(&self) -> &'static str {
@@ -248,16 +316,19 @@ impl MonteCarloOracle {
 
 impl SpreadOracle for MonteCarloOracle {
     fn static_spread(&self, nominees: &[Nominee]) -> f64 {
-        if nominees.is_empty() {
-            return 0.0;
-        }
-        let seeds: SeedGroup = nominees.iter().map(|&(u, x)| Seed::new(u, x, 1)).collect();
-        SpreadEstimator::new(
+        self.static_spread_batch(&[nominees])[0]
+    }
+
+    /// Every query's samples in one pass on the work-queue, on the
+    /// round's streams `base_seed + round + i`; `results[q]` equals
+    /// `self.static_spread(queries[q])` bit for bit.
+    fn static_spread_batch(&self, queries: &[&[Nominee]]) -> Vec<f64> {
+        let estimator = SpreadEstimator::new(
             &self.frozen,
             self.samples,
             self.base_seed.wrapping_add(self.round),
-        )
-        .mean_spread(&seeds, 1)
+        );
+        static_spreads(&estimator, queries)
     }
 
     fn name(&self) -> &'static str {
@@ -306,11 +377,16 @@ mod tests {
         let ev = Evaluator::new(&inst, 8, 1);
         assert_eq!(ev.spread(&SeedGroup::new()), 0.0);
         assert_eq!(
-            ev.market_estimates(&[SeedGroup::new()], &[UserId(0)]),
-            vec![MarketEstimate::default()]
+            ev.market_estimate(&SeedGroup::new(), &[UserId(0)]),
+            MarketEstimate::default()
         );
         assert_eq!(
-            ev.market_estimates(&[one_seed()], &[]),
+            ev.market_estimate(&one_seed(), &[]),
+            MarketEstimate::default()
+        );
+        let candidate = Seed::new(UserId(2), ItemId(1), 1);
+        assert_eq!(
+            ev.candidate_estimates(&one_seed(), &[candidate], &[]),
             vec![MarketEstimate::default()]
         );
         assert_eq!(ev.static_first_promotion_spread(&[]), 0.0);
@@ -329,8 +405,10 @@ mod tests {
         let ev = Evaluator::new(&inst, 16, 3);
         let all: Vec<UserId> = inst.scenario().users().collect();
         let total = ev.spread(&one_seed());
-        let subset = ev.market_estimates(&[one_seed()], &[UserId(0), UserId(1)])[0].spread;
-        let everyone = ev.market_estimates(&[one_seed()], &all)[0].spread;
+        let subset = ev
+            .market_estimate(&one_seed(), &[UserId(0), UserId(1)])
+            .spread;
+        let everyone = ev.market_estimate(&one_seed(), &all).spread;
         assert!(subset <= total + 1e-9);
         assert!((everyone - total).abs() < 1e-9);
     }
@@ -353,8 +431,8 @@ mod tests {
         let inst = instance();
         let ev = Evaluator::new(&inst, 16, 5);
         let users: Vec<UserId> = inst.scenario().users().collect();
-        let measured = ev.market_estimates(&[SeedGroup::new(), one_seed()], &users);
-        let (none, some) = (measured[0].likelihood, measured[1].likelihood);
+        let none = ev.market_estimate(&SeedGroup::new(), &users).likelihood;
+        let some = ev.market_estimate(&one_seed(), &users).likelihood;
         assert!(none >= 0.0);
         assert!(some >= none);
     }
@@ -373,9 +451,9 @@ mod tests {
                 Seed::new(UserId(0), ItemId(2), 2),
             ]),
         ];
-        let measured = ev.market_estimates(&groups, &users);
         let spreads = ev.spreads(&groups);
         for (i, group) in groups.iter().enumerate() {
+            let measured = ev.market_estimate(group, &users);
             let separate = |metric: &(dyn Fn(&SimulationOutcome) -> f64 + Sync)| {
                 SpreadEstimator::new(scenario, 6, 9)
                     .estimate_metric(group, inst.promotions(), metric)
@@ -394,13 +472,80 @@ mod tests {
             } else {
                 separate(&in_market)
             };
-            assert_eq!(measured[i].spread.to_bits(), spread.to_bits());
+            assert_eq!(measured.spread.to_bits(), spread.to_bits());
             assert_eq!(
-                measured[i].likelihood.to_bits(),
+                measured.likelihood.to_bits(),
                 separate(&likelihood).to_bits()
             );
             assert_eq!(spreads[i].to_bits(), ev.spread(group).to_bits());
         }
+    }
+
+    #[test]
+    fn candidate_estimates_equal_the_estimates_of_each_extended_group() {
+        let inst = instance();
+        let users = [UserId(0), UserId(1), UserId(3), UserId(4)];
+        let base = SeedGroup::from_seeds(vec![
+            Seed::new(UserId(2), ItemId(1), 1),
+            Seed::new(UserId(4), ItemId(2), 2),
+        ]);
+        // Several timings, a candidate already in the base, one past the
+        // horizon.
+        let candidates = [
+            Seed::new(UserId(0), ItemId(0), 2),
+            Seed::new(UserId(1), ItemId(3), 1),
+            Seed::new(UserId(0), ItemId(0), 1),
+            Seed::new(UserId(4), ItemId(2), 2),
+            Seed::new(UserId(3), ItemId(0), 3),
+        ];
+        for (samples, seed) in [(6, 9), (1, 4)] {
+            let ev = Evaluator::new(&inst, samples, seed);
+            let measured = ev.candidate_estimates(&base, &candidates, &users);
+            assert_eq!(measured.len(), candidates.len());
+            for (&c, m) in candidates.iter().zip(&measured) {
+                let alone = ev.market_estimate(&base.with(c), &users);
+                assert_eq!(m.spread.to_bits(), alone.spread.to_bits(), "{c:?}");
+                assert_eq!(m.likelihood.to_bits(), alone.likelihood.to_bits(), "{c:?}");
+            }
+        }
+    }
+
+    /// More than 64 queries, items interleaved, with duplicate, repeated
+    /// and empty queries.
+    fn batch_queries() -> Vec<Vec<Nominee>> {
+        (0..70u32)
+            .map(|i| match i % 6 {
+                0 => vec![(UserId(i % 6), ItemId(i % 4))],
+                1 => vec![(UserId(2), ItemId(3)), (UserId(0), ItemId(i % 4))],
+                2 => vec![],
+                3 => vec![(UserId(1), ItemId(1)), (UserId(1), ItemId(1))],
+                4 => vec![(UserId(4), ItemId(2)), (UserId(i % 5), ItemId(0))],
+                _ => vec![(UserId(0), ItemId(0))],
+            })
+            .collect()
+    }
+
+    #[test]
+    fn monte_carlo_batches_equal_the_per_query_loop_bit_for_bit() {
+        let inst = instance();
+        let owned = batch_queries();
+        let queries: Vec<&[Nominee]> = owned.iter().map(Vec::as_slice).collect();
+        let ev = Evaluator::new(&inst, 3, 21);
+        let mut mc = MonteCarloOracle::new(inst.scenario(), 3, 21);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let looped = |o: &dyn SpreadOracle| {
+            queries
+                .iter()
+                .map(|q| o.static_spread(q))
+                .collect::<Vec<f64>>()
+        };
+        assert_eq!(bits(&ev.static_spread_batch(&queries)), bits(&looped(&ev)));
+        assert_eq!(bits(&mc.static_spread_batch(&queries)), bits(&looped(&mc)));
+        // The round's stream rotation carries over to the batch.
+        crate::oracle::RefreshableOracle::begin_round(&mut mc, 2);
+        assert_eq!(bits(&mc.static_spread_batch(&queries)), bits(&looped(&mc)));
+        assert_eq!(ev.static_spread_batch(&queries)[2], 0.0);
+        assert!(ev.static_spread_batch(&[]).is_empty());
     }
 
     #[test]

@@ -94,8 +94,12 @@ pub struct NomineeSelection {
     pub total_cost: f64,
     /// The static objective value `f(N)` of the selected set.
     pub objective: f64,
-    /// How many spread evaluations were spent (for the CELF-vs-plain bench).
+    /// How many `f(N)` queries were answered, the final objective
+    /// included (for the CELF-vs-plain bench).
     pub evaluations: usize,
+    /// How many oracle calls answered them: a batched wave of independent
+    /// queries is one call ([`SpreadOracle::static_spread_batch`]).
+    pub oracle_calls: usize,
 }
 
 /// Runs MCP nominee selection over the given universe with the forward
@@ -137,6 +141,12 @@ pub fn select_nominees_with_oracle(
 ///
 /// Prefix nominees are excluded from the candidate pool; the prefix is
 /// assumed affordable (it was selected under the same budget).
+///
+/// The initial gains do not depend on one another, so they are measured
+/// in one [`SpreadOracle::static_spread_batch`] call over `prefix ∪ {c}`
+/// for every affordable candidate `c`, and pushed in universe order.
+/// Stale re-evaluations stay single exact queries: each depends on the
+/// nominee accepted before it.
 pub fn select_nominees_with_prefix(
     instance: &ImdppInstance,
     oracle: &dyn SpreadOracle,
@@ -149,35 +159,25 @@ pub fn select_nominees_with_prefix(
     // lint: allow(float-accum) — folds over the prefix in its recorded
     // order, so the sum is bit-stable for a given prefix.
     let mut spent: f64 = prefix.iter().map(|&(u, x)| instance.cost(u, x)).sum();
-    let mut evaluations = 0usize;
+    let mut queries = QueryCount::default();
     let mut current_value = if selected.is_empty() {
         0.0
     } else {
-        evaluations += 1;
-        oracle.static_spread(&selected)
+        queries.single(oracle, &selected)
     };
 
     // Initial gains: marginal with respect to the (possibly empty) prefix.
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(universe.len());
-    for &(u, x) in universe {
-        if selected.contains(&(u, x)) {
-            continue;
-        }
-        let cost = instance.cost(u, x);
-        if cost > budget {
-            continue;
-        }
-        let value_with = if selected.is_empty() {
-            oracle.static_spread(&[(u, x)])
-        } else {
-            let mut with = selected.clone();
-            with.push((u, x));
-            oracle.static_spread(&with)
-        };
+    let candidates: Vec<Nominee> = universe
+        .iter()
+        .copied()
+        .filter(|&(u, x)| !selected.contains(&(u, x)) && instance.cost(u, x) <= budget)
+        .collect();
+    let values = queries.wave(oracle, &selected, &candidates);
+    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(candidates.len());
+    for (&(u, x), value_with) in candidates.iter().zip(values) {
         let gain = value_with - current_value;
-        evaluations += 1;
         heap.push(HeapEntry {
-            ratio: gain / cost,
+            ratio: gain / instance.cost(u, x),
             gain,
             value_with,
             nominee: (u, x),
@@ -215,8 +215,7 @@ pub fn select_nominees_with_prefix(
             // Stale: re-evaluate the marginal gain against the current set.
             let mut with = selected.clone();
             with.push((u, x));
-            let value_with = oracle.static_spread(&with);
-            evaluations += 1;
+            let value_with = queries.single(oracle, &with);
             let gain = value_with - current_value;
             heap.push(HeapEntry {
                 ratio: gain / cost,
@@ -228,18 +227,7 @@ pub fn select_nominees_with_prefix(
         }
     }
 
-    // Recompute the exact objective of the final set once.
-    let objective = if selected.is_empty() {
-        0.0
-    } else {
-        oracle.static_spread(&selected)
-    };
-    NomineeSelection {
-        nominees: selected,
-        total_cost: spent,
-        objective,
-        evaluations,
-    }
+    queries.finish(oracle, selected, spent)
 }
 
 /// Plain (non-lazy) greedy MCP selection.  Exists for the ablation benchmark
@@ -269,7 +257,7 @@ pub fn select_nominees_plain_greedy_with_oracle(
     let mut selected: Vec<Nominee> = Vec::new();
     let mut spent = 0.0;
     let mut current_value = 0.0;
-    let mut evaluations = 0usize;
+    let mut queries = QueryCount::default();
 
     loop {
         if let Some(max) = config.max_nominees {
@@ -277,19 +265,21 @@ pub fn select_nominees_plain_greedy_with_oracle(
                 break;
             }
         }
+        // One round's queries do not depend on one another: one batch.
+        let affordable: Vec<usize> = (0..remaining.len())
+            .filter(|&i| {
+                let (u, x) = remaining[i];
+                instance.cost(u, x) <= budget - spent
+            })
+            .collect();
+        let round: Vec<Nominee> = affordable.iter().map(|&i| remaining[i]).collect();
+        let values = queries.wave(oracle, &selected, &round);
         // (index, gain, exact value with the nominee, ratio)
         let mut best: Option<(usize, f64, f64, f64)> = None;
-        for (i, &(u, x)) in remaining.iter().enumerate() {
-            let cost = instance.cost(u, x);
-            if cost > budget - spent {
-                continue;
-            }
-            let mut with = selected.clone();
-            with.push((u, x));
-            let value_with = oracle.static_spread(&with);
+        for (&i, value_with) in affordable.iter().zip(values) {
+            let (u, x) = remaining[i];
             let gain = value_with - current_value;
-            evaluations += 1;
-            let ratio = gain / cost;
+            let ratio = gain / instance.cost(u, x);
             if best.is_none_or(|(_, _, _, r)| ratio > r) {
                 best = Some((i, gain, value_with, ratio));
             }
@@ -313,16 +303,70 @@ pub fn select_nominees_plain_greedy_with_oracle(
             None => break,
         }
     }
-    let objective = if selected.is_empty() {
-        0.0
-    } else {
-        oracle.static_spread(&selected)
-    };
-    NomineeSelection {
-        nominees: selected,
-        total_cost: spent,
-        objective,
-        evaluations,
+    queries.finish(oracle, selected, spent)
+}
+
+/// The `f(N)` queries a selection makes, counted as it makes them.
+#[derive(Default)]
+struct QueryCount {
+    evaluations: usize,
+    oracle_calls: usize,
+}
+
+impl QueryCount {
+    /// One query in one call.
+    fn single(&mut self, oracle: &dyn SpreadOracle, nominees: &[Nominee]) -> f64 {
+        self.evaluations += 1;
+        self.oracle_calls += 1;
+        oracle.static_spread(nominees)
+    }
+
+    /// `f(base ∪ {c})` of every candidate, in candidate order, in one call
+    /// (none for an empty wave).
+    fn wave(
+        &mut self,
+        oracle: &dyn SpreadOracle,
+        base: &[Nominee],
+        candidates: &[Nominee],
+    ) -> Vec<f64> {
+        if candidates.is_empty() {
+            return Vec::new();
+        }
+        let withs: Vec<Vec<Nominee>> = candidates
+            .iter()
+            .map(|&c| {
+                let mut with = Vec::with_capacity(base.len() + 1);
+                with.extend_from_slice(base);
+                with.push(c);
+                with
+            })
+            .collect();
+        let refs: Vec<&[Nominee]> = withs.iter().map(Vec::as_slice).collect();
+        self.evaluations += candidates.len();
+        self.oracle_calls += 1;
+        oracle.static_spread_batch(&refs)
+    }
+
+    /// The selection, with the exact objective of the final set recomputed
+    /// once.
+    fn finish(
+        mut self,
+        oracle: &dyn SpreadOracle,
+        selected: Vec<Nominee>,
+        spent: f64,
+    ) -> NomineeSelection {
+        let objective = if selected.is_empty() {
+            0.0
+        } else {
+            self.single(oracle, &selected)
+        };
+        NomineeSelection {
+            nominees: selected,
+            total_cost: spent,
+            objective,
+            evaluations: self.evaluations,
+            oracle_calls: self.oracle_calls,
+        }
     }
 }
 

@@ -70,6 +70,20 @@ pub trait SpreadOracle {
     /// Estimates `f(nominees)`.  Must return `0.0` for the empty set.
     fn static_spread(&self, nominees: &[Nominee]) -> f64;
 
+    /// Estimates `f` of every query in one call.
+    ///
+    /// Contract: `results[q]` has the same bits as
+    /// `self.static_spread(queries[q])`, so a caller may batch any set of
+    /// queries that do not depend on one another (CELF's initial gains, a
+    /// plain-greedy round) without changing a single comparison.  The
+    /// default loops over [`SpreadOracle::static_spread`]; estimators with
+    /// a shared pass override it — the RR sketch decodes each item's arena
+    /// once per chunk of queries, forward Monte-Carlo runs every query's
+    /// samples on one work-queue.
+    fn static_spread_batch(&self, queries: &[&[Nominee]]) -> Vec<f64> {
+        queries.iter().map(|q| self.static_spread(q)).collect()
+    }
+
     /// Estimates the marginal gain `f(base ∪ {candidate}) − f(base)`.
     ///
     /// The default recomputes both sides; sketch-backed implementations can
@@ -279,6 +293,18 @@ mod tests {
         assert_eq!(oracle.marginal_gain(&base, (UserId(2), ItemId(0))), 1.0);
         assert_eq!(oracle.static_spread(&[]), 0.0);
         assert_eq!(oracle.name(), "oracle");
+    }
+
+    #[test]
+    fn default_batch_is_the_per_query_loop() {
+        let oracle = DistinctUsers;
+        let a = [(UserId(0), ItemId(0)), (UserId(1), ItemId(0))];
+        let b = [(UserId(2), ItemId(1))];
+        // More than 64 queries, with empty and repeated ones.
+        let queries: Vec<&[Nominee]> = (0..70).map(|i| [&a[..], &[], &b][i % 3]).collect();
+        let expected: Vec<f64> = (0..70).map(|i| [2.0, 0.0, 1.0][i % 3]).collect();
+        assert_eq!(oracle.static_spread_batch(&queries), expected);
+        assert!(oracle.static_spread_batch(&[]).is_empty());
     }
 
     #[test]

@@ -77,7 +77,9 @@ pub fn timing_window(
 /// `[t̂, total_promotions]` is examined instead of the two-slot window (used
 /// by the ablation bench that validates the window restriction).
 ///
-/// A round measures all its candidates in one Monte-Carlo pass.  Its
+/// A round measures all its candidates in one Monte-Carlo pass
+/// ([`Evaluator::candidate_estimates`]), in which every candidate resumes
+/// from its sample's state at the start of its own promotion.  Its
 /// baseline is the current group, measured once; after that the current
 /// group is the previous round's winning `with`, whose estimate the round
 /// already measured.
@@ -111,8 +113,7 @@ pub fn assign_timings(
             .filter(|&&(u, x)| !seed_group.contains_nominee(u, x))
             .flat_map(|&(u, x)| timings.iter().map(move |&t| Seed::new(u, x, t)))
             .collect();
-        let withs: Vec<SeedGroup> = candidates.iter().map(|&c| seed_group.with(c)).collect();
-        let measured = evaluator.market_estimates(&withs, &market.users);
+        let measured = evaluator.candidate_estimates(seed_group, &candidates, &market.users);
         // Candidates in nominee-then-timing order; a later one wins only
         // when strictly better.
         let mut best: Option<(ScoredCandidate, MarketEstimate)> = None;
@@ -182,9 +183,10 @@ mod tests {
         let market = whole_market(&inst);
         let sg = SeedGroup::new();
         let candidate = Seed::new(UserId(0), ItemId(0), 1);
-        let measured = ev.market_estimates(&[sg.clone(), sg.with(candidate)], &market.users);
-        assert_eq!(measured[0], MarketEstimate::default());
-        let scored = substantial_influence(candidate, measured[1], measured[0], inst.promotions());
+        let base = ev.market_estimate(&sg, &market.users);
+        assert_eq!(base, MarketEstimate::default());
+        let with = ev.candidate_estimates(&sg, &[candidate], &market.users)[0];
+        let scored = substantial_influence(candidate, with, base, inst.promotions());
         assert!(scored.marginal_adoption >= 1.0);
         assert!(scored.substantial_influence >= scored.marginal_adoption);
     }

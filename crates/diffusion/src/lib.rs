@@ -42,7 +42,7 @@ pub use dynamics::DynamicsConfig;
 pub use error::ImdppError;
 pub use models::DiffusionModel;
 pub use montecarlo::{SpreadEstimate, SpreadEstimator};
-pub use process::{simulate, SimulationOutcome};
+pub use process::{simulate, Simulation, SimulationOutcome};
 pub use scenario::{Scenario, ScenarioBuilder};
 pub use seeds::{Seed, SeedGroup};
 pub use state::DiffusionState;

@@ -6,15 +6,18 @@
 //! threads, because each sample uses its own RNG stream derived from the
 //! base seed and the sample index.
 //!
-//! Callers that compare several seed groups (TDSI's candidates, the guard
-//! solutions) measure them in one pass, [`SpreadEstimator::collect_groups`]:
-//! every group sees the same sample streams it would see on its own, and a
-//! pass forks and joins the workers once instead of once per group.
+//! Callers that compare several seed groups (the guard solutions) measure
+//! them in one pass, [`SpreadEstimator::collect_groups`]: every group sees
+//! the same sample streams it would see on its own, and a pass forks and
+//! joins the workers once instead of once per group.  TDSI's candidates —
+//! one group extended by one seed each — go through
+//! [`SpreadEstimator::collect_candidates`], which also shares each
+//! sample's promotions before a candidate's own seed.
 
 use crate::par::{effective_threads, run_queue};
-use crate::process::{simulate, SimulationOutcome};
+use crate::process::{simulate, Simulation, SimulationOutcome};
 use crate::scenario::Scenario;
-use crate::seeds::SeedGroup;
+use crate::seeds::{Seed, SeedGroup};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -163,6 +166,78 @@ impl<'a> SpreadEstimator<'a> {
             .map(|_| values.by_ref().take(self.samples).collect())
             .collect()
     }
+
+    /// Collects the per-sample metric values of `base.with(c)` for every
+    /// candidate `c`, each in sample order: bit for bit what
+    /// [`SpreadEstimator::collect_groups`] returns for those groups.
+    ///
+    /// Sample `i` is one task on the work-queue, on the stream
+    /// `base_seed + i`.  The task simulates `base`'s promotions before the
+    /// earliest candidate timing once, clones the [`Simulation`] and the
+    /// RNG at the start of every candidate timing, and resumes each
+    /// `base.with(c)` from the clone taken at `c.promotion`.  That is exact
+    /// by the promotion-boundary rule: before `c.promotion` the group
+    /// `base.with(c)` seeds exactly what `base` seeds, so its prefix is
+    /// the same realisation.
+    pub fn collect_candidates<T, F>(
+        &self,
+        base: &SeedGroup,
+        candidates: &[Seed],
+        promotions: u32,
+        metric: &F,
+    ) -> Vec<Vec<T>>
+    where
+        T: Send,
+        F: Fn(&SimulationOutcome) -> T + Sync,
+    {
+        // A candidate past the horizon never seeds: it resumes after the
+        // last promotion.
+        let resume_at = |c: &Seed| c.promotion.min(promotions + 1);
+        let mut timings: Vec<u32> = candidates.iter().map(resume_at).collect();
+        timings.sort_unstable();
+        timings.dedup();
+        let groups: Vec<SeedGroup> = candidates.iter().map(|&c| base.with(c)).collect();
+        let workers = self
+            .threads
+            .unwrap_or_else(|| effective_threads(0, self.samples));
+        let per_sample = run_queue((0..self.samples).collect(), workers, |_, i| {
+            let mut rng = StdRng::seed_from_u64(self.base_seed.wrapping_add(i as u64));
+            let mut simulation = Simulation::new(self.scenario);
+            let mut checkpoints = Vec::with_capacity(timings.len());
+            let mut t = 1;
+            for &timing in &timings {
+                while t < timing {
+                    simulation.run_promotion(self.scenario, base, t, &mut rng);
+                    t += 1;
+                }
+                checkpoints.push((simulation.clone(), rng.clone()));
+            }
+            candidates
+                .iter()
+                .zip(&groups)
+                .map(|(c, group)| {
+                    let start = resume_at(c);
+                    let checkpoint = timings.partition_point(|&timing| timing < start);
+                    let (mut simulation, mut rng) = checkpoints[checkpoint].clone();
+                    for t in start..=promotions {
+                        simulation.run_promotion(self.scenario, group, t, &mut rng);
+                    }
+                    metric(&simulation.into_outcome())
+                })
+                .collect::<Vec<T>>()
+        });
+        // Transpose to one row per candidate, each in sample order.
+        let mut rows: Vec<Vec<T>> = candidates
+            .iter()
+            .map(|_| Vec::with_capacity(self.samples))
+            .collect();
+        for sample in per_sample {
+            for (row, value) in rows.iter_mut().zip(sample) {
+                row.push(value);
+            }
+        }
+        rows
+    }
 }
 
 #[cfg(test)]
@@ -273,6 +348,67 @@ mod tests {
                 assert_eq!(bits(values), bits(&alone));
             }
         }
+    }
+
+    #[test]
+    fn candidates_equal_their_extended_groups_bit_for_bit() {
+        use crate::dynamics::DynamicsConfig;
+        use crate::models::DiffusionModel;
+        let worlds = [
+            ("ic", toy_scenario()),
+            (
+                "lt",
+                toy_scenario().with_model(DiffusionModel::LinearThreshold),
+            ),
+            (
+                "frozen",
+                toy_scenario().with_dynamics(DynamicsConfig::frozen()),
+            ),
+        ];
+        let promotions = 4;
+        let base = SeedGroup::from_seeds(vec![
+            Seed::new(UserId(1), ItemId(3), 1),
+            Seed::new(UserId(3), ItemId(2), 2),
+        ]);
+        // One, two and all T timings; one window reaches past the horizon.
+        let windows: [&[u32]; 4] = [&[2], &[2, 3], &[1, 2, 3, 4], &[4, 5]];
+        let nominees = [(0u32, 0u32), (2, 1), (3, 2), (4, 0)];
+        for (name, scenario) in &worlds {
+            // Everything a realisation leaves behind: its records and the
+            // perceptions it moved.
+            let metric = |out: &SimulationOutcome| {
+                let weights = scenario.users().flat_map(|u| {
+                    let row = out.state().perception().weight_vector(u);
+                    row.iter().map(|w| w.to_bits()).collect::<Vec<_>>()
+                });
+                (out.records().to_vec(), weights.collect::<Vec<u64>>())
+            };
+            for window in windows {
+                let candidates: Vec<Seed> = nominees
+                    .iter()
+                    .flat_map(|&(u, x)| {
+                        window
+                            .iter()
+                            .map(move |&t| Seed::new(UserId(u), ItemId(x), t))
+                    })
+                    .collect();
+                let groups: Vec<SeedGroup> = candidates.iter().map(|&c| base.with(c)).collect();
+                let refs: Vec<&SeedGroup> = groups.iter().collect();
+                for threads in [1, 4] {
+                    let est = SpreadEstimator::new(scenario, 5, 31).with_threads(threads);
+                    let shared = est.collect_candidates(&base, &candidates, promotions, &metric);
+                    let separate = est.collect_groups(&refs, promotions, &metric);
+                    assert!(
+                        shared == separate,
+                        "{name}, window {window:?}, {threads} threads"
+                    );
+                }
+            }
+        }
+        let est = SpreadEstimator::new(&worlds[0].1, 3, 1);
+        assert!(est
+            .collect_candidates(&base, &[], promotions, &|out| out.adoption_count())
+            .is_empty());
     }
 
     #[test]

@@ -82,7 +82,8 @@ impl SimulationOutcome {
 }
 
 /// Runs one stochastic realisation of the campaign described by `seeds` over
-/// `promotions` promotions.
+/// `promotions` promotions: a new [`Simulation`] advanced through
+/// promotions `1..=promotions` in order.
 ///
 /// The process follows Sec. III of the paper:
 ///
@@ -104,17 +105,63 @@ pub fn simulate(
     promotions: u32,
     rng: &mut impl Rng,
 ) -> SimulationOutcome {
-    let mut state = DiffusionState::new(scenario);
-    let mut records = Vec::new();
-    // LT thresholds are drawn lazily per (user, item) and fixed for the whole
-    // campaign, matching the triggering-model construction in the paper's
-    // submodularity proof.
-    let mut lt_thresholds: HashMap<(u32, u32), f64> = HashMap::new();
-    // Accumulated LT weight per (user, item) within the current promotion.
-    let mut lt_weight: HashMap<(u32, u32), f64> = HashMap::new();
-
+    let mut simulation = Simulation::new(scenario);
     for t in 1..=promotions {
-        lt_weight.clear();
+        simulation.run_promotion(scenario, seeds, t, rng);
+    }
+    simulation.into_outcome()
+}
+
+/// One realisation of the campaign in progress, between promotions.
+///
+/// **The promotion-boundary rule.**  The state at the start of promotion
+/// `t` — adoptions, perceptions, records and the LT thresholds drawn so
+/// far — depends only on the seeds of promotions before `t` and on the
+/// random draws made so far.  So a clone of the `Simulation` and of the RNG
+/// taken there resumes *any* seed group that agrees with the simulated one
+/// before `t` exactly as [`simulate`] would have run it from scratch: the
+/// same draws in the same order, the same float operations.  TDSI's
+/// candidates share their prefix this way
+/// (`SpreadEstimator::collect_candidates`).
+#[derive(Clone, Debug)]
+pub struct Simulation {
+    state: DiffusionState,
+    records: Vec<AdoptionRecord>,
+    /// LT thresholds are drawn lazily per (user, item) and fixed for the
+    /// whole campaign, matching the triggering-model construction in the
+    /// paper's submodularity proof.
+    lt_thresholds: HashMap<(u32, u32), f64>,
+}
+
+impl Simulation {
+    /// The campaign before promotion 1: no adoptions, the scenario's
+    /// initial perceptions.
+    pub fn new(scenario: &Scenario) -> Self {
+        Simulation {
+            state: DiffusionState::new(scenario),
+            records: Vec::new(),
+            lt_thresholds: HashMap::new(),
+        }
+    }
+
+    /// Runs promotion `t` of the campaign of `seeds`: seeds `S_t`, then
+    /// propagation until a step produces no new adoption.  `scenario` must
+    /// be the one the simulation was created for, and promotions must run
+    /// in order.
+    pub fn run_promotion(
+        &mut self,
+        scenario: &Scenario,
+        seeds: &SeedGroup,
+        t: u32,
+        rng: &mut impl Rng,
+    ) {
+        let Simulation {
+            state,
+            records,
+            lt_thresholds,
+        } = self;
+        // Accumulated LT weight per (user, item), local to the promotion.
+        let mut lt_weight: HashMap<(u32, u32), f64> = HashMap::new();
         // --- ζ_t = 0: seeding -------------------------------------------------
         let mut newly: Vec<(UserId, ItemId)> = Vec::new();
         for seed in seeds.in_promotion(t) {
@@ -221,7 +268,13 @@ pub fn simulate(
         }
     }
 
-    SimulationOutcome { records, state }
+    /// The outcome of the promotions run so far.
+    pub fn into_outcome(self) -> SimulationOutcome {
+        SimulationOutcome {
+            records: self.records,
+            state: self.state,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -285,7 +285,39 @@ struct EngineMetrics {
     maintain_ns: Histogram,
     maintain_repairs: Counter,
     maintain_full_resolves: Counter,
+    tmi: TmiCounters,
     epoch: Gauge,
+}
+
+/// The `f(N)` queries nominee selection made and the oracle calls that
+/// answered them (`core.tmi.queries`, `core.tmi.batches`), fed by every
+/// pipeline run and by both selections of every maintenance repair.  A
+/// batched wave of independent queries is one call, so the ratio shows
+/// how much of TMI the batch pass answered.
+#[derive(Clone, Debug)]
+pub(crate) struct TmiCounters {
+    queries: Counter,
+    batches: Counter,
+}
+
+impl TmiCounters {
+    fn new(telemetry: &Telemetry) -> Self {
+        TmiCounters {
+            queries: telemetry.counter("core.tmi.queries"),
+            batches: telemetry.counter("core.tmi.batches"),
+        }
+    }
+
+    fn record(&self, queries: usize, oracle_calls: usize) {
+        self.queries.add(queries as u64);
+        self.batches.add(oracle_calls as u64);
+    }
+
+    /// Records the TMI work of a pipeline run and hands its report on.
+    pub(crate) fn pipeline(&self, report: DysimReport) -> DysimReport {
+        self.record(report.tmi_queries, report.tmi_oracle_calls);
+        report
+    }
 }
 
 impl EngineMetrics {
@@ -317,6 +349,7 @@ impl EngineMetrics {
             maintain_ns: telemetry.histogram("engine.maintain_ns"),
             maintain_repairs: telemetry.counter("engine.maintain.repairs"),
             maintain_full_resolves: telemetry.counter("engine.maintain.full_resolves"),
+            tmi: TmiCounters::new(telemetry),
             epoch: telemetry.gauge("engine.epoch"),
         }
     }
@@ -473,7 +506,7 @@ impl Engine {
         self.metrics.solves.incr();
         let _span = self.metrics.solve_ns.start();
         if !self.maintenance_enabled(&snap) {
-            return snap.solve_report();
+            return self.metrics.tmi.pipeline(snap.solve_report());
         }
         // Recover rather than panic on poisoning: every holder of this
         // mutex (here and in `apply`) only reads or whole-value-assigns the
@@ -490,7 +523,7 @@ impl Engine {
                 return m.report.clone();
             }
         }
-        let report = snap.solve_report();
+        let report = self.metrics.tmi.pipeline(snap.solve_report());
         if !report.nominees.is_empty() {
             // Same whole-value recovery argument as the read above.
             let mut slot = self
@@ -743,6 +776,9 @@ impl Engine {
             &touched,
             bound,
         );
+        self.metrics
+            .tmi
+            .record(outcome.queries, outcome.oracle_calls);
         if !outcome.kept {
             return invalidate(full_resolve);
         }
@@ -1552,6 +1588,59 @@ mod tests {
         // The dark engine recorded nothing.
         assert!(dark.telemetry().is_empty());
         assert!(!live.telemetry().is_empty());
+    }
+
+    #[test]
+    fn tmi_counters_sum_the_selections_of_every_run_and_repair() -> Result<(), ImdppError> {
+        use imdpp_core::nominees::select_nominees_with_prefix;
+        let engine = engine(OracleKind::RrSketch {
+            sets_per_item: 256,
+            shards: 2,
+            threads: 0,
+        });
+        let counters = |engine: &Engine| {
+            let snap = engine.telemetry();
+            (
+                snap.counter("core.tmi.queries").unwrap_or(0),
+                snap.counter("core.tmi.batches").unwrap_or(0),
+            )
+        };
+        let first = engine.solve_report();
+        assert!(!first.nominees.is_empty());
+        // A batched wave answers many queries in one call.
+        assert!(first.tmi_oracle_calls < first.tmi_queries);
+        let mut expected = (first.tmi_queries as u64, first.tmi_oracle_calls as u64);
+        assert_eq!(counters(&engine), expected);
+        // A served maintained answer runs no selection.
+        let _ = engine.solve_report();
+        assert_eq!(counters(&engine), expected);
+
+        // Both selections of the repair: the retained prefix's CELF tail
+        // and the fresh run the bound compares against.
+        let update = ScenarioUpdate::Preferences(vec![(UserId(5), ItemId(2), 0.4)]);
+        let applied = engine.apply(&update)?;
+        let snap = engine.snapshot();
+        let config = snap.config();
+        let universe = snap.instance().nominee_universe(config.candidate_users);
+        let selection_config = NomineeSelectionConfig {
+            max_nominees: config.max_nominees,
+            stop_on_nonpositive_gain: true,
+        };
+        let retained = applied.solve_repair.seeds_retained;
+        for prefix in [&first.nominees[..retained], &[]] {
+            let selection = select_nominees_with_prefix(
+                snap.instance(),
+                snap.oracle(),
+                &universe,
+                &selection_config,
+                prefix,
+            );
+            expected.0 += selection.evaluations as u64;
+            expected.1 += selection.oracle_calls as u64;
+        }
+        assert_eq!(counters(&engine), expected);
+        assert!(expected.1 < expected.0);
+        Ok(())
     }
 
     #[test]

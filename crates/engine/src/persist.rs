@@ -63,6 +63,12 @@ impl Engine {
     /// respect to writers (the writer lock is held while the state pair is
     /// captured, so a concurrent [`Engine::apply`] can never tear it).
     ///
+    /// The file is replaced, never rewritten in place: the image goes to
+    /// `<path>.tmp` in the same directory, is synced, and is renamed over
+    /// `path`, and the directory is synced so the rename is durable.  A
+    /// crash or a failed write at any point leaves the previous image at
+    /// `path` untouched.
+    ///
     /// # Errors
     /// [`ImdppError::Io`] when the file cannot be written;
     /// [`ImdppError::Poisoned`] when a previous writer panicked — a
@@ -86,9 +92,51 @@ impl Engine {
             .filter(|m| m.epoch == snap.epoch)
             .map(|m| m.report);
         let bytes = encode(&snap, current_report.as_ref());
-        std::fs::write(path, bytes)?;
-        Ok(())
+        replace_file(path.as_ref(), &bytes)
     }
+}
+
+/// The temp file [`Engine::persist`] writes next to `path` before renaming
+/// it over `path`.
+fn temp_path_for(path: &Path) -> std::path::PathBuf {
+    let mut name = path.as_os_str().to_os_string();
+    name.push(".tmp");
+    name.into()
+}
+
+/// Replaces the contents of `path` with `bytes` through a synced temp file
+/// in the same directory and a rename, so a reader (or a restart) sees the
+/// old file or the new one, never a torn mix.  On failure the temp file is
+/// removed (when it is a file) and `path` is untouched.
+fn replace_file(path: &Path, bytes: &[u8]) -> Result<(), ImdppError> {
+    use std::io::Write;
+    let temp = temp_path_for(path);
+    let written = (|| {
+        let mut file = std::fs::File::create(&temp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&temp, path)
+    })();
+    if let Err(e) = written {
+        if temp.is_file() {
+            // Best effort: the error that matters is the write's.
+            let _ = std::fs::remove_file(&temp);
+        }
+        return Err(e.into());
+    }
+    // Make the rename itself durable.  Directories can only be opened for
+    // syncing on Unix; elsewhere the rename is as durable as the platform
+    // makes it.
+    #[cfg(unix)]
+    {
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)?.sync_all()?;
+    }
+    Ok(())
 }
 
 impl EngineBuilder {
@@ -434,6 +482,8 @@ fn decode_report(
         1 => true,
         _ => return Err(codec::corrupt("guard-solution flag must be 0 or 1")),
     };
+    // The TMI counters describe the run that produced the report, which
+    // did not happen in this process; the image does not carry them.
     Ok(DysimReport {
         seeds,
         nominees,
@@ -441,6 +491,7 @@ fn decode_report(
         groups,
         total_cost,
         guard_solution_used,
+        ..DysimReport::default()
     })
 }
 
@@ -474,6 +525,49 @@ mod tests {
             std::process::id()
         ));
         p
+    }
+
+    #[test]
+    fn a_failed_persist_keeps_the_previous_image() -> Result<(), ImdppError> {
+        let engine = builder(sketch_kind(2)).build()?;
+        let served = engine.solve_report();
+        let probe = [(UserId(0), ItemId(0)), (UserId(2), ItemId(1))];
+        let before = engine.static_spread(&probe);
+        let path = temp_path("failed-persist");
+        engine.persist(&path)?;
+
+        // A directory in the temp file's place makes the next write fail.
+        let blocker = temp_path_for(&path);
+        std::fs::create_dir(&blocker)?;
+        let update = ScenarioUpdate::Preferences(vec![(UserId(1), ItemId(2), 0.9)]);
+        let _ = engine.apply(&update)?;
+        let failed = engine.persist(&path);
+        std::fs::remove_dir(&blocker)?;
+        assert!(matches!(failed, Err(ImdppError::Io(_))), "{failed:?}");
+
+        // The previous image still restores bit-identically.
+        let restored = builder(sketch_kind(2)).restore(&path)?;
+        std::fs::remove_file(&path)?;
+        assert_eq!(restored.epoch(), 0);
+        assert_eq!(restored.static_spread(&probe).to_bits(), before.to_bits());
+        let after = restored.solve_report();
+        assert_eq!(after.seeds, served.seeds);
+        assert_eq!(after.nominees, served.nominees);
+        Ok(())
+    }
+
+    #[test]
+    fn a_successful_persist_leaves_no_temp_file() -> Result<(), ImdppError> {
+        let engine = builder(sketch_kind(1)).build()?;
+        let path = temp_path("no-temp-file");
+        for _ in 0..2 {
+            // The second persist replaces an existing image.
+            engine.persist(&path)?;
+            assert!(path.is_file());
+            assert!(!temp_path_for(&path).exists());
+        }
+        std::fs::remove_file(&path)?;
+        Ok(())
     }
 
     #[test]

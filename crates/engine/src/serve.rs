@@ -17,7 +17,7 @@
 
 use crate::{
     validate_update, ConfiguredOracle, DysimReport, Engine, EngineSnapshot, ImdppError,
-    ScenarioUpdate,
+    ScenarioUpdate, TmiCounters,
 };
 use imdpp_core::dysim::Dysim;
 use imdpp_core::nominees::Nominee;
@@ -166,6 +166,7 @@ impl Engine {
             patch,
             tenant_solves: self.metrics.tenant_solves.clone(),
             tenant_spreads: self.metrics.tenant_spreads.clone(),
+            tmi: self.metrics.tmi.clone(),
         })
     }
 }
@@ -192,6 +193,7 @@ pub struct TenantOverlay {
     patch: Option<SketchPatch>,
     tenant_solves: Counter,
     tenant_spreads: Counter,
+    tmi: TmiCounters,
 }
 
 impl TenantOverlay {
@@ -249,13 +251,9 @@ impl TenantOverlay {
     pub fn static_spread_batch(&self, queries: &[&[Nominee]]) -> Vec<f64> {
         match (self.base.oracle().as_sketch(), &self.patch) {
             (Some(sketch), Some(patch)) => {
-                let view = PatchedSketch::new(sketch, patch);
-                queries.iter().map(|q| view.static_spread(q)).collect()
+                PatchedSketch::new(sketch, patch).static_spread_batch(queries)
             }
-            _ => {
-                let oracle = self.monte_carlo_oracle();
-                queries.iter().map(|q| oracle.static_spread(q)).collect()
-            }
+            _ => self.monte_carlo_oracle().static_spread_batch(queries),
         }
     }
 
@@ -271,7 +269,7 @@ impl TenantOverlay {
         self.tenant_solves.incr();
         let instance = self.materialize()?;
         let driver = Dysim::new(self.base.config().clone());
-        Ok(match (self.base.oracle().as_sketch(), &self.patch) {
+        let report = match (self.base.oracle().as_sketch(), &self.patch) {
             (Some(sketch), Some(patch)) => {
                 driver.solve_with(&instance, &PatchedSketch::new(sketch, patch))
             }
@@ -283,7 +281,8 @@ impl TenantOverlay {
                 ));
                 driver.solve_with(&instance, &oracle)
             }
-        })
+        };
+        Ok(self.tmi.pipeline(report))
     }
 
     /// [`TenantOverlay::solve_report`] returning just the seed group.
@@ -509,5 +508,77 @@ mod tests {
 
         let snap = base.telemetry();
         assert_eq!(snap.counter("engine.tenants"), Some(2));
+    }
+
+    #[test]
+    fn queries_naming_no_catalogue_item_are_positive_zero_on_every_path() -> Result<(), ImdppError>
+    {
+        let engine = Engine::builder(toy_scenario())
+            .budget(3.0)
+            .promotions(2)
+            .config(DysimConfig::fast())
+            .oracle(OracleKind::RrSketch {
+                sets_per_item: 128,
+                shards: 2,
+                threads: 0,
+            })
+            .build()?;
+        let owned: Vec<Vec<Nominee>> = vec![
+            vec![(UserId(0), ItemId(999))],
+            vec![(UserId(999), ItemId(0))],
+            vec![(UserId(999), ItemId(999)), (UserId(1), ItemId(77))],
+            vec![(UserId(0), ItemId(999)), (UserId(1), ItemId(0))],
+            vec![(UserId(2), ItemId(1)), (UserId(999), ItemId(1))],
+        ];
+        let refs: Vec<&[Nominee]> = owned.iter().map(Vec::as_slice).collect();
+        let snap = engine.snapshot();
+        let oracle = snap.oracle();
+        let sketch = oracle
+            .as_sketch()
+            .ok_or_else(|| ImdppError::invalid("the engine was built on the sketch"))?;
+        let mut batch = engine.batch();
+        for q in &refs {
+            batch.push(q);
+        }
+        let tenant = engine.tenant(&[(UserId(1), ItemId(0), 0.8)])?;
+        let paths = [
+            (
+                "sketch",
+                sketch.static_spread_batch(&refs),
+                sketch as &dyn SpreadOracle,
+            ),
+            ("configured", oracle.static_spread_batch(&refs), oracle),
+        ];
+        for (name, batched, single) in paths {
+            for (q, query) in refs.iter().enumerate() {
+                assert_eq!(
+                    single.static_spread(query).to_bits(),
+                    batched[q].to_bits(),
+                    "{name}, query {q}"
+                );
+            }
+        }
+        let served = batch.evaluate();
+        let tenant_batch = tenant.static_spread_batch(&refs);
+        for (q, query) in refs.iter().enumerate() {
+            let single = engine.static_spread(query);
+            assert_eq!(single.to_bits(), served[q].to_bits(), "engine, query {q}");
+            assert_eq!(
+                tenant.static_spread(query).to_bits(),
+                tenant_batch[q].to_bits(),
+                "tenant, query {q}"
+            );
+        }
+        // The first three name no catalogue item (or no valid user): +0.0.
+        for q in 0..3 {
+            assert_eq!(served[q].to_bits(), 0.0f64.to_bits(), "query {q}");
+            assert_eq!(
+                tenant_batch[q].to_bits(),
+                0.0f64.to_bits(),
+                "tenant, query {q}"
+            );
+        }
+        assert!(served[3] > 0.0 && served[4] > 0.0);
+        Ok(())
     }
 }

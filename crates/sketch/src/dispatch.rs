@@ -153,18 +153,6 @@ impl ConfiguredOracle {
             ConfiguredOracle::RrSketch(o) => o.scenario(),
         }
     }
-
-    /// Answers many static-spread queries against this oracle's frozen
-    /// scenario: the RR-sketch variant amortizes arena decoding across the
-    /// batch ([`SketchOracle::static_spread_batch`]); the Monte-Carlo
-    /// variant has no shared pass to amortize, so it loops.  Either way
-    /// `results[q]` is bit-identical to `self.static_spread(queries[q])`.
-    pub fn static_spread_batch(&self, queries: &[&[Nominee]]) -> Vec<f64> {
-        match self {
-            ConfiguredOracle::MonteCarlo(o) => queries.iter().map(|q| o.static_spread(q)).collect(),
-            ConfiguredOracle::RrSketch(o) => o.static_spread_batch(queries),
-        }
-    }
 }
 
 impl SpreadOracle for ConfiguredOracle {
@@ -172,6 +160,16 @@ impl SpreadOracle for ConfiguredOracle {
         match self {
             ConfiguredOracle::MonteCarlo(o) => o.static_spread(nominees),
             ConfiguredOracle::RrSketch(o) => o.static_spread(nominees),
+        }
+    }
+
+    /// Forwards to the inner oracle's batch pass: the RR sketch decodes
+    /// each arena once per chunk of queries, forward Monte-Carlo runs every
+    /// query's samples on one work-queue.
+    fn static_spread_batch(&self, queries: &[&[Nominee]]) -> Vec<f64> {
+        match self {
+            ConfiguredOracle::MonteCarlo(o) => o.static_spread_batch(queries),
+            ConfiguredOracle::RrSketch(o) => o.static_spread_batch(queries),
         }
     }
 
@@ -324,11 +322,16 @@ mod tests {
     #[test]
     fn batched_dispatch_matches_per_query_calls_for_both_kinds() {
         let s = toy_scenario();
-        let owned: Vec<Vec<(UserId, ItemId)>> = vec![
-            vec![(UserId(0), ItemId(0))],
-            vec![(UserId(2), ItemId(1)), (UserId(1), ItemId(2))],
-            vec![],
-        ];
+        // More than 64 queries, items interleaved, with duplicate, repeated
+        // and empty queries.
+        let owned: Vec<Vec<(UserId, ItemId)>> = (0..70u32)
+            .map(|i| match i % 4 {
+                0 => vec![(UserId(i % 6), ItemId(3 - i % 4))],
+                1 => vec![(UserId(2), ItemId(1)), (UserId(1), ItemId(i % 3))],
+                2 => vec![],
+                _ => vec![(UserId(4), ItemId(0)), (UserId(4), ItemId(0))],
+            })
+            .collect();
         let queries: Vec<&[(UserId, ItemId)]> = owned.iter().map(|q| q.as_slice()).collect();
         for kind in [
             OracleKind::MonteCarlo,

@@ -87,6 +87,11 @@ pub struct RepairOutcome {
     pub fresh_objective: f64,
     /// Whether the repaired set met the bound and should keep serving.
     pub kept: bool,
+    /// `f(N)` queries both selections made together.
+    pub queries: usize,
+    /// Oracle calls both selections made together (a batched wave of
+    /// independent queries is one call).
+    pub oracle_calls: usize,
 }
 
 /// The first greedy position whose nominee was touched by a refresh:
@@ -141,6 +146,8 @@ pub fn repair_nominees(
     let kept = repaired.objective + BOUND_EPSILON >= bound * fresh.objective;
     RepairOutcome {
         fresh_objective: fresh.objective,
+        queries: repaired.evaluations + fresh.evaluations,
+        oracle_calls: repaired.oracle_calls + fresh.oracle_calls,
         selection: repaired,
         retained,
         kept,

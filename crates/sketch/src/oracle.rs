@@ -234,70 +234,6 @@ impl SketchOracle {
         report
     }
 
-    /// Answers a whole batch of static-spread queries in one pass over the
-    /// RR stores: queries are processed in chunks of up to 64, each chunk
-    /// carrying one `u64` query-membership mask per user, so every
-    /// compressed span is decoded **once per chunk** instead of once per
-    /// query ([`ShardedRrStore::coverage_counts_masked`]) — the decode
-    /// amortization the serving tier's `SpreadBatch` is built on.
-    ///
-    /// `results[q]` is **bit-identical** to `self.static_spread(queries[q])`:
-    /// both sum `importance(x) · n · coverage / total` over items in
-    /// ascending id order, the batched coverage counters equal the
-    /// single-query ones by construction, and the only terms the batch
-    /// elides are exact zeros (items a query does not seed), which cannot
-    /// change a non-negative IEEE-754 sum.
-    pub fn static_spread_batch(&self, queries: &[&[Nominee]]) -> Vec<f64> {
-        let user_count = self.frozen.user_count();
-        let mut results = vec![0.0f64; queries.len()];
-        // One mask word per user, shared across chunks; entries are cleared
-        // through the per-item touch lists, never by reallocating.
-        let mut masks = vec![0u64; user_count];
-        for (ci, chunk) in queries.chunks(64).enumerate() {
-            let chunk_start = ci * 64;
-            // Bucket the chunk's nominees per item: (user, query-bit) pairs.
-            // Out-of-range users and items are dropped here, exactly where
-            // the single-query path's coverage counting drops them.
-            let mut by_item: Vec<Vec<(u32, usize)>> = vec![Vec::new(); self.stores.len()];
-            for (qi, nominees) in chunk.iter().enumerate() {
-                for &(u, x) in *nominees {
-                    if x.index() < by_item.len() && u.index() < user_count {
-                        by_item[x.index()].push((u.0, qi));
-                    }
-                }
-            }
-            let mut counts = vec![0usize; chunk.len()];
-            for (x, entries) in by_item.iter().enumerate() {
-                if entries.is_empty() {
-                    continue;
-                }
-                let mut full = 0u64;
-                for &(u, qi) in entries {
-                    masks[u as usize] |= 1 << qi;
-                    full |= 1 << qi;
-                }
-                counts.fill(0);
-                let store = &self.stores[x];
-                store.coverage_counts_masked(&masks, full, &mut counts);
-                let total = store.len();
-                if total > 0 {
-                    let importance = self.frozen.catalog().importance(ItemId(x as u32));
-                    let mut live = full;
-                    while live != 0 {
-                        let qi = live.trailing_zeros() as usize;
-                        live &= live - 1;
-                        results[chunk_start + qi] +=
-                            importance * (user_count as f64 * counts[qi] as f64 / total as f64);
-                    }
-                }
-                for &(u, _) in entries {
-                    masks[u as usize] = 0;
-                }
-            }
-        }
-        results
-    }
-
     /// Writes the sketch's persistent form: the per-item stores in item
     /// order, each span byte-for-byte as the arena holds it (see
     /// [`crate::persist`] for the codec).  Everything else an oracle needs —
@@ -440,6 +376,10 @@ impl SpreadOracle for SketchOracle {
     /// per-item RR estimates combined with catalogue importances.  Under
     /// frozen dynamics items diffuse independently (`P_ext ≡ 0`), so the sum
     /// targets exactly the Monte-Carlo estimator's quantity.
+    ///
+    /// The per-item terms are added to `+0.0` in ascending item order, as
+    /// the batch pass adds them (`Iterator::sum` starts from `−0.0`, which
+    /// a query naming no catalogue item would return).
     fn static_spread(&self, nominees: &[Nominee]) -> f64 {
         if nominees.is_empty() {
             return 0.0;
@@ -458,7 +398,75 @@ impl SpreadOracle for SketchOracle {
                 let item = ItemId(x as u32);
                 self.frozen.catalog().importance(item) * self.stores[x].estimate_adopters(users)
             })
-            .sum()
+            .fold(0.0, |sum, term| sum + term)
+    }
+
+    /// Answers the whole batch in one pass over the RR stores.  Queries
+    /// are ordered by their lowest item id (a stable sort) and cut into
+    /// chunks of up to 64, each chunk carrying one `u64` query-membership
+    /// mask per user, so every compressed span is decoded **once per
+    /// chunk** instead of once per query
+    /// ([`ShardedRrStore::coverage_counts_masked`]); the ordering puts
+    /// queries that share items in the same chunk, so a wave of singleton
+    /// queries decodes each item's store once.
+    ///
+    /// `results[q]` is **bit-identical** to `self.static_spread(queries[q])`:
+    /// both add `importance(x) · n · coverage / total` to `+0.0` over items
+    /// in ascending id order, the batched coverage counters equal the
+    /// single-query ones by construction, and the only terms the batch
+    /// elides are exact zeros (items a query does not seed), which cannot
+    /// change a non-negative IEEE-754 sum.  Which chunk a query lands in
+    /// changes none of that.
+    fn static_spread_batch(&self, queries: &[&[Nominee]]) -> Vec<f64> {
+        let user_count = self.frozen.user_count();
+        let mut order: Vec<usize> = (0..queries.len()).collect();
+        order.sort_by_key(|&q| queries[q].iter().map(|&(_, x)| x.0).min());
+        let mut results = vec![0.0f64; queries.len()];
+        // One mask word per user, shared across chunks; entries are cleared
+        // through the per-item touch lists, never by reallocating.
+        let mut masks = vec![0u64; user_count];
+        for chunk in order.chunks(64) {
+            // Bucket the chunk's nominees per item: (user, query-bit) pairs.
+            // Out-of-range users and items are dropped here, exactly where
+            // the single-query path's coverage counting drops them.
+            let mut by_item: Vec<Vec<(u32, usize)>> = vec![Vec::new(); self.stores.len()];
+            for (qi, &q) in chunk.iter().enumerate() {
+                for &(u, x) in queries[q] {
+                    if x.index() < by_item.len() && u.index() < user_count {
+                        by_item[x.index()].push((u.0, qi));
+                    }
+                }
+            }
+            let mut counts = vec![0usize; chunk.len()];
+            for (x, entries) in by_item.iter().enumerate() {
+                if entries.is_empty() {
+                    continue;
+                }
+                let mut full = 0u64;
+                for &(u, qi) in entries {
+                    masks[u as usize] |= 1 << qi;
+                    full |= 1 << qi;
+                }
+                counts.fill(0);
+                let store = &self.stores[x];
+                store.coverage_counts_masked(&masks, full, &mut counts);
+                let total = store.len();
+                if total > 0 {
+                    let importance = self.frozen.catalog().importance(ItemId(x as u32));
+                    let mut live = full;
+                    while live != 0 {
+                        let qi = live.trailing_zeros() as usize;
+                        live &= live - 1;
+                        results[chunk[qi]] +=
+                            importance * (user_count as f64 * counts[qi] as f64 / total as f64);
+                    }
+                }
+                for &(u, _) in entries {
+                    masks[u as usize] = 0;
+                }
+            }
+        }
+        results
     }
 
     fn name(&self) -> &'static str {
@@ -740,15 +748,19 @@ mod tests {
                     .with_base_seed(13)
                     .with_shards(shards),
             );
-            // More than 64 queries forces a second chunk; include empty,
-            // multi-item, duplicate-user and out-of-range queries.
+            // More than 64 queries forces a second chunk; items interleave
+            // across the input, so ordering by lowest item moves queries
+            // between chunks.  Include empty, multi-item, duplicate-user,
+            // repeated and out-of-range queries.
             let mut owned: Vec<Vec<Nominee>> = Vec::new();
-            for i in 0..70u32 {
-                owned.push(match i % 5 {
-                    0 => vec![(UserId(i % 6), ItemId(0))],
-                    1 => vec![(UserId(0), ItemId(0)), (UserId(i % 6), ItemId(1))],
+            for i in 0..140u32 {
+                owned.push(match i % 7 {
+                    0 => vec![(UserId(i % 6), ItemId(3 - i % 4))],
+                    1 => vec![(UserId(0), ItemId(2)), (UserId(i % 6), ItemId(1))],
                     2 => vec![],
                     3 => vec![(UserId(999), ItemId(0)), (UserId(1), ItemId(2))],
+                    4 => vec![(UserId(1), ItemId(999)), (UserId(i % 6), ItemId(i % 4))],
+                    5 => vec![(UserId(3), ItemId(999))],
                     _ => vec![(UserId(2), ItemId(1)), (UserId(2), ItemId(1))],
                 });
             }

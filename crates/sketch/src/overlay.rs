@@ -166,7 +166,9 @@ impl SpreadOracle for PatchedSketch<'_> {
     /// The tenant-scoped `f(N)`: identical formula and summation order to
     /// [`SketchOracle::static_spread`], with each item's coverage integer
     /// computed over `base ⊕ patch` — bit-identical to the estimate of an
-    /// independently built tenant sketch (see the module docs).
+    /// independently built tenant sketch (see the module docs).  Like the
+    /// sketch, it adds the terms to `+0.0`, so a query naming no catalogue
+    /// item is `+0.0`, not the `−0.0` of an empty `Iterator::sum`.
     fn static_spread(&self, nominees: &[Nominee]) -> f64 {
         if nominees.is_empty() {
             return 0.0;
@@ -201,7 +203,7 @@ impl SpreadOracle for PatchedSketch<'_> {
                 };
                 scenario.catalog().importance(item) * estimate
             })
-            .sum()
+            .fold(0.0, |sum, term| sum + term)
     }
 
     fn name(&self) -> &'static str {
@@ -257,6 +259,25 @@ mod tests {
                     "{shards} shards, probe {probe:?}"
                 );
             }
+            // The batch (the trait's per-query loop here) agrees with the
+            // tenant-built sketch's batch pass over more than 64 queries,
+            // and a query naming no catalogue item is +0.0 on both.
+            let owned: Vec<Vec<Nominee>> = (0..70u32)
+                .map(|i| match i % 4 {
+                    0 => vec![(UserId(i % 6), ItemId(3 - i % 4))],
+                    1 => vec![(UserId(1), ItemId(2)), (UserId(1), ItemId(2))],
+                    2 => vec![],
+                    _ => vec![(UserId(i % 6), ItemId(999))],
+                })
+                .collect();
+            let queries: Vec<&[Nominee]> = owned.iter().map(Vec::as_slice).collect();
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(
+                bits(view.static_spread_batch(&queries)),
+                bits(independent.static_spread_batch(&queries)),
+                "{shards} shards"
+            );
+            assert_eq!(view.static_spread(queries[3]).to_bits(), 0.0f64.to_bits());
             // Marginals — the greedy loop's primitive — agree too.
             let basep = [(UserId(0), ItemId(0))];
             assert_eq!(
