@@ -191,7 +191,9 @@ pub struct DysimReport {
     /// Whether a guard solution replaced the market-based solution.
     pub guard_solution_used: bool,
     /// The `f(N)` queries TMI's nominee selection made
-    /// ([`crate::nominees::NomineeSelection::evaluations`]).
+    /// ([`crate::nominees::NomineeSelection::evaluations`]); zero on a
+    /// report restored from a persisted engine image, which did not run
+    /// TMI.
     pub tmi_queries: usize,
     /// The oracle calls that answered them: each batched wave of
     /// independent queries is one call

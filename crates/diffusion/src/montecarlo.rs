@@ -172,13 +172,14 @@ impl<'a> SpreadEstimator<'a> {
     /// [`SpreadEstimator::collect_groups`] returns for those groups.
     ///
     /// Sample `i` is one task on the work-queue, on the stream
-    /// `base_seed + i`.  The task simulates `base`'s promotions before the
-    /// earliest candidate timing once, clones the [`Simulation`] and the
-    /// RNG at the start of every candidate timing, and resumes each
-    /// `base.with(c)` from the clone taken at `c.promotion`.  That is exact
-    /// by the promotion-boundary rule: before `c.promotion` the group
-    /// `base.with(c)` seeds exactly what `base` seeds, so its prefix is
-    /// the same realisation.
+    /// `base_seed + i`.  The task runs `base` once, promotion by promotion,
+    /// and at the start of each candidate's promotion clones the
+    /// [`Simulation`] and the RNG and resumes `base.with(c)` from the
+    /// clone, so the promotions before a candidate's own seed are simulated
+    /// once per sample, not once per candidate.  That is exact by the
+    /// promotion-boundary rule: before `c.promotion` the group
+    /// `base.with(c)` seeds exactly what `base` seeds, so its prefix is the
+    /// same realisation.
     pub fn collect_candidates<T, F>(
         &self,
         base: &SeedGroup,
@@ -193,47 +194,42 @@ impl<'a> SpreadEstimator<'a> {
         // A candidate past the horizon never seeds: it resumes after the
         // last promotion.
         let resume_at = |c: &Seed| c.promotion.min(promotions + 1);
-        let mut timings: Vec<u32> = candidates.iter().map(resume_at).collect();
-        timings.sort_unstable();
-        timings.dedup();
+        // Candidates in the order their promotions start, so one run of
+        // `base` passes every resume point in turn.
+        let mut order: Vec<usize> = (0..candidates.len()).collect();
+        order.sort_by_key(|&k| resume_at(&candidates[k]));
         let groups: Vec<SeedGroup> = candidates.iter().map(|&c| base.with(c)).collect();
         let workers = self
             .threads
             .unwrap_or_else(|| effective_threads(0, self.samples));
         let per_sample = run_queue((0..self.samples).collect(), workers, |_, i| {
             let mut rng = StdRng::seed_from_u64(self.base_seed.wrapping_add(i as u64));
-            let mut simulation = Simulation::new(self.scenario);
-            let mut checkpoints = Vec::with_capacity(timings.len());
+            let mut prefix = Simulation::new(self.scenario);
             let mut t = 1;
-            for &timing in &timings {
-                while t < timing {
-                    simulation.run_promotion(self.scenario, base, t, &mut rng);
-                    t += 1;
-                }
-                checkpoints.push((simulation.clone(), rng.clone()));
-            }
-            candidates
+            order
                 .iter()
-                .zip(&groups)
-                .map(|(c, group)| {
-                    let start = resume_at(c);
-                    let checkpoint = timings.partition_point(|&timing| timing < start);
-                    let (mut simulation, mut rng) = checkpoints[checkpoint].clone();
-                    for t in start..=promotions {
-                        simulation.run_promotion(self.scenario, group, t, &mut rng);
+                .map(|&k| {
+                    let start = resume_at(&candidates[k]);
+                    while t < start {
+                        prefix.run_promotion(self.scenario, base, t, &mut rng);
+                        t += 1;
                     }
-                    metric(&simulation.into_outcome())
+                    let (mut run, mut run_rng) = (prefix.clone(), rng.clone());
+                    for t in start..=promotions {
+                        run.run_promotion(self.scenario, &groups[k], t, &mut run_rng);
+                    }
+                    (k, metric(&run.into_outcome()))
                 })
-                .collect::<Vec<T>>()
+                .collect::<Vec<(usize, T)>>()
         });
-        // Transpose to one row per candidate, each in sample order.
+        // One row per candidate, filled in sample order.
         let mut rows: Vec<Vec<T>> = candidates
             .iter()
             .map(|_| Vec::with_capacity(self.samples))
             .collect();
         for sample in per_sample {
-            for (row, value) in rows.iter_mut().zip(sample) {
-                row.push(value);
+            for (k, value) in sample {
+                rows[k].push(value);
             }
         }
         rows
