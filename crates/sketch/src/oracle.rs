@@ -420,7 +420,10 @@ impl SpreadOracle for SketchOracle {
     fn static_spread_batch(&self, queries: &[&[Nominee]]) -> Vec<f64> {
         let user_count = self.frozen.user_count();
         let mut order: Vec<usize> = (0..queries.len()).collect();
-        order.sort_by_key(|&q| queries[q].iter().map(|&(_, x)| x.0).min());
+        if queries.len() > 64 {
+            // One chunk decodes each store once whatever the order.
+            order.sort_by_key(|&q| queries[q].iter().map(|&(_, x)| x.0).min());
+        }
         let mut results = vec![0.0f64; queries.len()];
         // One mask word per user, shared across chunks; entries are cleared
         // through the per-item touch lists, never by reallocating.
