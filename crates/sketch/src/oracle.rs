@@ -402,13 +402,13 @@ impl SpreadOracle for SketchOracle {
     }
 
     /// Answers the whole batch in one pass over the RR stores.  Queries
-    /// are ordered by their lowest item id (a stable sort) and cut into
-    /// chunks of up to 64, each chunk carrying one `u64` query-membership
-    /// mask per user, so every compressed span is decoded **once per
-    /// chunk** instead of once per query
-    /// ([`ShardedRrStore::coverage_counts_masked`]); the ordering puts
-    /// queries that share items in the same chunk, so a wave of singleton
-    /// queries decodes each item's store once.
+    /// are cut into chunks of up to 64, each chunk carrying one `u64`
+    /// query-membership mask per user, so every compressed span is decoded
+    /// **once per chunk** instead of once per query
+    /// ([`ShardedRrStore::coverage_counts_masked`]).  A batch of more than
+    /// one chunk is first ordered by each query's lowest item id (a stable
+    /// sort), which puts queries that share items in the same chunk, so a
+    /// wave of singleton queries decodes each item's store once.
     ///
     /// `results[q]` is **bit-identical** to `self.static_spread(queries[q])`:
     /// both add `importance(x) · n · coverage / total` to `+0.0` over items
