@@ -10,10 +10,9 @@
 //!   updates) and reports the measured fractions,
 //! * incremental edge-update refresh vs a full rebuild of the sketch.
 //!
-//! Key measurements are also written to `results/bench_adaptive_pipeline.json`.
+//! Key measurements are written to `results/bench_adaptive_pipeline.json`.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use imdpp_bench::{yelp_instance, BenchSummary};
+use imdpp_bench::{fringe_user, yelp_instance, BenchSummary};
 use imdpp_core::nominees::{select_nominees_with_oracle, NomineeSelectionConfig};
 use imdpp_core::{
     DysimConfig, EdgeUpdate, Evaluator, ImdppInstance, OracleKind, RefreshableOracle,
@@ -35,10 +34,7 @@ fn instance() -> ImdppInstance {
 /// are undirected, so the two directed edges move together).
 fn localized_edge_update(instance: &ImdppInstance, bump: f64) -> Vec<EdgeUpdate> {
     let scenario = instance.scenario();
-    let quiet = scenario
-        .users()
-        .min_by_key(|&u| (scenario.social().out_degree(u), std::cmp::Reverse(u.0)))
-        .expect("instance has users");
+    let quiet = fringe_user(scenario);
     let (v, w) = scenario
         .social()
         .influencers_of(quiet)
@@ -52,7 +48,7 @@ fn localized_edge_update(instance: &ImdppInstance, bump: f64) -> Vec<EdgeUpdate>
     vec![up, up.mirrored()]
 }
 
-fn bench_adaptive_pipeline(c: &mut Criterion) {
+fn main() {
     let mut summary = BenchSummary::new("adaptive_pipeline");
     let instance = instance();
     let scenario = instance.scenario();
@@ -249,54 +245,8 @@ fn bench_adaptive_pipeline(c: &mut Criterion) {
         1e3 * fresh_solve_total,
     );
 
-    // --- Criterion timings. ------------------------------------------------
-    let mut group = c.benchmark_group("yelp_selection");
-    group.sample_size(10);
-    group.bench_function("tmi_monte_carlo", |b| {
-        b.iter(|| {
-            select_nominees_with_oracle(
-                black_box(&instance),
-                &evaluator,
-                &universe,
-                &selection_config,
-            )
-            .nominees
-            .len()
-        })
-    });
-    group.bench_function("tmi_rr_sketch_incl_build", |b| {
-        b.iter(|| {
-            let oracle = SketchOracle::build(
-                black_box(scenario),
-                SketchConfig::fixed(SETS_PER_ITEM).with_base_seed(config.base_seed),
-            );
-            select_nominees_with_oracle(&instance, &oracle, &universe, &selection_config)
-                .nominees
-                .len()
-        })
-    });
-    group.finish();
-
     let update = ScenarioUpdate::Edges(localized_edge_update(&instance, 0.1));
     let drifted = update.apply(scenario);
-    let mut refresh = c.benchmark_group("yelp_edge_update_refresh");
-    refresh.sample_size(10);
-    refresh.bench_function("incremental_reuse", |b| {
-        b.iter(|| {
-            let mut o = sketch.clone();
-            o.refresh(black_box(&drifted), &update).0.resampled_sets
-        })
-    });
-    refresh.bench_function("full_rebuild", |b| {
-        b.iter(|| {
-            SketchOracle::build(
-                black_box(&drifted),
-                SketchConfig::fixed(SETS_PER_ITEM).with_base_seed(config.base_seed),
-            )
-            .total_sets()
-        })
-    });
-    refresh.finish();
 
     // Exactness spot-check at bench scale: refresh equals rebuild (timed
     // once each for the machine-readable summary).
@@ -405,6 +355,3 @@ fn bench_adaptive_pipeline(c: &mut Criterion) {
         Err(e) => eprintln!("could not write bench summary: {e}"),
     }
 }
-
-criterion_group!(benches, bench_adaptive_pipeline);
-criterion_main!(benches);

@@ -8,7 +8,7 @@
 //! answered from the snapshot's RR sketch; each call is single-threaded, so
 //! thread-count scaling isolates the snapshot machinery.  (`Engine::spread`
 //! parallelizes its Monte-Carlo simulation internally and already saturates
-//! the machine from one caller; it is timed separately below.)
+//! the machine from one caller, so it is not a reader workload here.)
 //!
 //! Asserts:
 //!
@@ -29,10 +29,9 @@
 //!
 //! Key measurements are written to `results/bench_engine_concurrency.json`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use imdpp_bench::{yelp_instance, BenchSummary};
+use imdpp_bench::{batch_queries, writer_edge, writer_update, yelp_instance, BenchSummary, BATCH};
 use imdpp_core::nominees::Nominee;
-use imdpp_core::{DysimConfig, EdgeUpdate, OracleKind, ScenarioUpdate};
+use imdpp_core::{DysimConfig, OracleKind};
 use imdpp_engine::{Engine, Telemetry};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -62,37 +61,6 @@ fn build_engine_with(shards: usize, threads: usize, telemetry: Telemetry) -> Eng
         .telemetry(telemetry)
         .build()
         .expect("yelp instance is valid")
-}
-
-/// The edge the writer keeps reweighting: one incoming influence edge of
-/// the least-connected user.  Reweights never change out-degrees, so this
-/// is an invariant of the whole run — computed once, outside every timed
-/// region.
-fn writer_edge(engine: &Engine) -> (imdpp_graph::UserId, imdpp_graph::UserId) {
-    let snapshot = engine.snapshot();
-    let scenario = snapshot.scenario();
-    let quiet = scenario
-        .users()
-        .min_by_key(|&u| (scenario.social().out_degree(u), std::cmp::Reverse(u.0)))
-        .expect("instance has users");
-    let (src, _) = scenario
-        .social()
-        .influencers_of(quiet)
-        .next()
-        .expect("yelp preset users have friends");
-    (src, quiet)
-}
-
-/// A localized reweight of the fixed writer edge, alternating strength so
-/// consecutive updates are never no-ops.
-fn writer_update(edge: (imdpp_graph::UserId, imdpp_graph::UserId), step: usize) -> ScenarioUpdate {
-    let weight = if step.is_multiple_of(2) { 0.35 } else { 0.65 };
-    let up = EdgeUpdate::Reweight {
-        src: edge.0,
-        dst: edge.1,
-        weight,
-    };
-    ScenarioUpdate::Edges(vec![up, up.mirrored()])
 }
 
 /// Runs `readers` threads hammering `Engine::static_spread` for the
@@ -126,8 +94,9 @@ fn run_readers_under_writes(
 
     // This thread is the writer: keep landing updates until the window ends.
     // The engine is shared across reader configurations, so epochs continue
-    // from wherever the previous window left them.
-    let edge = writer_edge(engine);
+    // from wherever the previous window left them.  The edge is computed
+    // outside the timed region.
+    let edge = writer_edge(engine.snapshot().scenario());
     let epoch_base = engine.snapshot().epoch();
     let start = Instant::now();
     let mut updates = 0u64;
@@ -149,7 +118,7 @@ fn run_readers_under_writes(
     (queries, updates)
 }
 
-fn bench_engine_concurrency(c: &mut Criterion) {
+fn main() {
     let mut summary = BenchSummary::new("engine_concurrency");
     summary.record("engine_shard_count", 1.0);
     let engine = Arc::new(build_engine(1, 1));
@@ -227,39 +196,13 @@ fn bench_engine_concurrency(c: &mut Criterion) {
     );
 
     // --- Batched spread queries: the serving-tier amortization gate. -----
-    // 32 varied queries — every rotation of every non-empty prefix of an
-    // 8-nominee pool — so the batch hits the same items repeatedly and the
-    // per-chunk masked arena pass has something to amortize, exactly the
-    // coalesced-request shape the batch API exists for.
-    const BATCH: usize = 32;
-    let pool: Vec<Nominee> = {
-        let items = engine.snapshot().scenario().item_count() as u32;
-        let mut pool = nominees.clone();
-        let mut u = 0u32;
-        while pool.len() < 8 {
-            pool.push((imdpp_graph::UserId(u), imdpp_graph::ItemId(u % items)));
-            u += 1;
-        }
-        pool.truncate(8);
-        pool
-    };
-    let mut batch_queries: Vec<Vec<Nominee>> = Vec::new();
-    'fill: for len in 1..=pool.len() {
-        for rot in 0..len {
-            let mut q = pool[..len].to_vec();
-            q.rotate_left(rot);
-            batch_queries.push(q);
-            if batch_queries.len() == BATCH {
-                break 'fill;
-            }
-        }
-    }
-    let refs: Vec<&[Nominee]> = batch_queries.iter().map(Vec::as_slice).collect();
+    let queries = batch_queries(&nominees, engine.snapshot().scenario().item_count() as u32);
+    let refs: Vec<&[Nominee]> = queries.iter().map(Vec::as_slice).collect();
     // Correctness before speed: the batch must be bit-identical to the
     // single-query loop on the same snapshot.
     let pinned = engine.snapshot();
     let batched_values = pinned.static_spread_batch(&refs);
-    for (i, q) in batch_queries.iter().enumerate() {
+    for (i, q) in queries.iter().enumerate() {
         assert_eq!(
             batched_values[i].to_bits(),
             pinned.static_spread(q).to_bits(),
@@ -270,7 +213,7 @@ fn bench_engine_concurrency(c: &mut Criterion) {
         let start = Instant::now();
         let mut answered = 0u64;
         while start.elapsed() < MEASURE_WINDOW {
-            for q in &batch_queries {
+            for q in &queries {
                 let f = pinned.static_spread(q);
                 assert!(f.is_finite() && f >= 0.0);
             }
@@ -353,34 +296,9 @@ fn bench_engine_concurrency(c: &mut Criterion) {
         );
     }
 
-    // Criterion timing of the single-query and apply paths for the record.
-    let mut group = c.benchmark_group("engine");
-    group.sample_size(10);
-    group.bench_function("static_spread_query", |b| {
-        b.iter(|| engine.static_spread(&nominees))
-    });
-    group.bench_function("monte_carlo_spread_query", |b| {
-        b.iter(|| engine.spread(&seeds))
-    });
-    let edge = writer_edge(&engine);
-    let mut step = 1usize;
-    group.bench_function("apply_localized_edge_update", |b| {
-        b.iter(|| {
-            step += 1;
-            engine
-                .apply(&writer_update(edge, step))
-                .expect("in-range update")
-                .refresh_fraction
-        })
-    });
-    group.finish();
-
     summary.record_peak_rss();
     match summary.write() {
         Ok(path) => println!("bench summary written to {}", path.display()),
         Err(e) => eprintln!("could not write bench summary: {e}"),
     }
 }
-
-criterion_group!(benches, bench_engine_concurrency);
-criterion_main!(benches);

@@ -14,10 +14,9 @@
 //! that the restored engine resampled nothing.  Key measurements are
 //! written to `results/bench_serving.json`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use imdpp_bench::{yelp_instance, BenchSummary};
+use imdpp_bench::{batch_queries, writer_edge, writer_update, yelp_instance, BenchSummary};
 use imdpp_core::nominees::Nominee;
-use imdpp_core::{DysimConfig, EdgeUpdate, OracleKind, ScenarioUpdate};
+use imdpp_core::{DysimConfig, OracleKind};
 use imdpp_engine::Engine;
 use imdpp_graph::{ItemId, UserId};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -25,7 +24,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const SETS_PER_ITEM: usize = 1024;
-const BATCH: usize = 32;
 const MEASURE_WINDOW: Duration = Duration::from_millis(300);
 
 fn build_engine() -> Engine {
@@ -44,58 +42,6 @@ fn build_engine() -> Engine {
         })
         .build()
         .expect("yelp instance is valid")
-}
-
-/// 32 varied queries: rotations of prefixes of an 8-nominee pool (see the
-/// amortization gate in `engine_concurrency.rs` for the rationale).
-fn batch_queries(engine: &Engine, nominees: &[Nominee]) -> Vec<Vec<Nominee>> {
-    let items = engine.snapshot().scenario().item_count() as u32;
-    let mut pool = nominees.to_vec();
-    let mut u = 0u32;
-    while pool.len() < 8 {
-        pool.push((UserId(u), ItemId(u % items)));
-        u += 1;
-    }
-    pool.truncate(8);
-    let mut queries = Vec::new();
-    'fill: for len in 1..=pool.len() {
-        for rot in 0..len {
-            let mut q = pool[..len].to_vec();
-            q.rotate_left(rot);
-            queries.push(q);
-            if queries.len() == BATCH {
-                break 'fill;
-            }
-        }
-    }
-    queries
-}
-
-/// The fixed edge the churn writer keeps reweighting (never a no-op:
-/// strength alternates per step).
-fn writer_edge(engine: &Engine) -> (UserId, UserId) {
-    let snapshot = engine.snapshot();
-    let scenario = snapshot.scenario();
-    let quiet = scenario
-        .users()
-        .min_by_key(|&u| (scenario.social().out_degree(u), std::cmp::Reverse(u.0)))
-        .expect("instance has users");
-    let (src, _) = scenario
-        .social()
-        .influencers_of(quiet)
-        .next()
-        .expect("yelp preset users have friends");
-    (src, quiet)
-}
-
-fn writer_update(edge: (UserId, UserId), step: usize) -> ScenarioUpdate {
-    let weight = if step.is_multiple_of(2) { 0.35 } else { 0.65 };
-    let up = EdgeUpdate::Reweight {
-        src: edge.0,
-        dst: edge.1,
-        weight,
-    };
-    ScenarioUpdate::Edges(vec![up, up.mirrored()])
 }
 
 /// Batched-read throughput with `readers` threads, optionally against a
@@ -128,7 +74,7 @@ fn batch_qps_under_churn(
         }));
     }
 
-    let edge = writer_edge(engine);
+    let edge = writer_edge(engine.snapshot().scenario());
     let start = Instant::now();
     let mut updates = 0u64;
     while start.elapsed() < MEASURE_WINDOW {
@@ -149,12 +95,12 @@ fn batch_qps_under_churn(
     (answered as f64 / MEASURE_WINDOW.as_secs_f64(), updates)
 }
 
-fn bench_serving(c: &mut Criterion) {
+fn main() {
     let mut summary = BenchSummary::new("serving");
     let engine = Arc::new(build_engine());
     let seeds = engine.solve();
     let nominees: Vec<Nominee> = seeds.seeds().iter().map(|s| (s.user, s.item)).collect();
-    let queries = batch_queries(&engine, &nominees);
+    let queries = batch_queries(&nominees, engine.snapshot().scenario().item_count() as u32);
     println!(
         "serving tier on the yelp-scale preset: {} users, {} RR sets",
         engine.snapshot().scenario().user_count(),
@@ -262,30 +208,9 @@ fn bench_serving(c: &mut Criterion) {
     summary.record("restore_seconds", restore_seconds);
     summary.record("image_bytes", image_bytes as f64);
 
-    // Criterion timing of the two serving primitives for the record.
-    let refs: Vec<&[Nominee]> = queries.iter().map(Vec::as_slice).collect();
-    let mut group = c.benchmark_group("serving");
-    group.sample_size(10);
-    group.bench_function("batch_32_static_spread", |b| {
-        b.iter(|| engine.static_spread_batch(&refs))
-    });
-    let deltas = [(UserId(0), ItemId(0), 0.8)];
-    group.bench_function("tenant_overlay_build", |b| {
-        b.iter(|| {
-            engine
-                .tenant(&deltas)
-                .expect("in-range deltas")
-                .overlay_bytes()
-        })
-    });
-    group.finish();
-
     summary.record_peak_rss();
     match summary.write() {
         Ok(path) => println!("bench summary written to {}", path.display()),
         Err(e) => eprintln!("could not write bench summary: {e}"),
     }
 }
-
-criterion_group!(benches, bench_serving);
-criterion_main!(benches);

@@ -1,21 +1,16 @@
-//! Benchmarks and acceptance checks of the `imdpp-sketch` RR-sketch oracle:
+//! Acceptance checks of the `imdpp-sketch` RR-sketch oracle:
 //!
-//! * sketch construction and per-query `f(N)` cost vs forward Monte-Carlo,
 //! * incremental refresh after a *localized* preference update — asserts
 //!   that fewer than 50% of the RR sets are re-sampled (the sample-reuse
 //!   guarantee) and reports the measured fraction,
 //! * greedy seed quality vs the Monte-Carlo greedy — asserts agreement of
 //!   the selected seed sets' spreads within 5%.
 //!
-//! Key measurements are also written to `results/bench_sketch_oracle.json`.
+//! Key measurements are written to `results/bench_sketch_oracle.json`.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use imdpp_baselines::sketch_greedy_single_item;
-use imdpp_bench::{tiny_amazon_instance, BenchSummary};
+use imdpp_bench::{fringe_user, tiny_amazon_instance, BenchSummary};
 use imdpp_core::nominees::{select_nominees_with_oracle, NomineeSelectionConfig};
-use imdpp_core::{
-    Evaluator, ImdppInstance, RefreshableOracle, ScenarioUpdate, Seed, SeedGroup, SpreadOracle,
-};
+use imdpp_core::{Evaluator, ImdppInstance, RefreshableOracle, ScenarioUpdate, Seed, SeedGroup};
 use imdpp_diffusion::DynamicsConfig;
 use imdpp_graph::{ItemId, UserId};
 use imdpp_sketch::{SketchConfig, SketchOracle};
@@ -27,34 +22,16 @@ fn frozen_instance() -> ImdppInstance {
         .expect("frozen scenario is valid")
 }
 
-fn bench_sketch_oracle(c: &mut Criterion) {
+fn main() {
     let mut summary = BenchSummary::new("sketch_oracle");
     let instance = frozen_instance();
     let scenario = instance.scenario();
     let sketch_config = SketchConfig::fixed(2048).with_base_seed(5);
 
-    c.bench_function("sketch_build_2048_sets_per_item_100_users", |b| {
-        b.iter(|| SketchOracle::build(black_box(scenario), sketch_config).total_sets())
-    });
-
     let oracle = SketchOracle::build(scenario, sketch_config);
-    let evaluator = Evaluator::new(&instance, 100, 7);
-    let nominees: Vec<(UserId, ItemId)> = (0..4).map(|u| (UserId(u), ItemId(0))).collect();
-
-    let mut query = c.benchmark_group("static_spread_query");
-    query.bench_function("rr_sketch", |b| {
-        b.iter(|| oracle.static_spread(black_box(&nominees)))
-    });
-    query.bench_function("monte_carlo_100_samples", |b| {
-        b.iter(|| evaluator.static_spread(black_box(&nominees)))
-    });
-    query.finish();
 
     // --- Incremental refresh after a localized preference update. ---
-    let quiet = scenario
-        .users()
-        .min_by_key(|&u| (scenario.social().out_degree(u), std::cmp::Reverse(u.0)))
-        .expect("instance has users");
+    let quiet = fringe_user(scenario);
     let update = ScenarioUpdate::Preferences(vec![(quiet, ItemId(0), 0.9)]);
     let drifted = update.apply(scenario);
 
@@ -78,18 +55,6 @@ fn bench_sketch_oracle(c: &mut Criterion) {
         stats.resampled_fraction(),
     );
     summary.record("localized_update_total_sets", stats.total_sets as f64);
-
-    let mut refresh = c.benchmark_group("refresh_after_localized_update");
-    refresh.bench_function("incremental_reuse", |b| {
-        b.iter(|| {
-            let mut o = oracle.clone();
-            o.refresh(black_box(&drifted), &update).0.resampled_sets
-        })
-    });
-    refresh.bench_function("full_rebuild", |b| {
-        b.iter(|| SketchOracle::build(black_box(&drifted), sketch_config).total_sets())
-    });
-    refresh.finish();
 
     // --- Greedy quality: the same CELF selection with the two oracles
     // swapped must land within 5% of each other. ---
@@ -135,18 +100,9 @@ fn bench_sketch_oracle(c: &mut Criterion) {
     summary.record("greedy_spread_rr_sketch", sketch_spread);
     summary.record("greedy_spread_monte_carlo", mc_spread);
 
-    let mut greedy = c.benchmark_group("greedy_selection");
-    greedy.bench_function("rr_sketch_celf", |b| {
-        b.iter(|| sketch_greedy_single_item(black_box(&instance), ItemId(0), &oracle).len())
-    });
-    greedy.finish();
-
     summary.record_peak_rss();
     match summary.write() {
         Ok(path) => println!("bench summary written to {}", path.display()),
         Err(e) => eprintln!("could not write bench summary: {e}"),
     }
 }
-
-criterion_group!(benches, bench_sketch_oracle);
-criterion_main!(benches);

@@ -58,7 +58,7 @@ use imdpp_graph::ItemId;
 /// | `ordering` | market-ordering metrics AE / PF / SZ / RMS / RD (Sec. VI-D, Fig. 11) |
 /// | `use_target_markets` | "Dysim w/o TM" ablation (Fig. 10) |
 /// | `use_item_priority` | "Dysim w/o IP" ablation (Fig. 10) |
-/// | `full_timing_search` | two-slot TDSI window vs full `[t̂, T]` search (Sec. V-C; `tdsi_window` bench) |
+/// | `full_timing_search` | two-slot TDSI window vs full `[t̂, T]` search (Sec. V-C; both pinned by `tests/mc_golden.rs`) |
 /// | `use_guard_solutions` | auxiliary solution `N̄` of the Theorem 5 analysis |
 /// | `oracle` | estimator behind Procedure 2's `f(N)` queries (Monte-Carlo vs RR sketch) |
 #[derive(Clone, Debug)]

@@ -46,7 +46,6 @@ const FLOAT_SCOPED_FILES: &[&str] = &[
     "crates/core/src/dre.rs",
     "crates/sketch/src/greedy.rs",
     "crates/sketch/src/maintain.rs",
-    "crates/sketch/src/adaptive.rs",
 ];
 
 /// Identifier fragments that mark a statement as handling oracle-derived

@@ -42,9 +42,9 @@ use imdpp_graph::UserId;
 use imdpp_obs::Telemetry;
 
 /// The sketch configuration an [`OracleKind::RrSketch`] knob resolves to: a
-/// fixed pool (adaptive growth disabled so refreshes stay bit-identical to
-/// rebuilds) seeded from the run's base seed, partitioned across `shards`
-/// shards per item (`0` is clamped to `1`, the flat store) and built /
+/// fixed pool of `sets_per_item` sets per item (see [`SketchConfig`]),
+/// seeded from the run's base seed, partitioned across `shards` shards per
+/// item (`0` is clamped to `1`, the flat store) and built /
 /// refreshed by `threads` workers (`0` = auto; see
 /// [`SketchConfig::threads`] — results are thread-count-independent).
 pub fn sketch_config_for(

@@ -141,15 +141,7 @@ mod tests {
         let metrics = SketchMetrics::noop();
         for shards in [1usize, 3] {
             let mut stores = [ShardedRrStore::new(ItemId(0), s.user_count(), shards)];
-            grow_stores(
-                &mut stores,
-                &s,
-                11,
-                128,
-                2,
-                &metrics,
-                &metrics.shard_build_ns,
-            );
+            grow_stores(&mut stores, &s, 11, 128, 2, &metrics);
             let before: Vec<Vec<u32>> = stores[0].iter().map(|(_, set)| set).collect();
             // "Change" user 0 and its out-neighbours but hand the identical
             // scenario: the re-sampled sets replay their streams and must

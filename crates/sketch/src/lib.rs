@@ -20,13 +20,10 @@
 //! * [`sharded`] — [`ShardedRrStore`]: the same sets partitioned across
 //!   `S` shards (deterministic `id mod S` placement), each shard owning
 //!   its own arena and index; estimates and selections are
-//!   shard-count-independent.  Build, growth and refresh run as (item ×
-//!   shard) tasks on the suite's one work-queue
-//!   (`imdpp_diffusion::par`),
+//!   shard-count-independent.  Build and refresh run as (item × shard)
+//!   tasks on the suite's one work-queue (`imdpp_diffusion::par`),
 //! * [`sampler`] — RR-set sampling with deterministic per-sample RNG
 //!   streams (thread-count-independent, replayable in isolation),
-//! * [`adaptive`] — the OPIM-style `(ε, δ)` stopping rule that sizes the
-//!   sketch instead of a fixed sample count,
 //! * [`incremental`] — invalidate-and-resample maintenance that reuses every
 //!   RR set a preference drift or an *edge update* (strength change,
 //!   insertion, deletion) could not have touched,
@@ -43,7 +40,7 @@
 //!   `DysimConfig::oracle` knob resolves to a concrete estimator (consumed
 //!   by the `imdpp-engine` `Engine`),
 //! * [`telemetry`] — [`SketchMetrics`], the pre-resolved `imdpp-obs`
-//!   handles the build/growth/refresh tasks record into (per-shard
+//!   handles the build and refresh tasks record into (per-shard
 //!   wall-clock, sampled/resampled-set counters, frontier sizes); recording
 //!   never feeds the RNG, so metered runs stay bit-identical.
 //!
@@ -88,7 +85,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod adaptive;
 pub mod arena;
 pub mod dispatch;
 pub mod greedy;
@@ -102,7 +98,6 @@ pub mod sharded;
 pub mod store;
 pub mod telemetry;
 
-pub use adaptive::{AdaptiveReport, StoppingRule};
 pub use arena::SetMembers;
 pub use dispatch::ConfiguredOracle;
 pub use greedy::{greedy_max_coverage, GreedySelection};
@@ -118,20 +113,18 @@ pub use imdpp_core::{RefreshableOracle, ScenarioUpdate, SpreadOracle};
 pub use imdpp_graph::{EdgeUpdate, ItemId, UserId};
 
 /// Construction parameters of a [`SketchOracle`].
+///
+/// The pool is fixed: each item holds `initial_sets` RR sets from
+/// construction on, and a refresh replaces sets in place without growing
+/// the pool.  Dysim's TMI reads `f(N)` from one pool per epoch, and
+/// refresh-equals-rebuild is stated over that fixed pool.
 #[derive(Clone, Copy, Debug)]
 pub struct SketchConfig {
     /// Base seed of the deterministic per-set RNG streams.
     pub base_seed: u64,
     /// RR sets sampled per item at construction.
     pub initial_sets: usize,
-    /// Hard cap on RR sets per item under adaptive growth.
-    pub max_sets: usize,
-    /// Target relative error of the `(ε, δ)` stopping rule.
-    pub epsilon: f64,
-    /// Failure probability of the `(ε, δ)` stopping rule.
-    pub delta: f64,
-    /// Worker threads for the (item × shard) build, growth and refresh
-    /// tasks.
+    /// Worker threads for the (item × shard) build and refresh tasks.
     ///
     /// This is *the* definition of the convention every path follows
     /// (resolved by `imdpp_diffusion::par::effective_threads`):
@@ -139,12 +132,10 @@ pub struct SketchConfig {
     /// * **`0` means auto** — use every core `available_parallelism`
     ///   reports,
     /// * any explicit count is capped at `available_parallelism` and at
-    ///   the available work (the tasks of one build, growth or refresh),
-    ///   and floors at 1 (sequential),
+    ///   the available work (the tasks of one build or refresh), and floors
+    ///   at 1 (sequential),
     /// * the unit of parallelism is **one shard of one item**: a build or
-    ///   refresh spreads `items × shards` tasks over the workers, so a
-    ///   single-item growth (`ensure_precision`) runs on at most `shards`
-    ///   workers.
+    ///   refresh spreads `items × shards` tasks over the workers.
     ///
     /// Results are bit-identical for every value — each RR set is its own
     /// deterministic RNG stream (`set id == stream id`), so the thread
@@ -163,9 +154,6 @@ impl Default for SketchConfig {
         SketchConfig {
             base_seed: 7,
             initial_sets: 256,
-            max_sets: 32_768,
-            epsilon: 0.1,
-            delta: 0.01,
             threads: 0, // auto: every available core (see the field docs)
             shards: 1,
         }
@@ -173,12 +161,10 @@ impl Default for SketchConfig {
 }
 
 impl SketchConfig {
-    /// A configuration with a fixed set count (adaptive growth disabled);
-    /// used where exact reproducibility against a rebuild matters.
+    /// The default configuration with `sets` RR sets per item.
     pub fn fixed(sets: usize) -> Self {
         SketchConfig {
             initial_sets: sets,
-            max_sets: sets,
             ..SketchConfig::default()
         }
     }
@@ -214,7 +200,6 @@ mod tests {
             .with_threads(2)
             .with_shards(4);
         assert_eq!(c.initial_sets, 100);
-        assert_eq!(c.max_sets, 100);
         assert_eq!(c.base_seed, 5);
         assert_eq!(c.threads, 2);
         assert_eq!(c.shards, 4);
@@ -224,8 +209,6 @@ mod tests {
     fn default_config_is_sane() {
         let c = SketchConfig::default();
         assert!(c.initial_sets > 0);
-        assert!(c.max_sets >= c.initial_sets);
-        assert!(c.epsilon > 0.0 && c.delta > 0.0);
         assert_eq!(c.threads, 0, "default threads is 0 = auto");
         assert_eq!(c.shards, 1);
     }

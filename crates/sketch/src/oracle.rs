@@ -1,7 +1,6 @@
 //! The sketch-backed [`SpreadOracle`]: per-item RR stores behind the
 //! estimation interface of `imdpp-core`.
 
-use crate::adaptive::{AdaptiveReport, StoppingRule};
 use crate::greedy::{greedy_max_coverage, GreedySelection};
 use crate::incremental::{edge_update_frontier, RefreshStats};
 use crate::persist;
@@ -53,13 +52,12 @@ impl SketchOracle {
         Self::build_with_telemetry(scenario, config, &Telemetry::disabled())
     }
 
-    /// [`SketchOracle::build`] recording into `telemetry`: construction,
-    /// adaptive growth and every later refresh fold per-shard wall-clock and
-    /// the semantic set/index counters into the registry (see
-    /// [`SketchMetrics`] for the metric names).  Passing
-    /// [`Telemetry::disabled`] makes this identical to plain `build`;
-    /// either way the sampled stores are bit-identical — telemetry is
-    /// write-only and never feeds the RNG.
+    /// [`SketchOracle::build`] recording into `telemetry`: construction and
+    /// every later refresh fold per-shard wall-clock and the semantic
+    /// set/index counters into the registry (see [`SketchMetrics`] for the
+    /// metric names).  Passing [`Telemetry::disabled`] makes this identical
+    /// to plain `build`; either way the sampled stores are bit-identical —
+    /// telemetry is write-only and never feeds the RNG.
     ///
     /// # Panics
     /// Like [`SketchOracle::build`], panics on a non-Independent-Cascade
@@ -92,7 +90,6 @@ impl SketchOracle {
             config.initial_sets,
             config.threads,
             &metrics,
-            &metrics.shard_build_ns,
         );
         let oracle = SketchOracle {
             frozen,
@@ -145,7 +142,7 @@ impl SketchOracle {
     }
 
     /// Overwrites the `sketch.arena_live_bytes` gauge with the current live
-    /// arena footprint; called after construction, growth and refreshes.
+    /// arena footprint; called after construction and refreshes.
     fn record_memory(&self) {
         self.metrics.arena_live_bytes.set(self.live_arena_bytes());
     }
@@ -189,49 +186,6 @@ impl SketchOracle {
     /// aggregating per-shard partial counters (shard-count-independent).
     pub fn greedy_seeds(&self, item: ItemId, k: usize) -> GreedySelection {
         greedy_max_coverage(&self.stores[item.index()], k)
-    }
-
-    /// Grows `item`'s store until the `(ε, δ)` rule certifies the estimate
-    /// for `seeds` (doubling rounds, capped at `config.max_sets`).  New sets
-    /// extend the deterministic stream sequence, so grown sketches remain
-    /// reproducible and incrementally maintainable.
-    pub fn ensure_precision(&mut self, item: ItemId, seeds: &[UserId]) -> AdaptiveReport {
-        let rule = StoppingRule::new(self.config.epsilon, self.config.delta);
-        let store = &mut self.stores[item.index()];
-        let mut rounds = 0;
-        let report = loop {
-            let covered = store.coverage_count(seeds);
-            if rule.is_satisfied(covered) {
-                break AdaptiveReport {
-                    final_sets: store.len(),
-                    rounds,
-                    satisfied: true,
-                };
-            }
-            if store.len() >= self.config.max_sets {
-                break AdaptiveReport {
-                    final_sets: store.len(),
-                    rounds,
-                    satisfied: false,
-                };
-            }
-            let grow = store.len().min(self.config.max_sets - store.len()).max(1);
-            // The build's growth task: grown sets are patched into the
-            // inverted index (no rebuild), and the `id mod S` stream
-            // partition keeps placement thread-independent.
-            grow_stores(
-                std::slice::from_mut(store),
-                &self.frozen,
-                self.config.base_seed,
-                grow,
-                self.config.threads,
-                &self.metrics,
-                &self.metrics.shard_extend_ns,
-            );
-            rounds += 1;
-        };
-        self.record_memory();
-        report
     }
 
     /// Writes the sketch's persistent form: the per-item stores in item
@@ -541,44 +495,6 @@ mod tests {
         assert!(!sel.seeds.is_empty());
         // User 5 has no out-edges and cannot be the first pick.
         assert_ne!(sel.seeds[0], UserId(5));
-    }
-
-    #[test]
-    fn ensure_precision_grows_until_satisfied_or_capped() {
-        let mut o = SketchOracle::build(
-            &toy_scenario(),
-            SketchConfig {
-                initial_sets: 16,
-                max_sets: 4096,
-                epsilon: 0.2,
-                delta: 0.1,
-                ..SketchConfig::default()
-            },
-        );
-        let report = o.ensure_precision(ItemId(0), &[UserId(0)]);
-        assert!(report.satisfied);
-        assert!(report.final_sets > 16);
-        assert!(report.rounds > 0);
-        // A second call is already satisfied and does not grow.
-        let again = o.ensure_precision(ItemId(0), &[UserId(0)]);
-        assert!(again.satisfied);
-        assert_eq!(again.rounds, 0);
-        assert_eq!(again.final_sets, report.final_sets);
-
-        // An impossible target hits the cap un-satisfied.
-        let mut capped = SketchOracle::build(
-            &toy_scenario(),
-            SketchConfig {
-                initial_sets: 4,
-                max_sets: 8,
-                epsilon: 0.01,
-                delta: 0.001,
-                ..SketchConfig::default()
-            },
-        );
-        let r = capped.ensure_precision(ItemId(0), &[UserId(5)]);
-        assert!(!r.satisfied);
-        assert_eq!(r.final_sets, 8);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Every RR set is produced by its own RNG stream, seeded from
 //! `(base_seed, item, stream_id)` — the same idiom as
 //! `imdpp_diffusion::montecarlo`: the result is bit-identical regardless of
-//! which worker of the (item × shard) build, growth and refresh tasks
+//! which worker of the (item × shard) build and refresh tasks
 //! samples it (see [`crate::sharded`]), and any single set can be
 //! *re-generated later in isolation* (against an updated scenario) by
 //! replaying its stream.  That replay property is what makes incremental

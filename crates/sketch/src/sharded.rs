@@ -8,9 +8,8 @@
 //! touching them stalls on one memory region and (b) parallel generation
 //! cannot write shard-locally.  `ShardedRrStore` partitions the sets across
 //! `S` shards, each owning *its own arena and its own inverted index*, so
-//! build, growth and refresh run as one task per (item × shard) on the
-//! work-queue (`grow_stores`, `refresh_stores`) and touch only
-//! shard-local memory.
+//! build and refresh run as one task per (item × shard) on the work-queue
+//! (`grow_stores`, `refresh_stores`) and touch only shard-local memory.
 //!
 //! ## Determinism invariants
 //!
@@ -41,7 +40,6 @@ use crate::telemetry::SketchMetrics;
 use imdpp_diffusion::par::{effective_threads, run_queue};
 use imdpp_diffusion::{ImdppError, Scenario};
 use imdpp_graph::{ItemId, UserId};
-use imdpp_obs::Histogram;
 
 /// Appends `count` RR sets to every store — streams `len()..len() + count`
 /// of the store's item, sampled against `scenario` — as one **(item ×
@@ -50,14 +48,14 @@ use imdpp_obs::Histogram;
 /// shard's inverted index if it has none yet; an index that already exists
 /// is patched by the pushes instead.  A build is therefore this growth from
 /// stream 0 on fresh stores, ending in exactly one full index build per
-/// shard, and `ensure_precision` grows through the same task.
+/// shard.
 ///
 /// `threads` is resolved by [`effective_threads`] against the task count.
 /// Every stream is its own RNG and lands in the shard its id names, so the
 /// grown stores are bit-identical to pushing the streams one by one — for
 /// any `(threads, shards)` combination and any task interleaving.  Each
-/// task records one observation into `shard_ns`; the grown-set count folds
-/// into `metrics.sets_sampled`.
+/// task records one observation into `metrics.shard_build_ns`; the
+/// grown-set count folds into `metrics.sets_sampled`.
 pub(crate) fn grow_stores(
     stores: &mut [ShardedRrStore],
     scenario: &Scenario,
@@ -65,7 +63,6 @@ pub(crate) fn grow_stores(
     count: usize,
     threads: usize,
     metrics: &SketchMetrics,
-    shard_ns: &Histogram,
 ) {
     metrics.sets_sampled.add((count * stores.len()) as u64);
     // (shard index, shard count, first stream, end stream, shard) per task.
@@ -80,7 +77,7 @@ pub(crate) fn grow_stores(
     }
     let workers = effective_threads(threads, tasks.len());
     run_queue(tasks, workers, |_, (si, stride, first, end, shard)| {
-        let _span = shard_ns.start();
+        let _span = metrics.shard_build_ns.start();
         let item = shard.item();
         let mut scratch = sampler::Scratch::new(scenario.user_count());
         // The smallest stream >= first congruent to si (mod S).
@@ -648,21 +645,8 @@ mod tests {
             scenario.user_count(),
             shards,
         )];
-        for (round, &count) in sizes.iter().enumerate() {
-            let shard_ns = if round == 0 {
-                &metrics.shard_build_ns
-            } else {
-                &metrics.shard_extend_ns
-            };
-            grow_stores(
-                &mut stores,
-                scenario,
-                SEED,
-                count,
-                threads,
-                metrics,
-                shard_ns,
-            );
+        for &count in sizes {
+            grow_stores(&mut stores, scenario, SEED, count, threads, metrics);
         }
         let [store] = stores;
         store
@@ -795,13 +779,12 @@ mod tests {
         );
         assert_eq!(snap.counter("sketch.index_full_rebuilds"), Some(0));
         assert_eq!(snap.counter("sketch.refreshes"), Some(1));
-        // One wall-clock observation per shard per build/extend/refresh.
+        // One wall-clock observation per shard per growth round and refresh.
         let shard_hist = |name: &str| {
             snap.histogram(name)
                 .unwrap_or_else(|| panic!("histogram {name} was never registered"))
         };
-        assert_eq!(shard_hist("sketch.shard_build_ns").count, 3);
-        assert_eq!(shard_hist("sketch.shard_extend_ns").count, 3);
+        assert_eq!(shard_hist("sketch.shard_build_ns").count, 6);
         assert_eq!(shard_hist("sketch.shard_refresh_ns").count, 3);
         let frontier = shard_hist("sketch.refresh_frontier_heads");
         assert_eq!(frontier.count, 1);

@@ -32,9 +32,6 @@ pub struct SketchMetrics {
     /// (`sketch.shard_build_ns`) — one observation per shard per build, so
     /// the spread across observations measures worker imbalance.
     pub shard_build_ns: Histogram,
-    /// Wall-clock of one shard worker's slice of an adaptive extend
-    /// (`sketch.shard_extend_ns`).
-    pub shard_extend_ns: Histogram,
     /// Wall-clock of one shard worker's slice of an incremental refresh
     /// (`sketch.shard_refresh_ns`).
     pub shard_refresh_ns: Histogram,
@@ -44,7 +41,7 @@ pub struct SketchMetrics {
     /// Per-refresh resample fraction in permille
     /// (`sketch.refresh_resampled_permille`): `⌊1000 · resampled/total⌋`.
     pub refresh_resampled_permille: Histogram,
-    /// RR sets sampled by builds and extends (`sketch.sets_sampled`).
+    /// RR sets sampled by builds (`sketch.sets_sampled`).
     pub sets_sampled: Counter,
     /// RR sets re-sampled by refreshes (`sketch.sets_resampled`).
     pub sets_resampled: Counter,
@@ -62,10 +59,10 @@ pub struct SketchMetrics {
     /// value is shard-count-independent.
     pub index_full_rebuilds: Counter,
     /// Live compressed-arena bytes across every item store and shard
-    /// (`sketch.arena_live_bytes`), overwritten after builds, extends and
-    /// refreshes.  Counts *live* encoded spans only — a pure function of
-    /// the set contents — because garbage and compaction timing vary with
-    /// the shard count, and gauges must stay grid-bit-identical.
+    /// (`sketch.arena_live_bytes`), overwritten after builds and refreshes.
+    /// Counts *live* encoded spans only — a pure function of the set
+    /// contents — because garbage and compaction timing vary with the shard
+    /// count, and gauges must stay grid-bit-identical.
     pub arena_live_bytes: Gauge,
 }
 
@@ -75,7 +72,6 @@ impl SketchMetrics {
     pub fn new(telemetry: &Telemetry) -> Self {
         SketchMetrics {
             shard_build_ns: telemetry.histogram("sketch.shard_build_ns"),
-            shard_extend_ns: telemetry.histogram("sketch.shard_extend_ns"),
             shard_refresh_ns: telemetry.histogram("sketch.shard_refresh_ns"),
             refresh_frontier_heads: telemetry.histogram("sketch.refresh_frontier_heads"),
             refresh_resampled_permille: telemetry.histogram("sketch.refresh_resampled_permille"),

@@ -221,96 +221,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// `ensure_precision` growth under **parallel** generation lands every
-    /// grown set in the same shard as sequential growth: the stream → shard
-    /// partition (`id mod S`) is a pure function of the set id, so worker
-    /// scheduling cannot move a set — pools, placements and growth reports
-    /// are identical for any thread count.
-    #[test]
-    fn parallel_growth_lands_sets_in_the_same_shards_as_sequential(
-        edges in proptest::collection::vec(
-            (0u32..10, 0u32..10, 0.05f64..0.9), 0..30,
-        ),
-        seed_user in 0u32..10,
-    ) {
-        let scenario = figure1_scenario(10, edges);
-        let base = SketchConfig {
-            initial_sets: 16,
-            max_sets: 512,
-            epsilon: 0.25,
-            delta: 0.1,
-            ..SketchConfig::default()
-        };
-        for shards in [2usize, 4, 7] {
-            let mut sequential = SketchOracle::build(
-                &scenario,
-                SketchConfig { shards, threads: 1, ..base },
-            );
-            let seq_report = sequential.ensure_precision(ItemId(0), &[UserId(seed_user)]);
-            for threads in [2usize, 4, 8] {
-                let mut parallel = SketchOracle::build(
-                    &scenario,
-                    SketchConfig { shards, threads, ..base },
-                );
-                let report = parallel.ensure_precision(ItemId(0), &[UserId(seed_user)]);
-                prop_assert_eq!(report.final_sets, seq_report.final_sets);
-                prop_assert_eq!(report.rounds, seq_report.rounds);
-                prop_assert!(
-                    sequential.stores_equal(&parallel),
-                    "{} shards x {} threads: grown pools differ",
-                    shards,
-                    threads
-                );
-                let s_store = sequential.store(ItemId(0));
-                let p_store = parallel.store(ItemId(0));
-                // Same per-shard lengths, same placement (`id mod S`), same
-                // members shard by shard — thread-independent partition.
-                for shard in 0..shards {
-                    prop_assert_eq!(
-                        p_store.shard(shard).len(),
-                        s_store.shard(shard).len()
-                    );
-                }
-                for (id, set) in s_store.iter() {
-                    prop_assert_eq!(p_store.shard_of(id), id as usize % shards);
-                    prop_assert_eq!(p_store.set(id), set);
-                }
-                prop_assert!(p_store.index_matches_rebuild());
-            }
-        }
-    }
-}
-
-/// Growth through `ensure_precision` patches the index incrementally for
-/// any shard count: same final pools as the flat oracle, no rebuilds.
-#[test]
-fn adaptive_growth_is_shard_independent_and_rebuild_free() {
-    let scenario = figure1_scenario(10, vec![(0, 1, 0.4), (1, 2, 0.5), (2, 3, 0.6), (4, 0, 0.3)]);
-    let config = SketchConfig {
-        initial_sets: 16,
-        max_sets: 1024,
-        epsilon: 0.25,
-        delta: 0.1,
-        ..SketchConfig::default()
-    };
-    let mut flat = SketchOracle::build(&scenario, config);
-    let flat_report = flat.ensure_precision(ItemId(0), &[UserId(0)]);
-    for shards in [2usize, 4, 7] {
-        let mut oracle = SketchOracle::build(&scenario, SketchConfig { shards, ..config });
-        let built_rebuilds = oracle.index_stats().full_rebuilds;
-        let report = oracle.ensure_precision(ItemId(0), &[UserId(0)]);
-        assert_eq!(report.final_sets, flat_report.final_sets, "{shards} shards");
-        assert_eq!(report.rounds, flat_report.rounds);
-        assert!(flat.stores_equal(&oracle));
-        assert!(oracle.store(ItemId(0)).index_matches_rebuild());
-        assert_eq!(
-            oracle.index_stats().full_rebuilds,
-            built_rebuilds,
-            "growth must patch the index, not rebuild it"
-        );
-    }
-}
