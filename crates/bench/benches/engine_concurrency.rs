@@ -27,7 +27,9 @@
 //!   arena pass per touched item per 64-query chunk instead of one pass
 //!   per query) — best-of-5 windows, bit-identical results asserted first.
 //!
-//! Key measurements are written to `results/bench_engine_concurrency.json`.
+//! The three timing gates are deferred ([`BenchSummary::gate`]): a failed
+//! one is reported after the key measurements are written to
+//! `results/bench_engine_concurrency.json`.
 
 use imdpp_bench::{batch_queries, writer_edge, writer_update, yelp_instance, BenchSummary, BATCH};
 use imdpp_core::nominees::Nominee;
@@ -146,10 +148,12 @@ fn main() {
     let scaling = throughput[2] / throughput[0].max(1e-9);
     summary.record("readers_4_over_1_scaling", scaling);
     println!("4-thread over 1-thread reader throughput: {scaling:.2}x");
-    assert!(
+    summary.gate(
         scaling > 1.2,
-        "snapshot isolation must let reader throughput scale with threads \
-         while updates land; got {scaling:.2}x"
+        format!(
+            "snapshot isolation must let reader throughput scale with threads \
+             while updates land; got {scaling:.2}x"
+        ),
     );
 
     // --- Telemetry overhead: the default (recording) engine vs one built
@@ -188,11 +192,13 @@ fn main() {
          {dark_qps:.0}/s disabled ({:.1}%)",
         100.0 * overhead
     );
-    assert!(
+    summary.gate(
         live_qps >= 0.95 * dark_qps,
-        "telemetry recording must cost <= 5% of reader throughput, \
-         measured {:.1}% ({live_qps:.0}/s vs {dark_qps:.0}/s)",
-        100.0 * overhead
+        format!(
+            "telemetry recording must cost <= 5% of reader throughput, \
+             measured {:.1}% ({live_qps:.0}/s vs {dark_qps:.0}/s)",
+            100.0 * overhead
+        ),
     );
 
     // --- Batched spread queries: the serving-tier amortization gate. -----
@@ -245,10 +251,12 @@ fn main() {
         "batched spread at batch size {BATCH}: {batch_qps:.0} queries/s vs \
          {single_qps:.0} queries/s single ({speedup:.2}x)"
     );
-    assert!(
+    summary.gate(
         speedup >= 2.0,
-        "a 32-query batch must answer at >= 2x single-query throughput, \
-         got {speedup:.2}x ({batch_qps:.0}/s vs {single_qps:.0}/s)"
+        format!(
+            "a 32-query batch must answer at >= 2x single-query throughput, \
+             got {speedup:.2}x ({batch_qps:.0}/s vs {single_qps:.0}/s)"
+        ),
     );
 
     // --- Sharded engine: same workload over the partitioned store, with a
@@ -297,8 +305,5 @@ fn main() {
     }
 
     summary.record_peak_rss();
-    match summary.write() {
-        Ok(path) => println!("bench summary written to {}", path.display()),
-        Err(e) => eprintln!("could not write bench summary: {e}"),
-    }
+    summary.finish();
 }

@@ -209,8 +209,5 @@ fn main() {
     summary.record("image_bytes", image_bytes as f64);
 
     summary.record_peak_rss();
-    match summary.write() {
-        Ok(path) => println!("bench summary written to {}", path.display()),
-        Err(e) => eprintln!("could not write bench summary: {e}"),
-    }
+    summary.finish();
 }

@@ -101,8 +101,5 @@ fn main() {
     summary.record("greedy_spread_monte_carlo", mc_spread);
 
     summary.record_peak_rss();
-    match summary.write() {
-        Ok(path) => println!("bench summary written to {}", path.display()),
-        Err(e) => eprintln!("could not write bench summary: {e}"),
-    }
+    summary.finish();
 }

@@ -3,9 +3,13 @@
 //! The acceptance benches print their measurements to stdout for humans;
 //! [`BenchSummary`] additionally records the key numbers as
 //! `results/bench_<name>.json` so the perf trajectory of the suite is
-//! captured per run (and per PR, when CI executes the benches).  The JSON is
-//! hand-rolled — the workspace has no JSON library — and the format
-//! is deliberately flat:
+//! captured per run (and per PR, when CI executes the benches).  Timing
+//! gates are deferred through [`BenchSummary::gate`]: a failed one is
+//! remembered, the bench runs on, and [`BenchSummary::finish`] writes the
+//! JSON before it fails the run, so a noisy wall-clock never throws away
+//! the deterministic counters measured beside it.  The JSON is hand-rolled
+//! — the workspace has no JSON library — and the format is deliberately
+//! flat:
 //!
 //! ```json
 //! {
@@ -27,6 +31,8 @@ use std::path::PathBuf;
 pub struct BenchSummary {
     name: String,
     metrics: Vec<(String, f64)>,
+    /// Messages of the failed gates, in the order they were checked.
+    failed_gates: Vec<String>,
 }
 
 impl BenchSummary {
@@ -36,6 +42,7 @@ impl BenchSummary {
         BenchSummary {
             name: name.into(),
             metrics: Vec::new(),
+            failed_gates: Vec::new(),
         }
     }
 
@@ -55,6 +62,39 @@ impl BenchSummary {
             self.record("peak_rss_bytes", bytes as f64);
         }
         self
+    }
+
+    /// Checks one timing gate without stopping the bench: when `ok` is
+    /// false, `message` is printed to stderr and remembered, later records
+    /// still land in the summary, and [`BenchSummary::finish`] fails the
+    /// run once the JSON is written.  Exactness checks stay plain
+    /// `assert!`s, which fail fast.
+    pub fn gate(&mut self, ok: bool, message: impl Into<String>) -> &mut Self {
+        if !ok {
+            let message = message.into();
+            eprintln!("gate failed: {message}");
+            self.failed_gates.push(message);
+        }
+        self
+    }
+
+    /// Writes `bench_<name>.json` ([`BenchSummary::write`]; a write error
+    /// is reported, not fatal) and then fails the bench if any gate failed.
+    ///
+    /// # Panics
+    /// When a [`BenchSummary::gate`] failed, listing every failed gate —
+    /// after the summary is written.
+    pub fn finish(&self) {
+        match self.write() {
+            Ok(path) => println!("bench summary written to {}", path.display()),
+            Err(e) => eprintln!("could not write bench summary: {e}"),
+        }
+        assert!(
+            self.failed_gates.is_empty(),
+            "{} bench gate(s) failed:\n  {}",
+            self.failed_gates.len(),
+            self.failed_gates.join("\n  ")
+        );
     }
 
     /// Number of recorded metrics.
@@ -150,6 +190,16 @@ mod tests {
         let json = s.to_json();
         assert!(json.contains("\"peak_rss_bytes\": "));
         assert!(!json.contains("\"peak_rss_bytes\": null"));
+    }
+
+    #[test]
+    fn a_failed_gate_is_recorded_and_later_records_still_land() {
+        let mut s = BenchSummary::new("demo");
+        s.gate(true, "passes, never recorded");
+        s.gate(false, "ratio 2.23x, bound 1.5x");
+        s.record("after_the_gate", 1.0);
+        assert_eq!(s.failed_gates, ["ratio 2.23x, bound 1.5x"]);
+        assert!(s.to_json().contains("\"after_the_gate\": 1"));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The suite's one work-queue: every parallel loop — Monte-Carlo samples,
-//! RR-sketch build, growth and refresh tasks — runs on [`run_queue`], with
+//! RR-sketch build and refresh tasks — runs on [`run_queue`], with
 //! its worker count resolved by [`effective_threads`].
 //!
 //! Results never depend on the worker count or on which worker claimed

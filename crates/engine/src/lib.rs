@@ -66,8 +66,8 @@
 //! static-spread / apply latencies, writer-queue wait, refresh and
 //! epoch-swap durations, snapshot pins, and fold each apply's
 //! [`RefreshStats`] into registry counters; the sketch behind an
-//! [`OracleKind::RrSketch`] engine records its per-shard build / extend /
-//! refresh wall-clock into the same registry.  Read it all back with
+//! [`OracleKind::RrSketch`] engine records its per-shard build / refresh
+//! wall-clock into the same registry.  Read it all back with
 //! [`Engine::telemetry`].  Recording is write-only — it never feeds the RNG
 //! or alters control flow, so seeds, estimates and refresh statistics stay
 //! bit-identical with telemetry on, off, or sharded differently

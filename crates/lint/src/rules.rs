@@ -44,7 +44,6 @@ const FLOAT_SCOPED_FILES: &[&str] = &[
     "crates/core/src/dysim.rs",
     "crates/core/src/tdsi.rs",
     "crates/core/src/dre.rs",
-    "crates/sketch/src/greedy.rs",
     "crates/sketch/src/maintain.rs",
 ];
 

@@ -73,10 +73,9 @@ pub fn edge_update_frontier(before: &Scenario, updates: &[EdgeUpdate]) -> Vec<Us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sharded::{grow_stores, refresh_stores, ShardedRrStore};
+    use crate::sharded::{build_stores, refresh_stores};
     use crate::telemetry::SketchMetrics;
     use imdpp_diffusion::scenario::toy_scenario;
-    use imdpp_graph::ItemId;
 
     #[test]
     fn edge_update_frontier_contains_only_changed_destinations() {
@@ -140,8 +139,9 @@ mod tests {
         let s = toy_scenario();
         let metrics = SketchMetrics::noop();
         for shards in [1usize, 3] {
-            let mut stores = [ShardedRrStore::new(ItemId(0), s.user_count(), shards)];
-            grow_stores(&mut stores, &s, 11, 128, 2, &metrics);
+            // Item 0's store only.
+            let mut stores = build_stores(&s, 11, 128, shards, 2, &metrics);
+            stores.truncate(1);
             let before: Vec<Vec<u32>> = stores[0].iter().map(|(_, set)| set).collect();
             // "Change" user 0 and its out-neighbours but hand the identical
             // scenario: the re-sampled sets replay their streams and must

@@ -11,17 +11,16 @@
 //! * [`arena`] — the delta/varint codec of the compressed RR-set arena
 //!   (sorted member lists, ~2–4× smaller than a raw `u32` pool) and the
 //!   zero-allocation [`SetMembers`] decoder,
-//! * [`store`] — the flat, arena-backed [`RrStore`]:
-//!   CSR-style spans into one shared compressed arena plus an
-//!   *incrementally maintained* inverted user → set index (tombstone +
-//!   append + periodic compaction, never a post-build counting rebuild),
-//!   with checked-capacity insertion paths
-//!   (`ImdppError::CapacityExceeded` instead of silent offset wraparound),
-//! * [`sharded`] — [`ShardedRrStore`]: the same sets partitioned across
+//! * [`store`] — the arena-backed store of one shard: CSR-style spans into
+//!   one shared compressed arena plus an *incrementally maintained*
+//!   inverted user → set index (tombstone + append + periodic compaction,
+//!   never a post-build counting rebuild); a store is built whole once and
+//!   afterwards only has sets replaced,
+//! * [`sharded`] — [`ShardedRrStore`]: an item's sets partitioned across
 //!   `S` shards (deterministic `id mod S` placement), each shard owning
-//!   its own arena and index; estimates and selections are
-//!   shard-count-independent.  Build and refresh run as (item × shard)
-//!   tasks on the suite's one work-queue (`imdpp_diffusion::par`),
+//!   its own arena and index; estimates are shard-count-independent.
+//!   Build and refresh run as (item × shard) tasks on the suite's one
+//!   work-queue (`imdpp_diffusion::par`),
 //! * [`sampler`] — RR-set sampling with deterministic per-sample RNG
 //!   streams (thread-count-independent, replayable in isolation),
 //! * [`incremental`] — invalidate-and-resample maintenance that reuses every
@@ -31,7 +30,6 @@
 //!   touched users with a cached greedy trace, re-run CELF from
 //!   the first invalidated position, and keep the repaired seed set while
 //!   it stays within a configurable bound of fresh greedy,
-//! * [`greedy`] — dense-counter CELF-style greedy max-coverage selection,
 //! * [`oracle`] — [`SketchOracle`], the `imdpp_core::SpreadOracle`
 //!   implementation callers plug into nominee selection and baselines; its
 //!   `imdpp_core::RefreshableOracle::refresh` is the one entry point that
@@ -87,7 +85,6 @@
 
 pub mod arena;
 pub mod dispatch;
-pub mod greedy;
 pub mod incremental;
 pub mod maintain;
 pub mod oracle;
@@ -100,13 +97,12 @@ pub mod telemetry;
 
 pub use arena::SetMembers;
 pub use dispatch::ConfiguredOracle;
-pub use greedy::{greedy_max_coverage, GreedySelection};
 pub use incremental::{edge_update_frontier, RefreshStats};
 pub use maintain::{first_invalidated_position, repair_nominees, RepairOutcome, RepairStats};
 pub use oracle::SketchOracle;
 pub use overlay::{PatchedSketch, SketchPatch};
 pub use sharded::ShardedRrStore;
-pub use store::{IndexStats, RrStore, SetId};
+pub use store::{IndexStats, SetId};
 pub use telemetry::SketchMetrics;
 
 pub use imdpp_core::{RefreshableOracle, ScenarioUpdate, SpreadOracle};
@@ -142,10 +138,10 @@ pub struct SketchConfig {
     /// count only changes wall-clock, never estimates, seeds or refresh
     /// statistics.
     pub threads: usize,
-    /// Shards each item's RR store is partitioned across (`1` = the flat
-    /// store; `0` is treated as `1`).  Set → shard assignment is the pure
-    /// function `id mod shards`, so estimates, greedy selections and
-    /// refresh results are shard-count-independent.
+    /// Shards each item's RR store is partitioned across (`0` is treated
+    /// as `1`).  Set → shard assignment is the pure function
+    /// `id mod shards`, so estimates and refresh results are
+    /// shard-count-independent.
     pub shards: usize,
 }
 

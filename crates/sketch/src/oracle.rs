@@ -1,10 +1,9 @@
 //! The sketch-backed [`SpreadOracle`]: per-item RR stores behind the
 //! estimation interface of `imdpp-core`.
 
-use crate::greedy::{greedy_max_coverage, GreedySelection};
 use crate::incremental::{edge_update_frontier, RefreshStats};
 use crate::persist;
-use crate::sharded::{grow_stores, refresh_stores, ShardedRrStore};
+use crate::sharded::{build_stores, refresh_stores, ShardedRrStore};
 use crate::store::IndexStats;
 use crate::telemetry::SketchMetrics;
 use crate::SketchConfig;
@@ -17,7 +16,7 @@ use imdpp_obs::Telemetry;
 
 /// A reverse-reachable-sketch estimator of the static first-promotion
 /// spread `f(N)`, maintaining one [`ShardedRrStore`] per catalogue item
-/// (`config.shards` = 1 degenerates to the flat store).
+/// (`config.shards` = 1 keeps each item's sets in one shard).
 ///
 /// Construction freezes the scenario's dynamics (the Lemma 1 restriction
 /// both estimators target) and samples every store in parallel with
@@ -75,19 +74,11 @@ impl SketchOracle {
         );
         let metrics = SketchMetrics::new(telemetry);
         let frozen = scenario.with_dynamics(DynamicsConfig::frozen());
-        // A build is growth from stream 0 of fresh stores: (item × shard)
-        // tasks on the work-queue, each sampling, pushing and index-building
-        // one shard of one item on whichever worker claims it.  Every later
-        // maintenance step patches incrementally.
-        let mut stores: Vec<ShardedRrStore> = frozen
-            .items()
-            .map(|item| ShardedRrStore::new(item, frozen.user_count(), config.shards))
-            .collect();
-        grow_stores(
-            &mut stores,
+        let stores = build_stores(
             &frozen,
             config.base_seed,
             config.initial_sets,
+            config.shards,
             config.threads,
             &metrics,
         );
@@ -180,12 +171,6 @@ impl SketchOracle {
     /// Binomial standard error of [`Self::estimate_item_adopters`].
     pub fn estimate_item_std_error(&self, item: ItemId, users: &[UserId]) -> f64 {
         self.stores[item.index()].estimate_std_error(users)
-    }
-
-    /// Greedy max-coverage selection of `k` seed users for one item,
-    /// aggregating per-shard partial counters (shard-count-independent).
-    pub fn greedy_seeds(&self, item: ItemId, k: usize) -> GreedySelection {
-        greedy_max_coverage(&self.stores[item.index()], k)
     }
 
     /// Writes the sketch's persistent form: the per-item stores in item
@@ -489,15 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_avoids_sink_users() {
-        let o = oracle(512);
-        let sel = o.greedy_seeds(ItemId(0), 2);
-        assert!(!sel.seeds.is_empty());
-        // User 5 has no out-edges and cannot be the first pick.
-        assert_ne!(sel.seeds[0], UserId(5));
-    }
-
-    #[test]
     fn preference_update_is_exact_and_tighter_than_user_update() {
         let s = toy_scenario();
         let config = SketchConfig::fixed(256).with_base_seed(19);
@@ -788,10 +764,10 @@ mod tests {
                     flat.estimate_item_adopters(item, &[UserId(0), UserId(3)]),
                     sharded.estimate_item_adopters(item, &[UserId(0), UserId(3)]),
                 );
-                let a = flat.greedy_seeds(item, 3);
-                let b = sharded.greedy_seeds(item, 3);
-                assert_eq!(a.seeds, b.seeds);
-                assert_eq!(a.covered, b.covered);
+                assert_eq!(
+                    flat.estimate_item_std_error(item, &[UserId(0), UserId(3)]),
+                    sharded.estimate_item_std_error(item, &[UserId(0), UserId(3)]),
+                );
             }
             // Construction performs exactly one index build per shard.
             let stats = sharded.index_stats();

@@ -60,7 +60,8 @@ impl SketchPatch {
     /// would re-sample), and each invalidated stream is replayed against the
     /// tenant's frozen scenario — set id equals RNG stream id, so the
     /// replacements are bit-identical to the sets a tenant-owned sketch
-    /// would hold.
+    /// would hold.  One sampling scratch (stamp-based visit marks) serves
+    /// every replayed stream of the patch.
     pub fn build(base: &SketchOracle, tenant: &Scenario, changes: &[(UserId, ItemId)]) -> Self {
         let frozen = tenant.with_dynamics(DynamicsConfig::frozen());
         let item_count = frozen.item_count();
@@ -72,15 +73,17 @@ impl SketchPatch {
             }
         }
         let mut replaced: Vec<Vec<(SetId, Vec<u32>)>> = vec![Vec::new(); item_count];
+        let mut scratch = sampler::Scratch::new(frozen.user_count());
         for (x, users) in by_item.iter().enumerate() {
             if users.is_empty() {
                 continue;
             }
             let item = ItemId(x as u32);
             let store = base.store(item);
-            for id in store.sets_touching_shared(users) {
+            for id in store.sets_touching(users) {
                 // Global set id == RNG stream id, for any shard count.
-                let set = sampler::sample_set(&frozen, item, base_seed, u64::from(id));
+                let stream = u64::from(id);
+                let set = sampler::sample_set_with(&frozen, item, base_seed, stream, &mut scratch);
                 let mut members: Vec<u32> = set.iter().map(|u| u.0).collect();
                 members.sort_unstable();
                 members.dedup();

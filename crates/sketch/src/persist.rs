@@ -91,7 +91,7 @@ pub fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], ImdppError> 
 /// Validates one delta/varint-encoded RR-set span without trusting it: the
 /// encoded bytes must decode to exactly `members` strictly increasing user
 /// ids, all below `user_count`, consuming exactly the span's bytes.  This is
-/// the gate that lets [`crate::store::RrStore`] append file-sourced spans
+/// the gate that lets a [`crate::store`] shard append file-sourced spans
 /// verbatim and still uphold every arena invariant the in-process encoder
 /// guarantees.
 ///

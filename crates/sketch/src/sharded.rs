@@ -3,13 +3,16 @@
 //!
 //! ## Why shard
 //!
-//! The flat [`RrStore`] keeps one arena and one inverted index per item.
-//! Past ~10⁵ users both structures become large enough that (a) a refresh
-//! touching them stalls on one memory region and (b) parallel generation
-//! cannot write shard-locally.  `ShardedRrStore` partitions the sets across
-//! `S` shards, each owning *its own arena and its own inverted index*, so
-//! build and refresh run as one task per (item × shard) on the work-queue
-//! (`grow_stores`, `refresh_stores`) and touch only shard-local memory.
+//! One arena and one inverted index per item would, past ~10⁵ users, grow
+//! large enough that (a) a refresh touching them stalls on one memory
+//! region and (b) parallel generation cannot write shard-locally.
+//! `ShardedRrStore` partitions the sets across `S` shards, each a
+//! [`crate::store`] store owning *its own arena and its own inverted
+//! index*, so build and refresh run as one task per (item × shard) on the
+//! work-queue (`build_stores`, `refresh_stores`) and touch only
+//! shard-local memory.  A store is built whole — by `build_stores` from
+//! RNG streams, or by [`ShardedRrStore::from_sets`] from an explicit pool —
+//! and afterwards only [`ShardedRrStore::replace_set`] changes it.
 //!
 //! ## Determinism invariants
 //!
@@ -20,17 +23,15 @@
 //!   sharded store refreshed incrementally holds exactly the sets a rebuilt
 //!   one would.
 //! * **Global iteration order is id order** regardless of `S`, so
-//!   estimates, greedy selections and store-equality checks are
-//!   shard-count-independent, and `S = 1` degenerates to exactly the flat
-//!   store.
+//!   estimates and store-equality checks are shard-count-independent.
 //! * Coverage counting aggregates *per-shard partial counters* (one shared
 //!   user bitmap, one count per shard) and the estimate divides the summed
-//!   coverage by the summed set count — bit-identical to the flat formula
-//!   because both operate on the same integers.
+//!   coverage by the summed set count — the same integers for every `S`,
+//!   hence bit-identical estimates.
 //!
-//! Index maintenance inherits the flat store's tombstone + append + periodic
-//! compaction scheme per shard; see [`crate::store`] for the invariants and
-//! [`IndexStats`] for the counters proving no post-build rebuilds happen.
+//! Each shard maintains its index with the tombstone + append + periodic
+//! compaction scheme of [`crate::store`]; [`IndexStats`] counts the work and
+//! proves no post-build rebuilds happen.
 
 use crate::incremental::RefreshStats;
 use crate::persist;
@@ -41,55 +42,59 @@ use imdpp_diffusion::par::{effective_threads, run_queue};
 use imdpp_diffusion::{ImdppError, Scenario};
 use imdpp_graph::{ItemId, UserId};
 
-/// Appends `count` RR sets to every store — streams `len()..len() + count`
-/// of the store's item, sampled against `scenario` — as one **(item ×
-/// shard)** task per shard on the work-queue.  A task samples and pushes
-/// the streams of its shard's residue class (`id mod S`), then builds the
-/// shard's inverted index if it has none yet; an index that already exists
-/// is patched by the pushes instead.  A build is therefore this growth from
-/// stream 0 on fresh stores, ending in exactly one full index build per
-/// shard.
+/// Builds one store per item of `scenario`, each holding streams
+/// `0..sets` of its item partitioned across `shards` shards (`0` is treated
+/// as `1`), as one **(item × shard)** task per shard on the work-queue.  A
+/// task samples the streams of its shard's residue class (`id mod S`),
+/// encoding each set as it is drawn, and ends in the shard's one index
+/// build.
 ///
 /// `threads` is resolved by [`effective_threads`] against the task count.
 /// Every stream is its own RNG and lands in the shard its id names, so the
-/// grown stores are bit-identical to pushing the streams one by one — for
-/// any `(threads, shards)` combination and any task interleaving.  Each
-/// task records one observation into `metrics.shard_build_ns`; the
-/// grown-set count folds into `metrics.sets_sampled`.
-pub(crate) fn grow_stores(
-    stores: &mut [ShardedRrStore],
+/// built stores are bit-identical to [`ShardedRrStore::from_sets`] over the
+/// same streams — for any `(threads, shards)` combination and any task
+/// interleaving.  Each task records one observation into
+/// `metrics.shard_build_ns`; the `items × sets` sampled sets fold into
+/// `metrics.sets_sampled`.
+pub(crate) fn build_stores(
     scenario: &Scenario,
     base_seed: u64,
-    count: usize,
+    sets: usize,
+    shards: usize,
     threads: usize,
     metrics: &SketchMetrics,
-) {
-    metrics.sets_sampled.add((count * stores.len()) as u64);
-    // (shard index, shard count, first stream, end stream, shard) per task.
-    let mut tasks: Vec<(u64, u64, u64, u64, &mut RrStore)> = Vec::new();
-    for store in stores.iter_mut() {
-        let first = store.total as u64;
-        store.total += count;
-        let stride = store.shards.len() as u64;
-        for (si, shard) in store.shards.iter_mut().enumerate() {
-            tasks.push((si as u64, stride, first, first + count as u64, shard));
-        }
-    }
+) -> Vec<ShardedRrStore> {
+    let shards = shards.max(1);
+    let user_count = scenario.user_count();
+    metrics
+        .sets_sampled
+        .add((sets * scenario.item_count()) as u64);
+    let tasks: Vec<(ItemId, usize)> = scenario
+        .items()
+        .flat_map(|item| (0..shards).map(move |si| (item, si)))
+        .collect();
     let workers = effective_threads(threads, tasks.len());
-    run_queue(tasks, workers, |_, (si, stride, first, end, shard)| {
+    let built = run_queue(tasks, workers, |_, (item, si)| {
         let _span = metrics.shard_build_ns.start();
-        let item = shard.item();
-        let mut scratch = sampler::Scratch::new(scenario.user_count());
-        // The smallest stream >= first congruent to si (mod S).
-        let mut stream = first + (si + stride - first % stride) % stride;
-        while stream < end {
-            let set = sampler::sample_set_with(scenario, item, base_seed, stream, &mut scratch);
-            let local = shard.push_set(&set);
-            debug_assert_eq!(u64::from(local) * stride + si, stream);
-            stream += stride;
-        }
-        shard.ensure_index();
+        let mut scratch = sampler::Scratch::new(user_count);
+        let streams = (si as u64..sets as u64).step_by(shards);
+        RrStore::from_sets(
+            item,
+            user_count,
+            streams.map(|stream| {
+                sampler::sample_set_with(scenario, item, base_seed, stream, &mut scratch)
+            }),
+        )
     });
+    // Tasks come back in task order: item-major, shard-minor.
+    let mut built = built.into_iter();
+    scenario
+        .items()
+        .map(|_| ShardedRrStore {
+            shards: built.by_ref().take(shards).collect(),
+            total: sets,
+        })
+        .collect()
 }
 
 /// Refreshes many stores at once against `updated` (an already-frozen
@@ -145,7 +150,7 @@ pub(crate) fn refresh_stores(
         let _span = metrics.shard_refresh_ns.start();
         let item = shard.item();
         let before = shard.index_stats();
-        let invalid = shard.sets_touching_prepared(prepared[ii].as_deref().unwrap_or(&[]));
+        let invalid = shard.sets_touching(prepared[ii].as_deref().unwrap_or(&[]));
         let mut scratch = sampler::Scratch::new(updated.user_count());
         let mut touched: Vec<UserId> = Vec::new();
         for &local in &invalid {
@@ -190,7 +195,7 @@ pub(crate) fn refresh_stores(
         }
         debug_assert!(
             stores[ii].index_matches_rebuild(),
-            "patched inverted index diverged from rebuild_index"
+            "patched inverted index diverged from a fresh build"
         );
         touched.sort_unstable();
         touched.dedup();
@@ -209,28 +214,34 @@ pub(crate) fn refresh_stores(
     merged
 }
 
-/// RR sets for one item, partitioned across shards by `id mod S`.
-///
-/// The public surface mirrors [`RrStore`] with *global* set ids; use
-/// [`ShardedRrStore::shard`] to reach the per-shard stores (whose ids are
-/// shard-local).
+/// RR sets for one item, partitioned across shards by `id mod S`; every
+/// public id is a *global* set id.
 #[derive(Clone, Debug)]
 pub struct ShardedRrStore {
     shards: Vec<RrStore>,
-    /// Global set count (`Σ` shard lengths; next id to assign).
+    /// Global set count (`Σ` shard lengths).
     total: usize,
 }
 
 impl ShardedRrStore {
-    /// Creates an empty store for `item` over `user_count` users with
-    /// `shard_count` shards (`0` is treated as `1`).
-    pub fn new(item: ItemId, user_count: usize, shard_count: usize) -> Self {
+    /// Builds the store of `sets` for `item` over `user_count` users across
+    /// `shard_count` shards (`0` is treated as `1`): `sets[i]` gets global
+    /// id `i` and lands in shard `i mod S`, and each shard ends in one
+    /// index build.
+    pub fn from_sets(
+        item: ItemId,
+        user_count: usize,
+        shard_count: usize,
+        sets: &[Vec<UserId>],
+    ) -> Self {
         let shard_count = shard_count.max(1);
         ShardedRrStore {
             shards: (0..shard_count)
-                .map(|_| RrStore::new(item, user_count))
+                .map(|si| {
+                    RrStore::from_sets(item, user_count, sets.iter().skip(si).step_by(shard_count))
+                })
                 .collect(),
-            total: 0,
+            total: sets.len(),
         }
     }
 
@@ -247,11 +258,6 @@ impl ShardedRrStore {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// One shard's flat store (set ids inside it are shard-local).
-    pub fn shard(&self, shard: usize) -> &RrStore {
-        &self.shards[shard]
     }
 
     /// Total number of RR sets across all shards.
@@ -289,7 +295,7 @@ impl ShardedRrStore {
 
     /// The shard-local id of global set `id` (the inverse mapping
     /// `global = local · S + shard` appears inline where iteration already
-    /// borrows the shards mutably).
+    /// borrows the shards).
     fn local(&self, id: SetId) -> SetId {
         id / self.shards.len() as SetId
     }
@@ -301,19 +307,6 @@ impl ShardedRrStore {
             stats.absorb(shard.index_stats());
         }
         stats
-    }
-
-    /// Appends a new set, returning its global id (always `len() - 1`
-    /// afterwards).  Ids must be assigned densely in order — which they are,
-    /// since this method assigns them — for the `id mod S` placement to
-    /// match the shard-local slot `id div S`.
-    pub fn push_set(&mut self, users: &[UserId]) -> SetId {
-        let id = self.total as SetId;
-        let shard = self.shard_of(id);
-        let local = self.shards[shard].push_set(users);
-        debug_assert_eq!(local, self.local(id));
-        self.total += 1;
-        id
     }
 
     /// Replaces the contents of global set `id`, patching the owning
@@ -342,50 +335,20 @@ impl ShardedRrStore {
         (0..self.total as SetId).map(move |id| (id, self.set(id)))
     }
 
-    /// Rebuilds every shard's inverted index with a full counting pass.
-    /// Needed once after bulk construction; incremental maintenance takes
-    /// over from there.
-    pub fn rebuild_index(&mut self) {
-        for shard in &mut self.shards {
-            shard.rebuild_index();
-        }
-    }
-
     /// The sorted, deduplicated *global* ids of all sets containing any of
-    /// `users` — aggregated across shards.  The head list is prepared
-    /// (bounds-filtered, sorted, deduplicated) once, not per shard.
-    pub fn sets_touching(&mut self, users: &[UserId]) -> Vec<SetId> {
+    /// `users` — the invalidation frontier, aggregated across shards.  The
+    /// head list is prepared (bounds-filtered, sorted, deduplicated) once,
+    /// not per shard.  Shards partition the id space, so mapping each
+    /// shard-local hit back to `local · S + shard` and sorting yields the
+    /// global id order with no duplicates.
+    pub fn sets_touching(&self, users: &[UserId]) -> Vec<SetId> {
         let heads = crate::store::prepare_heads(users, self.user_count());
-        let shard_count = self.shards.len();
-        let mut ids = Vec::new();
-        for (si, shard) in self.shards.iter_mut().enumerate() {
-            ids.extend(
-                shard
-                    .sets_touching_prepared(&heads)
-                    .into_iter()
-                    .map(|local| local * shard_count as SetId + si as SetId),
-            );
-        }
-        // Shards partition the id space, so cross-shard duplicates cannot
-        // occur; per-shard results are already deduplicated.
-        ids.sort_unstable();
-        ids
-    }
-
-    /// The sorted *global* ids of all sets containing any of `users`,
-    /// answered through a **shared** (`&self`) borrow — the serving-tier
-    /// variant of [`ShardedRrStore::sets_touching`] tenant-overlay
-    /// construction uses against a pinned snapshot.  Identical output to
-    /// the `&mut` path: shards partition the id space, so mapping each
-    /// shard-local hit back to `local · S + shard` and sorting reproduces
-    /// the global id order with no duplicates.
-    pub fn sets_touching_shared(&self, users: &[UserId]) -> Vec<SetId> {
         let shard_count = self.shards.len();
         let mut ids = Vec::new();
         for (si, shard) in self.shards.iter().enumerate() {
             ids.extend(
                 shard
-                    .sets_touching_shared(users)
+                    .sets_touching(&heads)
                     .into_iter()
                     .map(|local| local * shard_count as SetId + si as SetId),
             );
@@ -399,8 +362,8 @@ impl ShardedRrStore {
     /// is the union of all live query bits, and `counts[q]` is incremented
     /// by the number of sets query `q` covers — accumulated across shards,
     /// exactly like [`ShardedRrStore::coverage_count`] sums its per-shard
-    /// partial counters.  See [`RrStore::coverage_counts_masked`] for the
-    /// per-span semantics; the batched counts equal 64 independent
+    /// partial counters.  A span adds to `counts[q]` iff one of its members
+    /// carries bit `q`, so the batched counts equal 64 independent
     /// single-query passes by construction.
     pub fn coverage_counts_masked(&self, masks: &[u64], full: u64, counts: &mut [usize]) {
         for shard in &self.shards {
@@ -414,7 +377,7 @@ impl ShardedRrStore {
     /// the overlay's patch instead.  Global ids split by residue class
     /// (`shard = id mod S`, `local = id div S`); ascending globals of one
     /// residue class map to ascending locals, so the per-shard skip lists
-    /// stay sorted for the flat store's binary search.
+    /// stay sorted for each shard's binary search.
     pub fn coverage_count_marked_excluding(&self, marked: &[bool], skip: &[SetId]) -> usize {
         debug_assert!(
             skip.windows(2).all(|w| w[0] < w[1]),
@@ -440,7 +403,7 @@ impl ShardedRrStore {
     }
 
     /// Writes the store's persistent form: shard count, global set count,
-    /// then each shard's spans in shard order ([`RrStore::serialize_into`]).
+    /// then each shard's spans in shard order.
     pub(crate) fn serialize_into(&self, out: &mut Vec<u8>) {
         persist::write_varint(self.shards.len() as u64, out);
         persist::write_varint(self.total as u64, out);
@@ -450,7 +413,7 @@ impl ShardedRrStore {
     }
 
     /// Reads a store back from its persistent form, validating every span
-    /// and rebuilding each shard's inverted index from the decoded contents
+    /// and building each shard's inverted index from the decoded contents
     /// — **zero** RR sets are re-sampled.  The shard count is part of the
     /// payload, so a snapshot restores only into an engine configured with
     /// the same sharding (the engine's fingerprint check enforces this
@@ -509,8 +472,8 @@ impl ShardedRrStore {
     }
 
     /// Unbiased estimate of the expected adopters of the store's item when
-    /// `seeds` are seeded in the first promotion — the flat store's formula
-    /// over the aggregated counters, hence shard-count-independent.
+    /// `seeds` are seeded in the first promotion: `n · (fraction of RR sets
+    /// hit)` over the aggregated counters, hence shard-count-independent.
     pub fn estimate_adopters(&self, seeds: &[UserId]) -> f64 {
         if self.total == 0 {
             return 0.0;
@@ -519,7 +482,7 @@ impl ShardedRrStore {
     }
 
     /// Standard error of [`Self::estimate_adopters`] under the binomial
-    /// coverage model.
+    /// coverage model — used by 3σ agreement tests.
     pub fn estimate_std_error(&self, seeds: &[UserId]) -> f64 {
         if self.total < 2 {
             return 0.0;
@@ -537,60 +500,47 @@ mod tests {
         ids.iter().map(|&u| UserId(u)).collect()
     }
 
-    fn stores_with(shards: usize, sets: &[&[u32]]) -> (RrStore, ShardedRrStore) {
-        let mut flat = RrStore::new(ItemId(0), 8);
-        let mut sharded = ShardedRrStore::new(ItemId(0), 8, shards);
-        for set in sets {
-            flat.push_set(&users(set));
-            sharded.push_set(&users(set));
-        }
-        flat.rebuild_index();
-        sharded.rebuild_index();
-        (flat, sharded)
+    /// `sets` over 8 users, partitioned across `shards` shards.
+    fn store_with(shards: usize, sets: &[&[u32]]) -> ShardedRrStore {
+        let sets: Vec<Vec<UserId>> = sets.iter().map(|set| users(set)).collect();
+        ShardedRrStore::from_sets(ItemId(0), 8, shards, &sets)
     }
 
     const SETS: &[&[u32]] = &[&[0, 1], &[1, 2], &[3], &[4, 5, 6], &[0, 6], &[2], &[7]];
 
     #[test]
-    fn single_shard_is_the_flat_store() {
-        let (flat, sharded) = stores_with(1, SETS);
-        assert_eq!(sharded.shard_count(), 1);
-        for (id, set) in flat.iter() {
-            assert_eq!(sharded.set(id), set);
-        }
-        assert_eq!(
-            flat.coverage_count(&users(&[1, 6])),
-            sharded.coverage_count(&users(&[1, 6]))
-        );
-    }
-
-    #[test]
     fn global_iteration_is_id_ordered_for_any_shard_count() {
+        let expected: Vec<(SetId, Vec<u32>)> = SETS
+            .iter()
+            .enumerate()
+            .map(|(id, set)| (id as SetId, set.to_vec()))
+            .collect();
         for shards in [1, 2, 3, 4, 7] {
-            let (flat, sharded) = stores_with(shards, SETS);
-            let flat_view: Vec<(SetId, Vec<u32>)> =
-                flat.iter().map(|(id, s)| (id, s.to_vec())).collect();
-            let sharded_view: Vec<(SetId, Vec<u32>)> =
-                sharded.iter().map(|(id, s)| (id, s.to_vec())).collect();
-            assert_eq!(flat_view, sharded_view, "{shards} shards");
+            let sharded = store_with(shards, SETS);
+            assert_eq!(
+                sharded.iter().collect::<Vec<_>>(),
+                expected,
+                "{shards} shards"
+            );
         }
     }
 
     #[test]
     fn shard_assignment_is_id_mod_s() {
-        let (_, sharded) = stores_with(3, SETS);
+        let sharded = store_with(3, SETS);
         for id in 0..SETS.len() as SetId {
             assert_eq!(sharded.shard_of(id), id as usize % 3);
         }
         // Shard lengths partition the total.
-        let total: usize = (0..3).map(|s| sharded.shard(s).len()).sum();
+        let total: usize = sharded.shards.iter().map(|s| s.len()).sum();
         assert_eq!(total, SETS.len());
     }
 
     #[test]
     fn estimates_and_frontiers_match_the_flat_store() {
+        let flat = store_with(1, SETS);
         for shards in [2, 4, 7] {
-            let (mut flat, mut sharded) = stores_with(shards, SETS);
+            let sharded = store_with(shards, SETS);
             for probe in [&[1u32][..], &[0, 6], &[7], &[2, 3, 4]] {
                 assert_eq!(
                     flat.estimate_adopters(&users(probe)),
@@ -609,8 +559,31 @@ mod tests {
     }
 
     #[test]
+    fn coverage_and_estimates() {
+        for shards in [1, 3] {
+            let sets = [users(&[0, 1]), users(&[1, 2]), users(&[3]), users(&[4])];
+            let s = ShardedRrStore::from_sets(ItemId(0), 6, shards, &sets);
+            assert_eq!(s.coverage_count(&users(&[1])), 2);
+            assert_eq!(s.coverage_count(&users(&[1, 3])), 3);
+            assert_eq!(s.coverage_count(&[]), 0);
+            // 6 users * 2/4 coverage.
+            assert!((s.estimate_adopters(&users(&[1])) - 3.0).abs() < 1e-12);
+            assert!(s.estimate_std_error(&users(&[1])) > 0.0);
+        }
+        let empty = ShardedRrStore::from_sets(ItemId(1), 4, 1, &[]);
+        assert_eq!(empty.estimate_adopters(&users(&[0])), 0.0);
+    }
+
+    #[test]
+    fn out_of_range_seed_users_are_ignored() {
+        let s = ShardedRrStore::from_sets(ItemId(0), 6, 1, &[users(&[0])]);
+        assert_eq!(s.coverage_count(&users(&[99])), 0);
+    }
+
+    #[test]
     fn replacement_patches_the_owning_shard_only() {
-        let (mut flat, mut sharded) = stores_with(4, SETS);
+        let mut flat = store_with(1, SETS);
+        let mut sharded = store_with(4, SETS);
         let before = sharded.index_stats();
         flat.replace_set(3, &users(&[2, 7]));
         sharded.replace_set(3, &users(&[2, 7]));
@@ -625,31 +598,21 @@ mod tests {
         assert!(delta.entries_patched > 0);
         // Untouched shards did no work.
         for s in [0usize, 1, 2] {
-            assert_eq!(sharded.shard(s).index_stats().entries_patched, 0);
+            assert_eq!(sharded.shards[s].index_stats().entries_patched, 0);
         }
     }
 
     const SEED: u64 = 77;
 
-    /// A one-item store built by growth from stream 0 to `sizes[0]` sets,
-    /// then grown by each further entry of `sizes` in turn.
-    fn grown(
+    /// Item 0's store of a `build_stores` run over `sets` streams per item.
+    fn built(
         scenario: &Scenario,
         shards: usize,
-        sizes: &[usize],
+        sets: usize,
         threads: usize,
         metrics: &SketchMetrics,
     ) -> ShardedRrStore {
-        let mut stores = [ShardedRrStore::new(
-            ItemId(0),
-            scenario.user_count(),
-            shards,
-        )];
-        for &count in sizes {
-            grow_stores(&mut stores, scenario, SEED, count, threads, metrics);
-        }
-        let [store] = stores;
-        store
+        build_stores(scenario, SEED, sets, shards, threads, metrics).swap_remove(0)
     }
 
     /// Refreshes one store with one head list.
@@ -672,13 +635,12 @@ mod tests {
         per_store.swap_remove(0)
     }
 
-    fn sequential_reference(scenario: &Scenario, shards: usize, count: usize) -> ShardedRrStore {
-        let mut store = ShardedRrStore::new(ItemId(0), scenario.user_count(), shards);
-        for stream in 0..count as u64 {
-            store.push_set(&sampler::sample_set(scenario, ItemId(0), SEED, stream));
-        }
-        store.rebuild_index();
-        store
+    /// Streams `0..count` of item 0, sampled one by one into one shard.
+    fn sequential_reference(scenario: &Scenario, count: usize) -> ShardedRrStore {
+        let sets: Vec<Vec<UserId>> = (0..count as u64)
+            .map(|stream| sampler::sample_set(scenario, ItemId(0), SEED, stream))
+            .collect();
+        ShardedRrStore::from_sets(ItemId(0), scenario.user_count(), 1, &sets)
     }
 
     fn assert_stores_identical(a: &ShardedRrStore, b: &ShardedRrStore, label: &str) {
@@ -692,31 +654,15 @@ mod tests {
     fn parallel_build_matches_sequential_pushes() {
         let scenario = imdpp_diffusion::scenario::toy_scenario();
         let metrics = SketchMetrics::noop();
+        let reference = sequential_reference(&scenario, 96);
         for shards in [1usize, 2, 4, 7] {
-            let reference = sequential_reference(&scenario, shards, 96);
             for threads in [1usize, 2, 4, 8] {
-                let built = grown(&scenario, shards, &[96], threads, &metrics);
+                let built = built(&scenario, shards, 96, threads, &metrics);
+                assert_eq!(built.shard_count(), shards);
                 assert_stores_identical(&built, &reference, &format!("{shards}x{threads}"));
                 assert!(built.index_matches_rebuild());
                 // Exactly one full index build per shard, none beyond.
                 assert_eq!(built.index_stats().full_rebuilds, shards as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_extend_matches_sequential_growth() {
-        let scenario = imdpp_diffusion::scenario::toy_scenario();
-        let metrics = SketchMetrics::noop();
-        for shards in [1usize, 3, 4] {
-            let reference = sequential_reference(&scenario, shards, 90);
-            for threads in [1usize, 2, 8] {
-                // Build 32 then grow twice (odd amounts so shard loads skew).
-                let grown = grown(&scenario, shards, &[32, 13, 45], threads, &metrics);
-                assert_stores_identical(&grown, &reference, &format!("{shards}x{threads}"));
-                assert!(grown.index_matches_rebuild());
-                // Growth patches the index; rebuilds stay at construction.
-                assert_eq!(grown.index_stats().full_rebuilds, shards as u64);
             }
         }
     }
@@ -727,12 +673,12 @@ mod tests {
         let drifted = scenario.with_base_preference(UserId(1), ItemId(0), 0.9);
         let heads = [UserId(0), UserId(1), UserId(2)];
         let metrics = SketchMetrics::noop();
-        let mut flat = grown(&scenario, 1, &[128], 1, &metrics);
+        let mut flat = built(&scenario, 1, 128, 1, &metrics);
         let (flat_stats, _) = refreshed(&mut flat, &drifted, &heads, 1, &metrics);
         assert!(flat_stats.resampled_sets > 0);
         for shards in [2usize, 4, 7] {
             for threads in [1usize, 2, 8] {
-                let mut store = grown(&scenario, shards, &[128], threads, &metrics);
+                let mut store = built(&scenario, shards, 128, threads, &metrics);
                 let (stats, _) = refreshed(&mut store, &drifted, &heads, threads, &metrics);
                 assert_stores_identical(&store, &flat, &format!("{shards}x{threads}"));
                 // RefreshStats are bit-identical across the grid: the
@@ -747,24 +693,42 @@ mod tests {
     #[test]
     fn observed_paths_record_without_changing_results() {
         let scenario = imdpp_diffusion::scenario::toy_scenario();
+        let items = scenario.item_count() as u64;
         let drifted = scenario.with_base_preference(UserId(1), ItemId(0), 0.9);
         let heads = [UserId(0), UserId(1), UserId(2)];
         let telemetry = imdpp_obs::Telemetry::new();
         let metrics = SketchMetrics::new(&telemetry);
+        let shard_hist = |name: &str| {
+            telemetry
+                .snapshot()
+                .histogram(name)
+                .unwrap_or_else(|| panic!("histogram {name} was never registered"))
+                .clone()
+        };
 
-        let mut observed = grown(&scenario, 3, &[96, 32], 2, &metrics);
-        let (observed_stats, _) = refreshed(&mut observed, &drifted, &heads, 2, &metrics);
+        let mut observed = build_stores(&scenario, SEED, 96, 3, 2, &metrics);
+        // One build samples items × sets and times every (item × shard)
+        // task once.
+        assert_eq!(
+            telemetry.snapshot().counter("sketch.sets_sampled"),
+            Some(items * 96)
+        );
+        assert_eq!(shard_hist("sketch.shard_build_ns").count, items * 3);
+        let (observed_stats, _) = refreshed(&mut observed[0], &drifted, &heads, 2, &metrics);
 
         // Bit-identical to the unmetered path, including the stats.
         let noop = SketchMetrics::noop();
-        let mut plain = grown(&scenario, 3, &[96, 32], 2, &noop);
-        let (plain_stats, _) = refreshed(&mut plain, &drifted, &heads, 2, &noop);
-        assert_stores_identical(&observed, &plain, "observed vs plain");
+        let mut plain = build_stores(&scenario, SEED, 96, 3, 2, &noop);
+        let (plain_stats, _) = refreshed(&mut plain[0], &drifted, &heads, 2, &noop);
+        assert_eq!(observed.len(), plain.len());
+        for (a, b) in observed.iter().zip(&plain) {
+            assert_stores_identical(a, b, "observed vs plain");
+        }
         assert_eq!(observed_stats, plain_stats);
 
         // ...and the registry saw the work.
         let snap = telemetry.snapshot();
-        assert_eq!(snap.counter("sketch.sets_sampled"), Some(96 + 32));
+        assert_eq!(snap.counter("sketch.sets_sampled"), Some(items * 96));
         assert_eq!(
             snap.counter("sketch.sets_resampled"),
             Some(observed_stats.resampled_sets as u64)
@@ -779,12 +743,8 @@ mod tests {
         );
         assert_eq!(snap.counter("sketch.index_full_rebuilds"), Some(0));
         assert_eq!(snap.counter("sketch.refreshes"), Some(1));
-        // One wall-clock observation per shard per growth round and refresh.
-        let shard_hist = |name: &str| {
-            snap.histogram(name)
-                .unwrap_or_else(|| panic!("histogram {name} was never registered"))
-        };
-        assert_eq!(shard_hist("sketch.shard_build_ns").count, 6);
+        // One wall-clock observation per shard of the refreshed store.
+        assert_eq!(shard_hist("sketch.shard_build_ns").count, items * 3);
         assert_eq!(shard_hist("sketch.shard_refresh_ns").count, 3);
         let frontier = shard_hist("sketch.refresh_frontier_heads");
         assert_eq!(frontier.count, 1);
@@ -798,7 +758,7 @@ mod tests {
         let heads = [UserId(0), UserId(1), UserId(2)];
         let metrics = SketchMetrics::noop();
 
-        let mut plain = grown(&scenario, 1, &[128], 1, &metrics);
+        let mut plain = built(&scenario, 1, 128, 1, &metrics);
         // The invalidated ids, and their members before the refresh...
         let invalid = plain.sets_touching(&heads);
         let mut expected: Vec<UserId> = invalid
@@ -815,7 +775,7 @@ mod tests {
 
         for shards in [1usize, 2, 4, 7] {
             for threads in [1usize, 2, 8] {
-                let mut store = grown(&scenario, shards, &[128], threads, &metrics);
+                let mut store = built(&scenario, shards, 128, threads, &metrics);
                 let (stats, touched) = refreshed(&mut store, &drifted, &heads, threads, &metrics);
                 assert_stores_identical(&store, &plain, &format!("{shards}x{threads}"));
                 assert_eq!(stats, plain_stats, "{shards}x{threads}");
@@ -834,8 +794,8 @@ mod tests {
         let telemetry = imdpp_obs::Telemetry::new();
         let metrics = SketchMetrics::new(&telemetry);
         let mut stores = [
-            grown(&scenario, 2, &[64], 1, &metrics),
-            grown(&scenario, 2, &[64], 1, &metrics),
+            built(&scenario, 2, 64, 1, &metrics),
+            built(&scenario, 2, 64, 1, &metrics),
         ];
         let before: Vec<Vec<Vec<u32>>> = stores
             .iter()
@@ -862,13 +822,18 @@ mod tests {
     #[test]
     fn shared_frontier_and_batched_coverage_match_the_single_query_paths() {
         for shards in [1usize, 2, 3, 4, 7] {
-            let (_, mut sharded) = stores_with(shards, SETS);
+            let sharded = store_with(shards, SETS);
             let queries: &[&[u32]] = &[&[1], &[0, 6], &[7], &[2, 3, 4], &[]];
-            // Shared-borrow frontier == exclusive-borrow frontier.
+            // The indexed frontier == a scan of every set's members.
             for seeds in queries {
+                let scanned: Vec<SetId> = sharded
+                    .iter()
+                    .filter(|(_, set)| set.iter().any(|u| seeds.contains(u)))
+                    .map(|(id, _)| id)
+                    .collect();
                 assert_eq!(
-                    sharded.sets_touching_shared(&users(seeds)),
                     sharded.sets_touching(&users(seeds)),
+                    scanned,
                     "{shards} shards, seeds {seeds:?}"
                 );
             }
@@ -896,14 +861,12 @@ mod tests {
     #[test]
     fn excluding_coverage_splits_global_skip_ids_correctly() {
         for shards in [1usize, 2, 3, 4] {
-            let (_, sharded) = stores_with(shards, SETS);
+            let sharded = store_with(shards, SETS);
             let mut marked = vec![false; 8];
             for u in [1usize, 6] {
                 marked[u] = true;
             }
-            let all: usize = (0..shards)
-                .map(|s| sharded.shard(s).coverage_count_marked(&marked))
-                .sum();
+            let all = sharded.coverage_count(&users(&[1, 6]));
             assert_eq!(sharded.coverage_count_marked_excluding(&marked, &[]), all);
             // Sets 0, 1, 3, 4 cover {1, 6}; skipping two of them drops two.
             assert_eq!(
@@ -925,7 +888,7 @@ mod tests {
         let scenario = imdpp_diffusion::scenario::toy_scenario();
         for shards in [1usize, 2, 4, 7] {
             let metrics = SketchMetrics::noop();
-            let mut store = grown(&scenario, shards, &[96], 2, &metrics);
+            let mut store = built(&scenario, shards, 96, 2, &metrics);
             // Churn so the payload proves garbage is skipped.
             let drifted = scenario.with_base_preference(UserId(1), ItemId(0), 0.9);
             let _ = refreshed(&mut store, &drifted, &[UserId(1)], 2, &metrics);
@@ -945,7 +908,7 @@ mod tests {
 
     #[test]
     fn deserialization_rejects_inconsistent_shard_layouts() {
-        let (_, sharded) = stores_with(3, SETS);
+        let sharded = store_with(3, SETS);
         let mut out = Vec::new();
         sharded.serialize_into(&mut out);
         // A truncated payload fails at every cut point.
@@ -963,10 +926,14 @@ mod tests {
 
     #[test]
     fn zero_shards_clamps_to_one() {
-        let s = ShardedRrStore::new(ItemId(2), 4, 0);
+        let s = ShardedRrStore::from_sets(ItemId(2), 4, 0, &[]);
         assert_eq!(s.shard_count(), 1);
         assert!(s.is_empty());
         assert_eq!(s.estimate_adopters(&users(&[0])), 0.0);
         assert_eq!(s.estimate_std_error(&users(&[0])), 0.0);
+        let scenario = imdpp_diffusion::scenario::toy_scenario();
+        let built = built(&scenario, 0, 8, 1, &SketchMetrics::noop());
+        assert_eq!(built.shard_count(), 1);
+        assert_eq!(built.len(), 8);
     }
 }

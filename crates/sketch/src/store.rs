@@ -1,4 +1,4 @@
-//! The flat, arena-backed RR-set store.
+//! The arena-backed RR-set store of one shard.
 //!
 //! Replaces the toy `Vec<Vec<UserId>>` layout of `imdpp_diffusion::ris` with
 //! a CSR-style arena: every RR set is a span into one shared **compressed
@@ -7,26 +7,19 @@
 //! friendly scans during coverage counting, and roughly 2–4× less memory
 //! than a raw `u32` pool at 10⁶-user scale.  An inverted user → set index
 //! (CSR) answers "which sets does user `u` appear in?" — the query that
-//! drives both CELF-style greedy selection and incremental invalidation.
+//! drives incremental invalidation.
 //!
-//! Sets are identified by a stable `SetId` (their stream id — see
-//! [`crate::sampler`]); replacing a set appends its new span to the arena and
-//! tombstones the old one.  Dead arena bytes are tracked and the arena is
-//! compacted automatically once more than half of it is garbage.
+//! ## One lifecycle: built whole, then only patched
 //!
-//! ## Capacity is checked, never wrapped
-//!
-//! Span offsets are `u64`, so the arena cannot overflow its offset type on
-//! any machine that can allocate it.  The insertion paths are nonetheless
-//! *checked*: [`RrStore::try_push_set`] / [`RrStore::try_replace_set`]
-//! return [`ImdppError::CapacityExceeded`] when a configured byte budget
-//! ([`RrStore::with_arena_capacity`]) or the set-id space (ids must stay
-//! below the tombstone bit, `1 << 31`) would be exhausted — no silent
-//! wraparound, which
-//! is what the previous `u32`-offset pool would have done somewhere past
-//! 10⁹ pool entries.  The infallible [`RrStore::push_set`] /
-//! [`RrStore::replace_set`] wrappers panic on those errors (the samplers
-//! never hit them under the default unbounded budget).
+//! `RrStore::from_sets` encodes every set of the store as it arrives and
+//! ends in one counting-sort index build; afterwards `RrStore::replace_set`
+//! is the only mutation.  Sets are identified by a stable [`SetId`] (their
+//! stream id — see [`crate::sampler`]); replacing a set appends its new span
+//! to the arena and tombstones the old one.  Dead arena bytes are tracked
+//! and the arena is compacted automatically once more than half of it is
+//! garbage.  Span offsets are `u64`, so the arena cannot overflow its offset
+//! type on any machine that can allocate it; set ids must stay below the
+//! tombstone bit (`1 << 31`), which construction checks.
 //!
 //! ## Incremental index maintenance
 //!
@@ -36,11 +29,11 @@
 //! Queries merge the base rows (skipping tombstones) with the log.  Once
 //! tombstones or the log grow past a fraction of the base index the whole
 //! thing is folded back into a clean CSR — a *compaction*, amortized O(1)
-//! per patched entry.  A full counting rebuild ([`RrStore::rebuild_index`])
-//! only ever happens at construction (or explicitly); [`IndexStats`] counts
-//! rebuilds, compactions and patched entries so tests can pin the
-//! maintenance regime, and [`RrStore::index_matches_rebuild`] is the
-//! `debug_assert`-guarded equivalence check the refresh paths use.
+//! per patched entry.  A full counting build only ever happens at
+//! construction; [`IndexStats`] counts builds, compactions and patched
+//! entries so tests can pin the maintenance regime, and
+//! `RrStore::index_matches_rebuild` is the `debug_assert`-guarded
+//! equivalence check the refresh paths use.
 
 use crate::arena::{encode_set, SetMembers};
 use crate::persist;
@@ -58,8 +51,7 @@ pub type SetId = u32;
 /// row stays sorted under the masked comparison and [`RrStore::unindex`]
 /// can binary-search instead of scanning — O(log row) per patched entry
 /// even for hub users appearing in thousands of sets.  Ids with the high
-/// bit set cannot occur: the checked insertion path refuses to assign them
-/// ([`RrStore::try_push_set`] returns `CapacityExceeded` first).
+/// bit set cannot occur: [`RrStore::from_sets`] refuses to assign them.
 const TOMBSTONE_BIT: SetId = 1 << 31;
 
 /// The set id of a base-row entry, dead or alive.
@@ -84,7 +76,7 @@ struct Span {
 }
 
 /// Bounds-filters, sorts and deduplicates a head list into the form
-/// [`RrStore::sets_touching_prepared`] expects.
+/// [`RrStore::sets_touching`] expects.
 pub(crate) fn prepare_heads(users: &[UserId], user_count: usize) -> Vec<u32> {
     let mut heads: Vec<u32> = users
         .iter()
@@ -98,17 +90,17 @@ pub(crate) fn prepare_heads(users: &[UserId], user_count: usize) -> Vec<u32> {
 
 /// Counters of the inverted-index maintenance work a store has performed.
 ///
-/// `full_rebuilds` counts counting-sort passes over the whole corpus
-/// ([`RrStore::rebuild_index`] — construction, or the lazy fallback when the
-/// index was never built); `compactions` counts the amortized fold-backs of
-/// tombstones/overflow into a clean CSR; `entries_patched` counts individual
-/// index entries tombstoned or appended by incremental maintenance.  The
-/// scale tests assert `full_rebuilds` never grows after construction.
+/// `full_rebuilds` counts counting-sort passes over the whole corpus (one
+/// per shard, at construction or restore); `compactions` counts the
+/// amortized fold-backs of tombstones/overflow into a clean CSR;
+/// `entries_patched` counts individual index entries tombstoned or appended
+/// by incremental maintenance.  The scale tests assert `full_rebuilds` never
+/// grows after construction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IndexStats {
     /// Index entries tombstoned or appended by incremental patching.
     pub entries_patched: u64,
-    /// Full counting-pass index builds (construction + lazy fallbacks).
+    /// Full counting-pass index builds (one per shard at construction).
     pub full_rebuilds: u64,
     /// Amortized compactions folding patches back into a clean CSR.
     pub compactions: u64,
@@ -135,7 +127,7 @@ impl IndexStats {
 /// A collection of reverse-reachable sets for one item, stored in a shared
 /// compressed arena with an inverted user → set index.
 #[derive(Clone, Debug)]
-pub struct RrStore {
+pub(crate) struct RrStore {
     item: ItemId,
     user_count: usize,
     /// Per-set spans into `arena`.
@@ -146,9 +138,7 @@ pub struct RrStore {
     garbage_bytes: u64,
     /// Live member entries across all spans (`Σ span.members`).
     live_members: usize,
-    /// Checked byte budget of `arena` (`u64::MAX` = unbounded).
-    capacity_bytes: u64,
-    /// Reusable sort buffer of the insertion paths.
+    /// Reusable sort buffer of the encoding path.
     sort_scratch: Vec<u32>,
     /// CSR offsets of the inverted index (`user_count + 1` entries).
     inv_offsets: Vec<u32>,
@@ -161,25 +151,15 @@ pub struct RrStore {
     inv_extra: Vec<(u32, SetId)>,
     /// Number of tombstoned entries in `inv_sets`.
     inv_dead: usize,
-    /// False until the first [`RrStore::rebuild_index`]; patches are only
-    /// tracked once the index exists.
-    inv_built: bool,
     /// Maintenance counters.
     index_stats: IndexStats,
 }
 
-/// Cold tail of the infallible insertion wrappers: the checked path found
-/// the arena (or the id space) exhausted under the configured budget.
-#[cold]
-#[inline(never)]
-fn capacity_exhausted(err: ImdppError) -> ! {
-    panic!("{err}")
-}
-
 impl RrStore {
-    /// Creates an empty store for `item` over `user_count` users with an
-    /// unbounded arena budget.
-    pub fn new(item: ItemId, user_count: usize) -> Self {
+    /// A store with no sets and no index: the starting point of
+    /// [`RrStore::from_sets`] and [`RrStore::deserialize_from`], both of
+    /// which end in [`RrStore::build_index`].
+    fn empty(item: ItemId, user_count: usize) -> Self {
         RrStore {
             item,
             user_count,
@@ -187,78 +167,83 @@ impl RrStore {
             arena: Vec::new(),
             garbage_bytes: 0,
             live_members: 0,
-            capacity_bytes: u64::MAX,
             sort_scratch: Vec::new(),
-            inv_offsets: vec![0; user_count + 1],
+            inv_offsets: Vec::new(),
             inv_sets: Vec::new(),
             inv_extra: Vec::new(),
             inv_dead: 0,
-            inv_built: false,
             index_stats: IndexStats::default(),
         }
     }
 
-    /// Caps the arena at `bytes` encoded bytes: once an insertion would push
-    /// the arena past the budget, [`RrStore::try_push_set`] /
-    /// [`RrStore::try_replace_set`] return
-    /// [`ImdppError::CapacityExceeded`] and leave the store unchanged.
-    /// Compaction counts against the same budget (it only ever shrinks).
-    pub fn with_arena_capacity(mut self, bytes: u64) -> Self {
-        self.capacity_bytes = bytes;
-        self
-    }
-
-    /// The configured arena byte budget (`u64::MAX` = unbounded).
-    pub fn arena_capacity(&self) -> u64 {
-        self.capacity_bytes
+    /// Builds the store of `sets` for `item` over `user_count` users: set
+    /// `i` of the stream gets id `i`, each set is encoded as it arrives (a
+    /// lazily sampled stream is never collected), and one counting pass
+    /// builds the inverted index.
+    ///
+    /// # Panics
+    /// When the stream holds more sets than the id space below the
+    /// tombstone bit can name.
+    pub(crate) fn from_sets<S: AsRef<[UserId]>>(
+        item: ItemId,
+        user_count: usize,
+        sets: impl IntoIterator<Item = S>,
+    ) -> Self {
+        let mut store = RrStore::empty(item, user_count);
+        for set in sets {
+            let id = store.spans.len() as u64;
+            if id >= u64::from(TOMBSTONE_BIT) {
+                let err = ImdppError::CapacityExceeded {
+                    what: "RR set ids",
+                    capacity: u64::from(TOMBSTONE_BIT),
+                    needed: id + 1,
+                };
+                panic!("{err}");
+            }
+            let span = store.encode(set.as_ref());
+            store.live_members += span.members as usize;
+            store.spans.push(span);
+        }
+        store.build_index();
+        store
     }
 
     /// The item the sets were sampled for.
-    pub fn item(&self) -> ItemId {
+    pub(crate) fn item(&self) -> ItemId {
         self.item
     }
 
     /// Number of users in the underlying scenario.
-    pub fn user_count(&self) -> usize {
+    pub(crate) fn user_count(&self) -> usize {
         self.user_count
     }
 
     /// Number of RR sets.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.spans.len()
     }
 
-    /// True when no sets are stored.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
     /// Total number of live user entries across all sets.
-    pub fn live_entries(&self) -> usize {
+    pub(crate) fn live_entries(&self) -> usize {
         self.live_members
-    }
-
-    /// Total arena size in bytes, including garbage awaiting compaction.
-    pub fn arena_bytes(&self) -> u64 {
-        self.arena.len() as u64
     }
 
     /// Encoded bytes of the *live* spans only — a pure function of the set
     /// contents (shard- and history-independent), which is why the memory
-    /// telemetry reports this figure rather than [`RrStore::arena_bytes`].
-    pub fn live_arena_bytes(&self) -> u64 {
+    /// telemetry reports this figure rather than the arena's length.
+    pub(crate) fn live_arena_bytes(&self) -> u64 {
         self.arena.len() as u64 - self.garbage_bytes
     }
 
     /// Bytes the live entries would occupy in the uncompressed `u32`-pool
     /// layout this arena replaced — the baseline of the compression-ratio
     /// gate in the scale smoke.
-    pub fn uncompressed_bytes(&self) -> u64 {
+    pub(crate) fn uncompressed_bytes(&self) -> u64 {
         4 * self.live_members as u64
     }
 
     /// Fraction of the arena occupied by tombstoned bytes.
-    pub fn garbage_ratio(&self) -> f64 {
+    fn garbage_ratio(&self) -> f64 {
         if self.arena.is_empty() {
             0.0
         } else {
@@ -267,133 +252,52 @@ impl RrStore {
     }
 
     /// The inverted-index maintenance counters.
-    pub fn index_stats(&self) -> IndexStats {
+    pub(crate) fn index_stats(&self) -> IndexStats {
         self.index_stats
     }
 
     /// Sorts and deduplicates `users` into the reusable scratch buffer and
-    /// appends the encoded span to the arena, rolling back and reporting
-    /// [`ImdppError::CapacityExceeded`] when the byte budget would be
-    /// blown.  On success the scratch buffer holds the sorted members (for
-    /// index patching) and the new span is *not yet* pushed to `spans`.
-    fn encode_checked(&mut self, users: &[UserId]) -> Result<Span, ImdppError> {
-        let mut members = std::mem::take(&mut self.sort_scratch);
-        members.clear();
-        members.extend(users.iter().map(|u| u.0));
-        members.sort_unstable();
-        members.dedup();
+    /// appends the encoded span to the arena.  Afterwards the scratch
+    /// buffer holds the sorted members (for index patching) and the new
+    /// span is *not yet* pushed to `spans`.
+    fn encode(&mut self, users: &[UserId]) -> Span {
+        self.sort_scratch.clear();
+        self.sort_scratch.extend(users.iter().map(|u| u.0));
+        self.sort_scratch.sort_unstable();
+        self.sort_scratch.dedup();
         let offset = self.arena.len() as u64;
-        let bytes = encode_set(&members, &mut self.arena);
-        if self.arena.len() as u64 > self.capacity_bytes {
-            self.arena.truncate(offset as usize);
-            self.sort_scratch = members;
-            return Err(ImdppError::CapacityExceeded {
-                what: "RR arena bytes",
-                capacity: self.capacity_bytes,
-                needed: offset + bytes as u64,
-            });
-        }
-        let span = Span {
+        let bytes = encode_set(&self.sort_scratch, &mut self.arena);
+        Span {
             offset,
-            members: members.len() as u32,
+            members: self.sort_scratch.len() as u32,
             bytes: bytes as u32,
-        };
-        self.sort_scratch = members;
-        Ok(span)
-    }
-
-    /// Appends a new set, returning its id (always `len() - 1` afterwards).
-    ///
-    /// Checked: fails with [`ImdppError::CapacityExceeded`] — leaving the
-    /// store unchanged — when the arena byte budget or the set-id space
-    /// (ids must stay below the tombstone bit) would be exhausted.  When
-    /// the inverted index already exists its entries are patched in
-    /// (append-only — no rebuild).
-    pub fn try_push_set(&mut self, users: &[UserId]) -> Result<SetId, ImdppError> {
-        let id = self.spans.len() as u64;
-        if id >= u64::from(TOMBSTONE_BIT) {
-            return Err(ImdppError::CapacityExceeded {
-                what: "RR set ids",
-                capacity: u64::from(TOMBSTONE_BIT),
-                needed: id + 1,
-            });
-        }
-        let id = id as SetId;
-        let span = self.encode_checked(users)?;
-        self.live_members += span.members as usize;
-        self.spans.push(span);
-        if self.inv_built {
-            for i in 0..self.sort_scratch.len() {
-                let u = self.sort_scratch[i];
-                self.inv_extra.push((u, id));
-            }
-            self.index_stats.entries_patched += span.members as u64;
-            self.maybe_compact_index();
-        }
-        Ok(id)
-    }
-
-    /// Appends a new set, returning its id (always `len() - 1` afterwards).
-    ///
-    /// Infallible form of [`RrStore::try_push_set`]; panics on
-    /// [`ImdppError::CapacityExceeded`] (unreachable under the default
-    /// unbounded budget).
-    pub fn push_set(&mut self, users: &[UserId]) -> SetId {
-        match self.try_push_set(users) {
-            Ok(id) => id,
-            Err(e) => capacity_exhausted(e),
         }
     }
 
     /// Replaces the contents of set `id`, tombstoning its old span.
     ///
-    /// Checked like [`RrStore::try_push_set`]: a blown arena budget reports
-    /// [`ImdppError::CapacityExceeded`] with the store unchanged.  The
-    /// inverted index is patched incrementally: the old members' entries
-    /// are tombstoned and the new members' entries appended to the overflow
-    /// log — no counting pass over the corpus.
-    pub fn try_replace_set(&mut self, id: SetId, users: &[UserId]) -> Result<(), ImdppError> {
+    /// The inverted index is patched incrementally: the old members'
+    /// entries are tombstoned and the new members' entries appended to the
+    /// overflow log — no counting pass over the corpus.
+    pub(crate) fn replace_set(&mut self, id: SetId, users: &[UserId]) {
         let old = self.spans[id as usize];
-        // Decode the old members up front: the index patch below needs them
-        // and the encode may relocate the arena allocation.
-        let old_members: Vec<u32> = if self.inv_built {
-            self.span_members(&old).collect()
-        } else {
-            Vec::new()
-        };
-        let span = self.encode_checked(users)?;
-        if self.inv_built {
-            for &u in &old_members {
-                self.unindex(u as usize, id);
-            }
-            self.index_stats.entries_patched += old.members as u64;
+        // Decode the old members up front: the encode below may relocate
+        // the arena allocation.
+        let old_members: Vec<u32> = self.span_members(&old).collect();
+        let span = self.encode(users);
+        for &u in &old_members {
+            self.unindex(u as usize, id);
         }
         self.garbage_bytes += u64::from(old.bytes);
         self.live_members -= old.members as usize;
         self.live_members += span.members as usize;
         self.spans[id as usize] = span;
-        if self.inv_built {
-            for i in 0..self.sort_scratch.len() {
-                let u = self.sort_scratch[i];
-                self.inv_extra.push((u, id));
-            }
-            self.index_stats.entries_patched += span.members as u64;
-            self.maybe_compact_index();
-        }
+        self.inv_extra
+            .extend(self.sort_scratch.iter().map(|&u| (u, id)));
+        self.index_stats.entries_patched += u64::from(old.members) + u64::from(span.members);
+        self.maybe_compact_index();
         if self.garbage_ratio() > 0.5 {
             self.compact();
-        }
-        Ok(())
-    }
-
-    /// Replaces the contents of set `id`, tombstoning its old span.
-    ///
-    /// Infallible form of [`RrStore::try_replace_set`]; panics on
-    /// [`ImdppError::CapacityExceeded`] (unreachable under the default
-    /// unbounded budget).
-    pub fn replace_set(&mut self, id: SetId, users: &[UserId]) {
-        if let Err(e) = self.try_replace_set(id, users) {
-            capacity_exhausted(e)
         }
     }
 
@@ -432,24 +336,19 @@ impl RrStore {
 
     /// The users of set `id`, decoded in ascending id order (allocates; hot
     /// paths should prefer the zero-copy [`RrStore::set_members`]).
-    pub fn set(&self, id: SetId) -> Vec<u32> {
+    pub(crate) fn set(&self, id: SetId) -> Vec<u32> {
         self.set_members(id).collect()
     }
 
     /// Zero-allocation decoding iterator over the users of set `id`
     /// (ascending id order).
-    pub fn set_members(&self, id: SetId) -> SetMembers<'_> {
+    pub(crate) fn set_members(&self, id: SetId) -> SetMembers<'_> {
         self.span_members(&self.spans[id as usize])
-    }
-
-    /// Iterator over `(id, users)` pairs of all sets.
-    pub fn iter(&self) -> impl Iterator<Item = (SetId, Vec<u32>)> + '_ {
-        (0..self.spans.len() as SetId).map(move |id| (id, self.set(id)))
     }
 
     /// Rewrites the arena without tombstoned bytes (spans keep their ids;
     /// encoded spans are copied verbatim, never re-encoded).
-    pub fn compact(&mut self) {
+    fn compact(&mut self) {
         if self.garbage_bytes == 0 {
             return;
         }
@@ -470,9 +369,7 @@ impl RrStore {
     fn build_index_from_spans(&mut self) {
         let mut counts = vec![0u32; self.user_count + 1];
         for span in &self.spans {
-            let lo = span.offset as usize;
-            let hi = lo + span.bytes as usize;
-            for u in SetMembers::new(&self.arena[lo..hi], span.members) {
+            for u in self.span_members(span) {
                 counts[u as usize + 1] += 1;
             }
         }
@@ -482,9 +379,7 @@ impl RrStore {
         let mut cursors = counts.clone();
         let mut inv_sets = vec![0; *counts.last().unwrap() as usize];
         for (id, span) in self.spans.iter().enumerate() {
-            let lo = span.offset as usize;
-            let hi = lo + span.bytes as usize;
-            for u in SetMembers::new(&self.arena[lo..hi], span.members) {
+            for u in self.span_members(span) {
                 inv_sets[cursors[u as usize] as usize] = id as SetId;
                 cursors[u as usize] += 1;
             }
@@ -495,23 +390,12 @@ impl RrStore {
         self.inv_dead = 0;
     }
 
-    /// Rebuilds the inverted user → set index with a full counting pass.
-    ///
-    /// Called once at construction; afterwards the index maintains itself
-    /// incrementally and this should not be needed (the `full_rebuilds`
-    /// counter exists so tests can prove it was not).
-    pub fn rebuild_index(&mut self) {
+    /// The one full counting pass a store makes, at the end of construction
+    /// or restore (`full_rebuilds` exists so tests can prove it is the
+    /// only one).
+    fn build_index(&mut self) {
         self.build_index_from_spans();
-        self.inv_built = true;
         self.index_stats.full_rebuilds += 1;
-    }
-
-    /// Builds the inverted index if it was never built (a store filled by
-    /// bulk pushes); a no-op once it exists and maintains itself.
-    pub(crate) fn ensure_index(&mut self) {
-        if !self.inv_built {
-            self.rebuild_index();
-        }
     }
 
     /// Folds tombstones and the overflow log back into a clean CSR once
@@ -527,48 +411,15 @@ impl RrStore {
         }
     }
 
-    /// The sorted ids of the sets containing `user` (builds the index on
-    /// first use; afterwards answers merge the base rows with the overflow
-    /// log).
-    pub fn sets_of(&mut self, user: UserId) -> Vec<SetId> {
-        self.ensure_index();
-        if user.index() >= self.user_count {
-            return Vec::new();
-        }
-        let lo = self.inv_offsets[user.index()] as usize;
-        let hi = self.inv_offsets[user.index() + 1] as usize;
-        let mut ids: Vec<SetId> = self.inv_sets[lo..hi]
-            .iter()
-            .copied()
-            .filter(|&e| entry_live(e))
-            .collect();
-        ids.extend(
-            self.inv_extra
-                .iter()
-                .filter(|&&(u, _)| u as usize == user.index())
-                .map(|&(_, s)| s),
-        );
-        ids.sort_unstable();
-        ids
-    }
-
-    /// The sorted, deduplicated ids of all sets containing any of `users`
-    /// — the invalidation frontier of an update touching those users.
+    /// The sorted, deduplicated ids of all sets containing any of `heads`
+    /// (prepared by [`prepare_heads`]: in range, sorted, deduplicated) —
+    /// the invalidation frontier of an update touching those users.
     ///
     /// Cost is proportional to the *touched* rows plus the overflow log
-    /// (`O(Σ row + |log| · log |users|)`) — no corpus- or population-sized
+    /// (`O(Σ row + |log| · log |heads|)`) — no corpus- or population-sized
     /// allocation happens here, so localized frontiers stay cheap at any
     /// scale.
-    pub fn sets_touching(&mut self, users: &[UserId]) -> Vec<SetId> {
-        let heads = prepare_heads(users, self.user_count);
-        self.sets_touching_prepared(&heads)
-    }
-
-    /// [`RrStore::sets_touching`] over an already prepared (in-range,
-    /// sorted, deduplicated) head list — lets the sharded store prepare the
-    /// frontier once and query every shard with it.
-    pub(crate) fn sets_touching_prepared(&mut self, heads: &[u32]) -> Vec<SetId> {
-        self.ensure_index();
+    pub(crate) fn sets_touching(&self, heads: &[u32]) -> Vec<SetId> {
         let mut ids = Vec::new();
         for &u in heads {
             let lo = self.inv_offsets[u as usize] as usize;
@@ -595,10 +446,7 @@ impl RrStore {
     /// freshly built one — the invariant the refresh paths `debug_assert`.
     ///
     /// O(corpus); intended for `debug_assert!` and tests, not hot paths.
-    pub fn index_matches_rebuild(&self) -> bool {
-        if !self.inv_built {
-            return true;
-        }
+    pub(crate) fn index_matches_rebuild(&self) -> bool {
         let mut reference: Vec<Vec<SetId>> = vec![Vec::new(); self.user_count];
         for (id, span) in self.spans.iter().enumerate() {
             for u in self.span_members(span) {
@@ -628,25 +476,11 @@ impl RrStore {
         true
     }
 
-    /// Number of sets hit by the given seed users.
-    pub fn coverage_count(&self, seeds: &[UserId]) -> usize {
-        if self.spans.is_empty() || seeds.is_empty() {
-            return 0;
-        }
-        let mut marked = vec![false; self.user_count];
-        for &u in seeds {
-            if u.index() < self.user_count {
-                marked[u.index()] = true;
-            }
-        }
-        self.coverage_count_marked(&marked)
-    }
-
     /// Number of sets containing at least one marked user (`marked` is a
-    /// dense user bitmap).  Lets callers — per-shard aggregation in
-    /// particular — share one bitmap across several stores.  Decodes each
-    /// span with early exit on the first marked member.
-    pub fn coverage_count_marked(&self, marked: &[bool]) -> usize {
+    /// dense user bitmap), so the sharded store can share one bitmap across
+    /// its shards.  Decodes each span with early exit on the first marked
+    /// member.
+    pub(crate) fn coverage_count_marked(&self, marked: &[bool]) -> usize {
         self.spans
             .iter()
             .filter(|span| self.span_members(span).any(|u| marked[u as usize]))
@@ -665,7 +499,7 @@ impl RrStore {
     /// marked — exactly the predicate of [`RrStore::coverage_count_marked`]
     /// with that query's seed bitmap — so the batched counts are equal (not
     /// just close) to 64 independent single-query passes.
-    pub fn coverage_counts_masked(&self, masks: &[u64], full: u64, counts: &mut [usize]) {
+    pub(crate) fn coverage_counts_masked(&self, masks: &[u64], full: u64, counts: &mut [usize]) {
         debug_assert_eq!(masks.len(), self.user_count);
         if full == 0 {
             return;
@@ -691,7 +525,7 @@ impl RrStore {
     /// set ids in `skip` — the base-store half of copy-on-write overlay
     /// coverage, where the skipped sets are answered from the tenant's
     /// replacement spans instead.
-    pub fn coverage_count_marked_excluding(&self, marked: &[bool], skip: &[SetId]) -> usize {
+    pub(crate) fn coverage_count_marked_excluding(&self, marked: &[bool], skip: &[SetId]) -> usize {
         debug_assert!(skip.windows(2).all(|w| w[0] < w[1]), "skip must be sorted");
         self.spans
             .iter()
@@ -701,49 +535,6 @@ impl RrStore {
                     && self.span_members(span).any(|u| marked[u as usize])
             })
             .count()
-    }
-
-    /// [`RrStore::sets_touching`] through a shared reference: answers from
-    /// the existing inverted index when one is built (every sampled store
-    /// builds its index at construction), falling back to a full span scan
-    /// otherwise.  Lets read-only consumers — the copy-on-write overlay
-    /// builder in particular — compute invalidation frontiers against a
-    /// store other readers are concurrently querying.
-    pub fn sets_touching_shared(&self, users: &[UserId]) -> Vec<SetId> {
-        let heads = prepare_heads(users, self.user_count);
-        if !self.inv_built {
-            let mut marked = vec![false; self.user_count];
-            for &u in &heads {
-                marked[u as usize] = true;
-            }
-            return self
-                .spans
-                .iter()
-                .enumerate()
-                .filter(|(_, span)| self.span_members(span).any(|u| marked[u as usize]))
-                .map(|(id, _)| id as SetId)
-                .collect();
-        }
-        let mut ids = Vec::new();
-        for &u in &heads {
-            let lo = self.inv_offsets[u as usize] as usize;
-            let hi = self.inv_offsets[u as usize + 1] as usize;
-            ids.extend(
-                self.inv_sets[lo..hi]
-                    .iter()
-                    .copied()
-                    .filter(|&e| entry_live(e)),
-            );
-        }
-        ids.extend(
-            self.inv_extra
-                .iter()
-                .filter(|&&(u, _)| heads.binary_search(&u).is_ok())
-                .map(|&(_, s)| s),
-        );
-        ids.sort_unstable();
-        ids.dedup();
-        ids
     }
 
     /// Serializes the live spans: set count, then per set the member count,
@@ -764,9 +555,9 @@ impl RrStore {
 
     /// Restores a store serialized by [`RrStore::serialize_into`], advancing
     /// `input` past the consumed bytes.  Every span is validated
-    /// ([`persist::validate_span`]) before it is appended, and the index is
-    /// rebuilt with one counting pass per store — the same one-build-per-
-    /// shard regime construction establishes, with **zero sets re-sampled**.
+    /// ([`persist::validate_span`]) before it is appended, and the store
+    /// ends in the same one index build as [`RrStore::from_sets`] — with
+    /// **zero sets re-sampled**.
     ///
     /// # Errors
     /// [`ImdppError::InvalidConfig`] on truncated or corrupt span data.
@@ -775,7 +566,7 @@ impl RrStore {
         user_count: usize,
         input: &mut &[u8],
     ) -> Result<Self, ImdppError> {
-        let mut store = RrStore::new(item, user_count);
+        let mut store = RrStore::empty(item, user_count);
         let sets = persist::read_varint(input)?;
         if u64::from(sets) >= u64::from(TOMBSTONE_BIT) {
             return Err(persist::corrupt("set count exceeds the id space"));
@@ -794,29 +585,8 @@ impl RrStore {
             });
             store.live_members += members as usize;
         }
-        store.rebuild_index();
+        store.build_index();
         Ok(store)
-    }
-
-    /// Unbiased estimate of the expected number of adopters of the store's
-    /// item when `seeds` are seeded in the first promotion:
-    /// `n · (fraction of RR sets hit)`.
-    pub fn estimate_adopters(&self, seeds: &[UserId]) -> f64 {
-        if self.spans.is_empty() {
-            return 0.0;
-        }
-        self.user_count as f64 * self.coverage_count(seeds) as f64 / self.spans.len() as f64
-    }
-
-    /// Standard error of [`Self::estimate_adopters`] under the binomial
-    /// coverage model — used by 3σ agreement tests and the adaptive sampler.
-    pub fn estimate_std_error(&self, seeds: &[UserId]) -> f64 {
-        let r = self.spans.len();
-        if r < 2 {
-            return 0.0;
-        }
-        let p = self.coverage_count(seeds) as f64 / r as f64;
-        self.user_count as f64 * (p * (1.0 - p) / r as f64).sqrt()
     }
 }
 
@@ -829,11 +599,21 @@ mod tests {
     }
 
     fn store_with(sets: &[&[u32]]) -> RrStore {
-        let mut s = RrStore::new(ItemId(0), 6);
-        for set in sets {
-            s.push_set(&users(set));
+        RrStore::from_sets(ItemId(0), 6, sets.iter().map(|set| users(set)))
+    }
+
+    /// The frontier of `ids` through the store's one query.
+    fn touching(s: &RrStore, ids: &[u32]) -> Vec<SetId> {
+        s.sets_touching(&prepare_heads(&users(ids), s.user_count()))
+    }
+
+    /// Sets covered by `seeds`, through a dense seed bitmap.
+    fn covered(s: &RrStore, seeds: &[u32]) -> usize {
+        let mut marked = vec![false; s.user_count()];
+        for &u in seeds {
+            marked[u as usize] = true;
         }
-        s
+        s.coverage_count_marked(&marked)
     }
 
     #[test]
@@ -843,7 +623,9 @@ mod tests {
         assert_eq!(s.set(0), &[0, 1]);
         assert_eq!(s.set(2), &[3, 4, 5]);
         assert_eq!(s.live_entries(), 6);
-        assert_eq!(s.iter().count(), 3);
+        // Construction ends in exactly one index build.
+        assert_eq!(s.index_stats().full_rebuilds, 1);
+        assert!(s.index_matches_rebuild());
     }
 
     #[test]
@@ -851,56 +633,40 @@ mod tests {
         // Insertion order does not survive: the compressed arena encodes
         // sorted members (every consumer is order-independent over the
         // member multiset).
-        let mut s = RrStore::new(ItemId(0), 6);
-        s.push_set(&users(&[5, 0, 3]));
+        let s = store_with(&[&[5, 0, 3, 0]]);
         assert_eq!(s.set(0), &[0, 3, 5]);
         assert_eq!(s.set_members(0).collect::<Vec<_>>(), vec![0, 3, 5]);
     }
 
     #[test]
     fn inverted_index_answers_membership() {
-        let mut s = store_with(&[&[0, 1], &[1, 2], &[2]]);
-        assert_eq!(s.sets_of(UserId(1)), &[0, 1]);
-        assert_eq!(s.sets_of(UserId(2)), &[1, 2]);
-        assert_eq!(s.sets_of(UserId(5)), Vec::<SetId>::new());
-        assert_eq!(s.sets_touching(&users(&[0, 2])), vec![0, 1, 2]);
-        assert_eq!(s.sets_touching(&users(&[5])), Vec::<SetId>::new());
-        // The first query built the index; exactly once.
+        let s = store_with(&[&[0, 1], &[1, 2], &[2]]);
+        assert_eq!(touching(&s, &[1]), &[0, 1]);
+        assert_eq!(touching(&s, &[2]), &[1, 2]);
+        assert_eq!(touching(&s, &[5]), Vec::<SetId>::new());
+        assert_eq!(touching(&s, &[0, 2]), vec![0, 1, 2]);
+        // Out-of-range heads are dropped when the frontier is prepared.
+        assert_eq!(touching(&s, &[99]), Vec::<SetId>::new());
         assert_eq!(s.index_stats().full_rebuilds, 1);
     }
 
     #[test]
     fn replace_patches_the_index_without_rebuilding() {
         let mut s = store_with(&[&[0, 1], &[1, 2]]);
-        s.rebuild_index();
-        let rebuilds_after_build = s.index_stats().full_rebuilds;
         s.replace_set(0, &users(&[3]));
         assert_eq!(s.set(0), &[3]);
-        assert_eq!(s.sets_of(UserId(1)), &[1]);
-        assert_eq!(s.sets_of(UserId(3)), &[0]);
+        assert_eq!(touching(&s, &[1]), &[1]);
+        assert_eq!(touching(&s, &[3]), &[0]);
         assert_eq!(s.len(), 2);
         assert!(s.index_matches_rebuild());
-        assert_eq!(s.index_stats().full_rebuilds, rebuilds_after_build);
+        assert_eq!(s.index_stats().full_rebuilds, 1);
         // 2 tombstoned + 1 appended.
         assert_eq!(s.index_stats().entries_patched, 3);
     }
 
     #[test]
-    fn pushes_after_build_are_patched_in() {
-        let mut s = store_with(&[&[0, 1]]);
-        s.rebuild_index();
-        let id = s.push_set(&users(&[1, 4]));
-        assert_eq!(id, 1);
-        assert_eq!(s.sets_of(UserId(1)), &[0, 1]);
-        assert_eq!(s.sets_of(UserId(4)), &[1]);
-        assert!(s.index_matches_rebuild());
-        assert_eq!(s.index_stats().full_rebuilds, 1);
-    }
-
-    #[test]
     fn sustained_churn_compacts_but_never_rebuilds() {
         let mut s = store_with(&[&[0, 1, 2], &[3, 4], &[5], &[0, 5]]);
-        s.rebuild_index();
         for round in 0u32..50 {
             let id = round % 4;
             let members = [(round % 6), (round + 1) % 6];
@@ -923,6 +689,7 @@ mod tests {
         assert_eq!(s.set(0), &[5]);
         assert_eq!(s.set(1), &[0]);
         assert_eq!(s.live_entries(), 2);
+        assert!(s.index_matches_rebuild());
     }
 
     #[test]
@@ -930,7 +697,7 @@ mod tests {
         let mut s = store_with(&[&[0, 1, 2, 3, 4, 5]]);
         let live = s.live_arena_bytes();
         assert!(live > 0);
-        assert_eq!(s.arena_bytes(), live);
+        assert_eq!(s.arena.len() as u64, live);
         assert_eq!(s.uncompressed_bytes(), 4 * 6);
         // Consecutive ids delta-encode to one byte per member.
         assert_eq!(live, 6);
@@ -938,84 +705,6 @@ mod tests {
         s.replace_set(0, &users(&[2]));
         assert_eq!(s.live_arena_bytes(), 1);
         assert_eq!(s.uncompressed_bytes(), 4);
-    }
-
-    #[test]
-    fn checked_push_reports_capacity_instead_of_wrapping() {
-        // A near-limit store: a 4-byte budget fits the first set (3 one-byte
-        // gaps... actually 3 bytes) but not the next push.
-        let mut s = RrStore::new(ItemId(0), 6).with_arena_capacity(4);
-        assert_eq!(s.arena_capacity(), 4);
-        let id = match s.try_push_set(&users(&[0, 1, 2])) {
-            Ok(id) => id,
-            Err(e) => unreachable!("3 encoded bytes fit a 4-byte budget: {e}"),
-        };
-        assert_eq!(id, 0);
-        let err = match s.try_push_set(&users(&[3, 4, 5])) {
-            Err(e) => e,
-            Ok(_) => unreachable!("push past the budget must fail"),
-        };
-        assert!(matches!(
-            err,
-            ImdppError::CapacityExceeded {
-                what: "RR arena bytes",
-                capacity: 4,
-                ..
-            }
-        ));
-        // The failed push left the store untouched...
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.set(0), &[0, 1, 2]);
-        assert_eq!(s.arena_bytes(), 3);
-        // ...and a small set still fits the remaining byte.
-        assert_eq!(s.try_push_set(&users(&[4])).ok(), Some(1));
-    }
-
-    #[test]
-    fn checked_replace_reports_capacity_and_leaves_the_set_alone() {
-        let mut s = RrStore::new(ItemId(0), 6).with_arena_capacity(5);
-        s.push_set(&users(&[0, 1, 2]));
-        s.rebuild_index();
-        // Replacing with a wide-gap pair needs more than the 2 free bytes.
-        let err = match s.try_replace_set(0, &users(&[1, 2, 3])) {
-            Err(e) => e,
-            Ok(()) => unreachable!("replacement past the budget must fail"),
-        };
-        assert!(matches!(err, ImdppError::CapacityExceeded { .. }));
-        assert_eq!(s.set(0), &[0, 1, 2], "failed replace must not mutate");
-        assert!(s.index_matches_rebuild());
-        // A replacement that fits goes through and stays index-consistent.
-        assert!(s.try_replace_set(0, &users(&[4, 5])).is_ok());
-        assert_eq!(s.set(0), &[4, 5]);
-        assert!(s.index_matches_rebuild());
-    }
-
-    #[test]
-    #[should_panic(expected = "RR arena bytes capacity exceeded")]
-    fn infallible_push_panics_on_a_blown_budget() {
-        let mut s = RrStore::new(ItemId(0), 6).with_arena_capacity(1);
-        s.push_set(&users(&[0, 1, 2]));
-    }
-
-    #[test]
-    fn coverage_and_estimates() {
-        let s = store_with(&[&[0, 1], &[1, 2], &[3], &[4]]);
-        assert_eq!(s.coverage_count(&users(&[1])), 2);
-        assert_eq!(s.coverage_count(&users(&[1, 3])), 3);
-        assert_eq!(s.coverage_count(&[]), 0);
-        // 6 users * 2/4 coverage.
-        assert!((s.estimate_adopters(&users(&[1])) - 3.0).abs() < 1e-12);
-        assert!(s.estimate_std_error(&users(&[1])) > 0.0);
-        assert_eq!(
-            RrStore::new(ItemId(1), 4).estimate_adopters(&users(&[0])),
-            0.0
-        );
-    }
-
-    #[test]
-    fn out_of_range_seed_users_are_ignored() {
-        let s = store_with(&[&[0]]);
-        assert_eq!(s.coverage_count(&users(&[99])), 0);
     }
 
     #[test]
@@ -1035,7 +724,7 @@ mod tests {
         for (q, seeds) in queries.iter().enumerate() {
             assert_eq!(
                 counts[q],
-                s.coverage_count(&users(seeds)),
+                covered(&s, seeds),
                 "query {q} diverged from the single-query pass"
             );
         }
@@ -1059,29 +748,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_frontier_query_matches_the_indexed_one() {
-        let mut s = store_with(&[&[0, 1], &[1, 2], &[3], &[4, 5], &[0, 5]]);
-        // Before any index exists the span-scan fallback answers.
-        assert_eq!(s.sets_touching_shared(&users(&[1, 5])), vec![0, 1, 3, 4]);
-        let indexed = s.sets_touching(&users(&[1, 5]));
-        assert_eq!(s.sets_touching_shared(&users(&[1, 5])), indexed);
-        // Replacements keep the shared view consistent (patched index path).
-        s.replace_set(1, &users(&[5]));
-        assert_eq!(
-            s.sets_touching_shared(&users(&[2])),
-            s.sets_touching(&users(&[2]))
-        );
-        assert_eq!(
-            s.sets_touching_shared(&users(&[5])),
-            s.sets_touching(&users(&[5]))
-        );
-        assert_eq!(s.sets_touching_shared(&users(&[99])), Vec::<SetId>::new());
-    }
-
-    #[test]
     fn serialization_round_trips_spans_and_rebuilds_the_index() {
         let mut s = store_with(&[&[0, 1], &[1, 2], &[3], &[4, 5], &[0, 5]]);
-        s.rebuild_index();
         // Churn creates garbage so the writer proves it skips dead bytes.
         s.replace_set(1, &users(&[0, 3]));
         let mut out = Vec::new();
@@ -1091,8 +759,8 @@ mod tests {
         assert!(cursor.is_empty(), "reader must consume exactly the payload");
         assert_eq!(restored.len(), s.len());
         assert_eq!(restored.live_entries(), s.live_entries());
-        for (id, set) in s.iter() {
-            assert_eq!(restored.set(id), set, "set {id}");
+        for id in 0..s.len() as SetId {
+            assert_eq!(restored.set(id), s.set(id), "set {id}");
         }
         assert!(restored.index_matches_rebuild());
         assert_eq!(restored.index_stats().full_rebuilds, 1);

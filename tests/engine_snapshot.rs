@@ -163,7 +163,7 @@ fn readers_observe_only_published_epochs_under_concurrent_updates() {
             assert_eq!(report.refresh.total_sets, SETS_PER_ITEM * item_count);
             assert_eq!(
                 report.refresh.full_rebuilds, 0,
-                "a refresh fell back to rebuild_index"
+                "a refresh fell back to a full index rebuild"
             );
             if report.refresh.resampled_sets > 0 {
                 assert!(report.refresh.index_entries_patched > 0);

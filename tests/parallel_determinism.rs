@@ -1,9 +1,9 @@
 //! The determinism / concurrency harness of shard-parallel RR generation
 //! and refresh (the PR-5 tentpole): over the full grid
-//! `shards ∈ {1, 2, 4, 7} × threads ∈ {1, 2, 4, 8}`, building a sketch,
-//! growing it and refreshing it through randomized edge / preference churn
-//! must produce **bit-identical** spread estimates, standard errors, greedy
-//! seed sets, [`RefreshStats`] and per-item touched-user lists — the
+//! `shards ∈ {1, 2, 4, 7} × threads ∈ {1, 2, 4, 8}`, building a sketch and
+//! refreshing it through randomized edge / preference churn must produce
+//! **bit-identical** spread estimates, standard errors, [`RefreshStats`]
+//! and per-item touched-user lists — the
 //! invariant the sample-reuse papers
 //! (Yalavarthi & Khan; Zhang et al.) rest on: locally-updated samples are
 //! statistically indistinguishable from fresh ones, which here is the
@@ -49,15 +49,13 @@ const SETS_PER_ITEM: usize = 128;
 struct Observations {
     estimates: Vec<u64>,
     std_errors: Vec<u64>,
-    greedy_seeds: Vec<Vec<UserId>>,
-    greedy_covered: Vec<usize>,
     refresh_stats: Vec<RefreshStats>,
     touched: Vec<Option<Vec<Vec<UserId>>>>,
 }
 
 /// Builds a sketch with the given `(shards, threads)`, drives it through
-/// `churn`, and records estimates / errors / greedy selections / refresh
-/// statistics / touched users along the way.
+/// `churn`, and records estimates / errors / refresh statistics / touched
+/// users along the way.
 fn observe(
     start: &Scenario,
     churn: &[ScenarioUpdate],
@@ -72,8 +70,6 @@ fn observe(
     let mut obs = Observations {
         estimates: Vec::new(),
         std_errors: Vec::new(),
-        greedy_seeds: Vec::new(),
-        greedy_covered: Vec::new(),
         refresh_stats: Vec::new(),
         touched: Vec::new(),
     };
@@ -92,9 +88,6 @@ fn observe(
                 obs.std_errors
                     .push(oracle.estimate_item_std_error(item, probe).to_bits());
             }
-            let sel = oracle.greedy_seeds(item, 3);
-            obs.greedy_seeds.push(sel.seeds);
-            obs.greedy_covered.push(sel.covered);
         }
     };
     record(&oracle, &mut obs);
@@ -114,8 +107,8 @@ proptest! {
     /// The tentpole invariant: for randomized worlds and randomized
     /// edge / preference churn, every `(shards, threads)` combination
     /// computes the *same bits* as the sequential flat reference —
-    /// estimates, standard errors, greedy seed sets, refresh statistics and
-    /// the touched users each refresh reports.
+    /// estimates, standard errors, refresh statistics and the touched users
+    /// each refresh reports.
     #[test]
     fn grid_of_shards_and_threads_is_bit_identical_under_churn(
         edges in proptest::collection::vec(
