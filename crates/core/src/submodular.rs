@@ -11,9 +11,10 @@
 //! 3. a combiner that also considers the best single element and repairs
 //!    infeasibility by dropping the violating element (Theorem 3).
 //!
-//! The implementations are generic over a [`SetFunction`] oracle so they can
-//! be unit-tested against closed-form submodular functions (coverage,
-//! cut, …) and reused by the OPT baseline.
+//! The implementations are generic over a [`SetFunction`] oracle and are
+//! unit-tested against closed-form submodular functions (coverage, cut, …).
+//! Only `imdpp-core`'s own tests call them: the OPT baseline enumerates
+//! seed groups with `Evaluator` instead.
 
 /// Oracle access to a set function over the ground set `0..ground_size`.
 pub trait SetFunction {

@@ -38,9 +38,6 @@ pub struct HarnessConfig {
     /// later process can warm-restart from it with
     /// `Engine::for_instance(..).restore(path)` without resampling.
     pub persist_path: Option<PathBuf>,
-    /// Maintained-solution repair bound (`IMDPP_MAINTAIN`): `off` disables
-    /// maintenance, a float in `(0, 1]` replaces the default bound.
-    pub maintain_bound: Option<f64>,
 }
 
 impl Default for HarnessConfig {
@@ -54,23 +51,7 @@ impl Default for HarnessConfig {
             oracle: OracleKind::MonteCarlo,
             metrics_out: None,
             persist_path: None,
-            maintain_bound: DysimConfig::default().maintain_bound,
         }
-    }
-}
-
-/// Parses the `IMDPP_MAINTAIN` syntax: `off` / `0` / `none` (disable
-/// maintained solutions) or a repair bound in `(0, 1]` (`1` = paranoid
-/// mode — any update forces a full re-solve).  `None` means the value was
-/// not understood.
-pub fn parse_maintain(value: &str) -> Option<Option<f64>> {
-    let v = value.trim().to_ascii_lowercase();
-    match v.as_str() {
-        "off" | "none" | "0" => Some(None),
-        _ => match v.parse::<f64>() {
-            Ok(b) if b > 0.0 && b <= 1.0 => Some(Some(b)),
-            _ => None,
-        },
     }
 }
 
@@ -152,15 +133,6 @@ impl HarnessConfig {
                 ),
             }
         }
-        if let Ok(v) = std::env::var("IMDPP_MAINTAIN") {
-            match parse_maintain(&v) {
-                Some(bound) => cfg.maintain_bound = bound,
-                None => eprintln!(
-                    "IMDPP_MAINTAIN = {v:?} not understood (expected off | a bound in (0, 1]); \
-                     keeping the default"
-                ),
-            }
-        }
         cfg.metrics_out = imdpp_obs::metrics_env_path();
         if let Ok(v) = std::env::var("IMDPP_PERSIST") {
             if !v.trim().is_empty() {
@@ -176,7 +148,6 @@ impl HarnessConfig {
             mc_samples: self.select_samples,
             candidate_users: self.candidate_users,
             oracle: self.oracle,
-            maintain_bound: self.maintain_bound,
             ..DysimConfig::default()
         }
     }
@@ -405,7 +376,6 @@ mod tests {
             oracle: OracleKind::MonteCarlo,
             metrics_out: None,
             persist_path: None,
-            maintain_bound: Some(0.95),
         }
     }
 
@@ -434,18 +404,6 @@ mod tests {
         let cfg = HarnessConfig::from_env();
         assert!(cfg.scale > 0.0);
         assert!(cfg.eval_samples >= 1);
-    }
-
-    #[test]
-    fn maintain_env_syntax_parses() {
-        assert_eq!(parse_maintain("off"), Some(None));
-        assert_eq!(parse_maintain("NONE"), Some(None));
-        assert_eq!(parse_maintain("0"), Some(None));
-        assert_eq!(parse_maintain("0.95"), Some(Some(0.95)));
-        assert_eq!(parse_maintain("1"), Some(Some(1.0)));
-        assert_eq!(parse_maintain("1.5"), None);
-        assert_eq!(parse_maintain("-0.2"), None);
-        assert_eq!(parse_maintain("bogus"), None);
     }
 
     #[test]

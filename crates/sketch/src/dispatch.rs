@@ -173,13 +173,6 @@ impl SpreadOracle for ConfiguredOracle {
         }
     }
 
-    fn marginal_gain(&self, base: &[Nominee], candidate: Nominee) -> f64 {
-        match self {
-            ConfiguredOracle::MonteCarlo(o) => o.marginal_gain(base, candidate),
-            ConfiguredOracle::RrSketch(o) => o.marginal_gain(base, candidate),
-        }
-    }
-
     fn name(&self) -> &'static str {
         match self {
             ConfiguredOracle::MonteCarlo(o) => o.name(),

@@ -31,9 +31,15 @@
 //!   the first invalidated position, and keep the repaired seed set while
 //!   it stays within a configurable bound of fresh greedy,
 //! * [`oracle`] — [`SketchOracle`], the `imdpp_core::SpreadOracle`
-//!   implementation callers plug into nominee selection and baselines; its
-//!   `imdpp_core::RefreshableOracle::refresh` is the one entry point that
-//!   moves the sketch to a drifted world,
+//!   implementation callers plug into nominee selection and baselines; every
+//!   answer, a single query included, comes from one batched coverage pass
+//!   (64 queries per chunk), and its `imdpp_core::RefreshableOracle::refresh`
+//!   is the one entry point that moves the sketch to a drifted world,
+//! * [`overlay`] — copy-on-write tenant views: [`SketchPatch`] holds the RR
+//!   sets a tenant's preference deltas invalidate, replayed from their own
+//!   streams against the tenant's scenario; [`PatchedSketch`] answers
+//!   through the base sketch's coverage pass, which moves each replaced
+//!   set's query hits from its base version to its replacement,
 //! * [`dispatch`] — [`ConfiguredOracle`], the one place the
 //!   `DysimConfig::oracle` knob resolves to a concrete estimator (consumed
 //!   by the `imdpp-engine` `Engine`),

@@ -2,9 +2,10 @@
 //! estimation interface of `imdpp-core`.
 
 use crate::incremental::{edge_update_frontier, RefreshStats};
+use crate::overlay::SketchPatch;
 use crate::persist;
 use crate::sharded::{build_stores, refresh_stores, ShardedRrStore};
-use crate::store::IndexStats;
+use crate::store::{for_each_query, IndexStats};
 use crate::telemetry::SketchMetrics;
 use crate::SketchConfig;
 use imdpp_core::nominees::Nominee;
@@ -197,7 +198,7 @@ impl SketchOracle {
     /// # Errors
     /// [`ImdppError::InvalidConfig`] when the scenario is not Independent
     /// Cascade, the payload is truncated or corrupt, or the recorded
-    /// item/shard layout disagrees with `scenario`/`config`.
+    /// item/shard/set layout disagrees with `scenario`/`config`.
     pub fn deserialize(
         scenario: &Scenario,
         config: SketchConfig,
@@ -228,6 +229,11 @@ impl SketchOracle {
             if store.shard_count() != expected_shards {
                 return Err(persist::corrupt(
                     "persisted shard count disagrees with the configuration",
+                ));
+            }
+            if store.len() != config.initial_sets {
+                return Err(persist::corrupt(
+                    "persisted set count disagrees with the configuration",
                 ));
             }
             stores.push(store);
@@ -310,53 +316,27 @@ impl RefreshableOracle for SketchOracle {
     }
 }
 
-impl SpreadOracle for SketchOracle {
-    /// `f(N) = Σ_x importance(x) · n · (coverage of N's item-x users)`:
-    /// per-item RR estimates combined with catalogue importances.  Under
-    /// frozen dynamics items diffuse independently (`P_ext ≡ 0`), so the sum
-    /// targets exactly the Monte-Carlo estimator's quantity.
+impl SketchOracle {
+    /// `f(N)` of every query over the stores `self ⊕ patch`: the one
+    /// coverage pass behind every answer of the sketch and of its tenant
+    /// overlays (an empty patch is the base sketch).
     ///
-    /// The per-item terms are added to `+0.0` in ascending item order, as
-    /// the batch pass adds them (`Iterator::sum` starts from `−0.0`, which
-    /// a query naming no catalogue item would return).
-    fn static_spread(&self, nominees: &[Nominee]) -> f64 {
-        if nominees.is_empty() {
-            return 0.0;
-        }
-        let mut by_item: Vec<Vec<UserId>> = vec![Vec::new(); self.stores.len()];
-        for &(u, x) in nominees {
-            if x.index() < by_item.len() {
-                by_item[x.index()].push(u);
-            }
-        }
-        by_item
-            .iter()
-            .enumerate()
-            .filter(|(_, users)| !users.is_empty())
-            .map(|(x, users)| {
-                let item = ItemId(x as u32);
-                self.frozen.catalog().importance(item) * self.stores[x].estimate_adopters(users)
-            })
-            .fold(0.0, |sum, term| sum + term)
-    }
-
-    /// Answers the whole batch in one pass over the RR stores.  Queries
-    /// are cut into chunks of up to 64, each chunk carrying one `u64`
-    /// query-membership mask per user, so every compressed span is decoded
-    /// **once per chunk** instead of once per query
-    /// ([`ShardedRrStore::coverage_counts_masked`]).  A batch of more than
-    /// one chunk is first ordered by each query's lowest item id (a stable
-    /// sort), which puts queries that share items in the same chunk, so a
-    /// wave of singleton queries decodes each item's store once.
+    /// `f(N) = Σ_x importance(x) · n · coverage_x(N) / total_x`.  Under
+    /// frozen dynamics items diffuse independently (`P_ext ≡ 0`), so the
+    /// sum targets the Monte-Carlo estimator's quantity.  Each query's
+    /// terms are added to `+0.0` in ascending item order (`Iterator::sum`
+    /// would start from `−0.0`); out-of-range users and items are dropped.
     ///
-    /// `results[q]` is **bit-identical** to `self.static_spread(queries[q])`:
-    /// both add `importance(x) · n · coverage / total` to `+0.0` over items
-    /// in ascending id order, the batched coverage counters equal the
-    /// single-query ones by construction, and the only terms the batch
-    /// elides are exact zeros (items a query does not seed), which cannot
-    /// change a non-negative IEEE-754 sum.  Which chunk a query lands in
-    /// changes none of that.
-    fn static_spread_batch(&self, queries: &[&[Nominee]]) -> Vec<f64> {
+    /// Queries are cut into chunks of up to 64, each carrying one `u64`
+    /// query mask per user, so every span is decoded **once per chunk**
+    /// ([`ShardedRrStore::coverage_counts_masked`]); the patch then moves
+    /// each replaced set's hits from its base version to its replacement.
+    /// A batch of more than one chunk is first stably ordered by each
+    /// query's lowest item id, so queries that share items share a chunk
+    /// and a wave of singleton queries decodes each item's store once.
+    /// Counts are per-query integers and the elided terms are exact zeros,
+    /// so which chunk a query lands in changes no bit of its answer.
+    pub(crate) fn spread_batch(&self, patch: &SketchPatch, queries: &[&[Nominee]]) -> Vec<f64> {
         let user_count = self.frozen.user_count();
         let mut order: Vec<usize> = (0..queries.len()).collect();
         if queries.len() > 64 {
@@ -368,9 +348,8 @@ impl SpreadOracle for SketchOracle {
         // through the per-item touch lists, never by reallocating.
         let mut masks = vec![0u64; user_count];
         for chunk in order.chunks(64) {
-            // Bucket the chunk's nominees per item: (user, query-bit) pairs.
-            // Out-of-range users and items are dropped here, exactly where
-            // the single-query path's coverage counting drops them.
+            // Bucket the chunk's in-range nominees per item: (user,
+            // query-bit) pairs.
             let mut by_item: Vec<Vec<(u32, usize)>> = vec![Vec::new(); self.stores.len()];
             for (qi, &q) in chunk.iter().enumerate() {
                 for &(u, x) in queries[q] {
@@ -392,16 +371,14 @@ impl SpreadOracle for SketchOracle {
                 counts.fill(0);
                 let store = &self.stores[x];
                 store.coverage_counts_masked(&masks, full, &mut counts);
+                patch.adjust_counts(x, store, &masks, full, &mut counts);
                 let total = store.len();
                 if total > 0 {
                     let importance = self.frozen.catalog().importance(ItemId(x as u32));
-                    let mut live = full;
-                    while live != 0 {
-                        let qi = live.trailing_zeros() as usize;
-                        live &= live - 1;
+                    for_each_query(full, |qi| {
                         results[chunk[qi]] +=
                             importance * (user_count as f64 * counts[qi] as f64 / total as f64);
-                    }
+                    });
                 }
                 for &(u, _) in entries {
                     masks[u as usize] = 0;
@@ -409,6 +386,20 @@ impl SpreadOracle for SketchOracle {
             }
         }
         results
+    }
+}
+
+impl SpreadOracle for SketchOracle {
+    /// The one-query batch: see [`SketchOracle::static_spread_batch`].
+    fn static_spread(&self, nominees: &[Nominee]) -> f64 {
+        self.static_spread_batch(&[nominees])[0]
+    }
+
+    /// Answers the whole batch in one chunked pass over the RR stores (see
+    /// `spread_batch` for the estimate, its summation order and its
+    /// out-of-range rule).
+    fn static_spread_batch(&self, queries: &[&[Nominee]]) -> Vec<f64> {
+        self.spread_batch(&SketchPatch::default(), queries)
     }
 
     fn name(&self) -> &'static str {
@@ -633,6 +624,26 @@ mod tests {
         }
     }
 
+    /// `f(N)` from the decoded sets, independently of the coverage pass:
+    /// per item, `importance · n · covered / total` added to `+0.0` in
+    /// ascending item order (items `N` does not seed add an exact zero).
+    fn decoded_spread(o: &SketchOracle, nominees: &[Nominee]) -> f64 {
+        let s = o.scenario();
+        let n = s.user_count() as f64;
+        s.items().fold(0.0, |sum, item| {
+            let store = o.store(item);
+            let covered = store
+                .iter()
+                .filter(|(_, set)| {
+                    nominees
+                        .iter()
+                        .any(|&(u, x)| x == item && set.contains(&u.0))
+                })
+                .count();
+            sum + s.catalog().importance(item) * (n * covered as f64 / store.len() as f64)
+        })
+    }
+
     #[test]
     fn batched_spread_is_bit_identical_to_single_queries() {
         let s = toy_scenario();
@@ -666,6 +677,11 @@ mod tests {
                 assert_eq!(
                     batched[q].to_bits(),
                     o.static_spread(nominees).to_bits(),
+                    "{shards} shards, query {q}"
+                );
+                assert_eq!(
+                    batched[q].to_bits(),
+                    decoded_spread(&o, nominees).to_bits(),
                     "{shards} shards, query {q}"
                 );
             }
@@ -722,6 +738,16 @@ mod tests {
         assert!(
             SketchOracle::deserialize(&s, wrong_shards, &Telemetry::disabled(), &bytes).is_err()
         );
+        // Wrong pool size: a 128-set image does not restore as 64 sets.
+        let bigger =
+            SketchOracle::build(&s, SketchConfig::fixed(128).with_base_seed(13)).serialize();
+        let restored = SketchOracle::deserialize(
+            &s,
+            SketchConfig::fixed(64).with_base_seed(13),
+            &Telemetry::disabled(),
+            &bigger,
+        );
+        assert!(matches!(restored, Err(ImdppError::InvalidConfig { .. })));
         // Wrong model.
         let lt = s.with_model(imdpp_diffusion::DiffusionModel::LinearThreshold);
         assert!(SketchOracle::deserialize(&lt, config, &Telemetry::disabled(), &bytes).is_err());

@@ -12,9 +12,10 @@
 //!   invalidated RNG streams.  Its size is `O(deltas × affected sets)`,
 //!   independent of the graph and of every other tenant.
 //! * [`PatchedSketch`] is the borrowed view `base ⊕ patch` implementing
-//!   [`SpreadOracle`]: coverage counts split into "base sets minus the
-//!   patched ids" (answered by the shared arenas) plus "patched
-//!   replacements" (answered by the tenant's own little list).
+//!   [`SpreadOracle`]: it runs the base sketch's one coverage pass over the
+//!   shared arenas, and `SketchPatch::adjust_counts` then moves each
+//!   replaced set's query hits from its base version to the tenant's
+//!   replacement.
 //!
 //! ## Why this is exact
 //!
@@ -24,14 +25,15 @@
 //! scenario.  A patch replays those same streams against the tenant's
 //! scenario, so `base ⊕ patch` holds — set for set — the stores an
 //! independent tenant engine would have built.  Coverage counts are
-//! integer counts over those sets, and the estimate formula
-//! (`importance · n · coverage / total`, summed in ascending item order)
-//! is evaluated identically, so every tenant-scoped spread estimate and
-//! greedy decision is bit-identical to the N-engines deployment.
+//! integers, so moving a replaced set's hits yields exactly the counts of
+//! a pass over those sets, and the estimate formula is the base sketch's
+//! own function, so every tenant-scoped spread estimate and greedy
+//! decision is bit-identical to the N-engines deployment.
 
 use crate::oracle::SketchOracle;
 use crate::sampler;
-use crate::store::SetId;
+use crate::sharded::ShardedRrStore;
+use crate::store::{for_each_query, query_hits, SetId};
 use imdpp_core::nominees::Nominee;
 use imdpp_core::SpreadOracle;
 use imdpp_diffusion::{DynamicsConfig, Scenario};
@@ -99,12 +101,6 @@ impl SketchPatch {
         self.replaced.iter().map(|r| r.len()).sum()
     }
 
-    /// True when the patch replaces nothing (the tenant's deltas touched no
-    /// sampled set): the overlay then serves pure base answers.
-    pub fn is_empty(&self) -> bool {
-        self.replaced.iter().all(|r| r.is_empty())
-    }
-
     /// Approximate heap footprint of the patch in bytes — the quantity the
     /// serving tier's O(deltas) memory gate compares against N full
     /// sketches.
@@ -120,20 +116,35 @@ impl SketchPatch {
         bytes
     }
 
-    /// The sorted replaced set ids of one item (empty when untouched).
-    fn skip_ids(&self, x: usize) -> Vec<SetId> {
-        self.replaced
-            .get(x)
-            .map(|r| r.iter().map(|&(id, _)| id).collect())
-            .unwrap_or_default()
+    /// Moves the query hits of item `x`'s replaced sets in `counts` (the
+    /// base store's counts for `masks`, see
+    /// [`ShardedRrStore::coverage_counts_masked`]) from each set's base
+    /// version to its replacement: the bits only the base version hits
+    /// lose one, the bits only the replacement hits gain one.  The counts
+    /// are integers, so the result equals a pass over the tenant-built
+    /// store.
+    pub(crate) fn adjust_counts(
+        &self,
+        x: usize,
+        store: &ShardedRrStore,
+        masks: &[u64],
+        full: u64,
+        counts: &mut [usize],
+    ) {
+        for (id, members) in self.replaced.get(x).into_iter().flatten() {
+            let before = query_hits(store.set_members(*id), masks, full);
+            let after = query_hits(members.iter().copied(), masks, full);
+            for_each_query(before & !after, |q| counts[q] -= 1);
+            for_each_query(after & !before, |q| counts[q] += 1);
+        }
     }
 }
 
 /// The borrowed tenant view `base ⊕ patch`: a [`SpreadOracle`] whose
-/// coverage counts come from the shared base arenas for unpatched sets and
-/// from the patch's replacement lists for patched ones.  Construction
-/// borrows both sides — nothing is copied, so a query through this view
-/// costs the same order of work as a base query plus `O(patch)` extras.
+/// coverage counts come from the shared base arenas, with the patched
+/// sets' hits moved to their replacements.  Construction borrows both
+/// sides — nothing is copied, so a query through this view costs a base
+/// query plus `O(patch)` extras.
 #[derive(Clone, Copy, Debug)]
 pub struct PatchedSketch<'a> {
     base: &'a SketchOracle,
@@ -147,66 +158,20 @@ impl<'a> PatchedSketch<'a> {
     pub fn new(base: &'a SketchOracle, patch: &'a SketchPatch) -> Self {
         PatchedSketch { base, patch }
     }
-
-    /// Coverage count of `users` against item `x`'s patched store: base
-    /// sets excluding the replaced ids, plus replacements that contain a
-    /// marked user.
-    fn coverage(&self, x: usize, marked: &[bool]) -> usize {
-        let store = self.base.store(ItemId(x as u32));
-        let skip = self.patch.skip_ids(x);
-        let mut covered = store.coverage_count_marked_excluding(marked, &skip);
-        if let Some(per_item) = self.patch.replaced.get(x) {
-            covered += per_item
-                .iter()
-                .filter(|(_, members)| members.iter().any(|&u| marked[u as usize]))
-                .count();
-        }
-        covered
-    }
 }
 
 impl SpreadOracle for PatchedSketch<'_> {
-    /// The tenant-scoped `f(N)`: identical formula and summation order to
-    /// [`SketchOracle::static_spread`], with each item's coverage integer
-    /// computed over `base ⊕ patch` — bit-identical to the estimate of an
-    /// independently built tenant sketch (see the module docs).  Like the
-    /// sketch, it adds the terms to `+0.0`, so a query naming no catalogue
-    /// item is `+0.0`, not the `−0.0` of an empty `Iterator::sum`.
+    /// The tenant-scoped `f(N)`: the one-query batch.
     fn static_spread(&self, nominees: &[Nominee]) -> f64 {
-        if nominees.is_empty() {
-            return 0.0;
-        }
-        let scenario = self.base.scenario();
-        let user_count = scenario.user_count();
-        let item_count = scenario.item_count();
-        let mut by_item: Vec<Vec<UserId>> = vec![Vec::new(); item_count];
-        for &(u, x) in nominees {
-            if x.index() < item_count {
-                by_item[x.index()].push(u);
-            }
-        }
-        let mut marked = vec![false; user_count];
-        by_item
-            .iter()
-            .enumerate()
-            .filter(|(_, users)| !users.is_empty())
-            .map(|(x, users)| {
-                marked.fill(false);
-                for &u in users {
-                    if u.index() < user_count {
-                        marked[u.index()] = true;
-                    }
-                }
-                let item = ItemId(x as u32);
-                let store = self.base.store(item);
-                let estimate = if store.is_empty() {
-                    0.0
-                } else {
-                    user_count as f64 * self.coverage(x, &marked) as f64 / store.len() as f64
-                };
-                scenario.catalog().importance(item) * estimate
-            })
-            .fold(0.0, |sum, term| sum + term)
+        self.static_spread_batch(&[nominees])[0]
+    }
+
+    /// The base sketch's batch pass over `base ⊕ patch` — the same
+    /// formula, summation order and out-of-range rule as
+    /// [`SketchOracle`]'s answers, bit-identical to an independently
+    /// built tenant sketch (see the module docs).
+    fn static_spread_batch(&self, queries: &[&[Nominee]]) -> Vec<f64> {
+        self.base.spread_batch(self.patch, queries)
     }
 
     fn name(&self) -> &'static str {
@@ -262,25 +227,37 @@ mod tests {
                     "{shards} shards, probe {probe:?}"
                 );
             }
-            // The batch (the trait's per-query loop here) agrees with the
-            // tenant-built sketch's batch pass over more than 64 queries,
-            // and a query naming no catalogue item is +0.0 on both.
+            // The batch agrees with the tenant-built sketch's over more than
+            // 64 queries, and a query naming no catalogue item is +0.0 on
+            // both.  The batch seeds the delta items, so the patch moves
+            // answers: (u0, x0) falls and (u0, x2) rises against the base.
             let owned: Vec<Vec<Nominee>> = (0..70u32)
-                .map(|i| match i % 4 {
-                    0 => vec![(UserId(i % 6), ItemId(3 - i % 4))],
+                .map(|i| match i % 6 {
+                    0 => vec![(UserId(i % 5), ItemId(3 - i % 4))],
                     1 => vec![(UserId(1), ItemId(2)), (UserId(1), ItemId(2))],
                     2 => vec![],
+                    3 => vec![(UserId(0), ItemId(0))],
+                    4 => vec![(UserId(0), ItemId(2)), (UserId(i % 5), ItemId(i % 3))],
                     _ => vec![(UserId(i % 6), ItemId(999))],
                 })
                 .collect();
             let queries: Vec<&[Nominee]> = owned.iter().map(Vec::as_slice).collect();
             let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            let tenant_batch = bits(view.static_spread_batch(&queries));
             assert_eq!(
-                bits(view.static_spread_batch(&queries)),
+                tenant_batch,
                 bits(independent.static_spread_batch(&queries)),
                 "{shards} shards"
             );
-            assert_eq!(view.static_spread(queries[3]).to_bits(), 0.0f64.to_bits());
+            assert_ne!(
+                tenant_batch,
+                bits(base.static_spread_batch(&queries)),
+                "{shards} shards"
+            );
+            let (u0x0, u0x2) = ([(UserId(0), ItemId(0))], [(UserId(0), ItemId(2))]);
+            assert!(view.static_spread(&u0x0) < base.static_spread(&u0x0));
+            assert!(view.static_spread(&u0x2) > base.static_spread(&u0x2));
+            assert_eq!(view.static_spread(queries[2]).to_bits(), 0.0f64.to_bits());
             // Marginals — the greedy loop's primitive — agree too.
             let basep = [(UserId(0), ItemId(0))];
             assert_eq!(
@@ -300,7 +277,6 @@ mod tests {
         let d = deltas();
         let tenant = s.with_base_preferences(&d);
         let patch = SketchPatch::build(&base, &tenant, &pairs(&d));
-        assert!(!patch.is_empty());
         assert!(patch.replaced_sets() > 0);
         // The patch replaces only sets containing the changed users — a
         // strict subset of the base sketch.
@@ -309,7 +285,6 @@ mod tests {
 
         // No deltas → empty patch → the view answers pure base numbers.
         let empty = SketchPatch::build(&base, &s, &[]);
-        assert!(empty.is_empty());
         assert_eq!(empty.replaced_sets(), 0);
         let view = PatchedSketch::new(&base, &empty);
         let probe = [(UserId(0), ItemId(0)), (UserId(2), ItemId(1))];
@@ -325,6 +300,6 @@ mod tests {
         let base = SketchOracle::build(&s, SketchConfig::fixed(64).with_base_seed(13));
         // An item past the catalogue is dropped, not panicked on.
         let patch = SketchPatch::build(&base, &s, &[(UserId(0), ItemId(999))]);
-        assert!(patch.is_empty());
+        assert_eq!(patch.replaced_sets(), 0);
     }
 }

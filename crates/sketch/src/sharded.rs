@@ -24,8 +24,8 @@
 //!   one would.
 //! * **Global iteration order is id order** regardless of `S`, so
 //!   estimates and store-equality checks are shard-count-independent.
-//! * Coverage counting aggregates *per-shard partial counters* (one shared
-//!   user bitmap, one count per shard) and the estimate divides the summed
+//! * Coverage counting adds every shard's hits into one counter per query
+//!   (one shared per-user query mask) and the estimate divides the summed
 //!   coverage by the summed set count — the same integers for every `S`,
 //!   hence bit-identical estimates.
 //!
@@ -360,46 +360,13 @@ impl ShardedRrStore {
     /// Answers up to 64 coverage queries in one pass over every shard's
     /// arena: `masks[u]` carries one bit per query seeding user `u`, `full`
     /// is the union of all live query bits, and `counts[q]` is incremented
-    /// by the number of sets query `q` covers — accumulated across shards,
-    /// exactly like [`ShardedRrStore::coverage_count`] sums its per-shard
-    /// partial counters.  A span adds to `counts[q]` iff one of its members
-    /// carries bit `q`, so the batched counts equal 64 independent
-    /// single-query passes by construction.
+    /// by the number of sets query `q` covers, accumulated across shards.
+    /// This is the sketch's only coverage count: a single query is the
+    /// one-bit case ([`ShardedRrStore::coverage_count`]).
     pub fn coverage_counts_masked(&self, masks: &[u64], full: u64, counts: &mut [usize]) {
         for shard in &self.shards {
             shard.coverage_counts_masked(masks, full, counts);
         }
-    }
-
-    /// Number of sets hit by the marked users, **excluding** the sorted
-    /// *global* set ids in `skip` — the base-store side of a tenant
-    /// overlay's coverage count, where the skipped sets are answered from
-    /// the overlay's patch instead.  Global ids split by residue class
-    /// (`shard = id mod S`, `local = id div S`); ascending globals of one
-    /// residue class map to ascending locals, so the per-shard skip lists
-    /// stay sorted for each shard's binary search.
-    pub fn coverage_count_marked_excluding(&self, marked: &[bool], skip: &[SetId]) -> usize {
-        debug_assert!(
-            skip.windows(2).all(|w| w[0] < w[1]),
-            "skip ids must be sorted"
-        );
-        let shard_count = self.shards.len();
-        if skip.is_empty() {
-            return self
-                .shards
-                .iter()
-                .map(|s| s.coverage_count_marked(marked))
-                .sum();
-        }
-        let mut local_skips: Vec<Vec<SetId>> = vec![Vec::new(); shard_count];
-        for &id in skip {
-            local_skips[id as usize % shard_count].push(id / shard_count as SetId);
-        }
-        self.shards
-            .iter()
-            .zip(&local_skips)
-            .map(|(shard, skip)| shard.coverage_count_marked_excluding(marked, skip))
-            .sum()
     }
 
     /// Writes the store's persistent form: shard count, global set count,
@@ -452,23 +419,20 @@ impl ShardedRrStore {
         self.shards.iter().all(|s| s.index_matches_rebuild())
     }
 
-    /// Number of sets hit by the given seed users: per-shard partial
-    /// counters over one shared seed bitmap, summed.
+    /// Number of sets hit by the given seed users: the one-bit case of
+    /// [`ShardedRrStore::coverage_counts_masked`], which makes no pass when
+    /// no seed is in range.
     pub fn coverage_count(&self, seeds: &[UserId]) -> usize {
-        if self.total == 0 || seeds.is_empty() {
-            return 0;
-        }
         let user_count = self.user_count();
-        let mut marked = vec![false; user_count];
-        for &u in seeds {
-            if u.index() < user_count {
-                marked[u.index()] = true;
-            }
+        let mut masks = vec![0u64; user_count];
+        let mut full = 0;
+        for u in seeds.iter().filter(|u| u.index() < user_count) {
+            masks[u.index()] = 1;
+            full = 1;
         }
-        self.shards
-            .iter()
-            .map(|s| s.coverage_count_marked(&marked))
-            .sum()
+        let mut count = [0];
+        self.coverage_counts_masked(&masks, full, &mut count);
+        count[0]
     }
 
     /// Unbiased estimate of the expected adopters of the store's item when
@@ -820,24 +784,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_frontier_and_batched_coverage_match_the_single_query_paths() {
+    fn shared_frontier_and_coverage_counts_match_a_scan_of_the_sets() {
         for shards in [1usize, 2, 3, 4, 7] {
             let sharded = store_with(shards, SETS);
             let queries: &[&[u32]] = &[&[1], &[0, 6], &[7], &[2, 3, 4], &[]];
-            // The indexed frontier == a scan of every set's members.
-            for seeds in queries {
-                let scanned: Vec<SetId> = sharded
-                    .iter()
-                    .filter(|(_, set)| set.iter().any(|u| seeds.contains(u)))
-                    .map(|(id, _)| id)
-                    .collect();
-                assert_eq!(
-                    sharded.sets_touching(&users(seeds)),
-                    scanned,
-                    "{shards} shards, seeds {seeds:?}"
-                );
-            }
-            // Batched masked coverage == one coverage_count per query.
             let mut masks = vec![0u64; sharded.user_count()];
             let mut full = 0u64;
             for (q, seeds) in queries.iter().enumerate() {
@@ -849,37 +799,22 @@ mod tests {
             let mut counts = vec![0usize; queries.len()];
             sharded.coverage_counts_masked(&masks, full, &mut counts);
             for (q, seeds) in queries.iter().enumerate() {
+                // The indexed frontier, the batched count and the one-query
+                // count all equal a scan of every set's members.
+                let scanned: Vec<SetId> = sharded
+                    .iter()
+                    .filter(|(_, set)| set.iter().any(|u| seeds.contains(u)))
+                    .map(|(id, _)| id)
+                    .collect();
+                let label = format!("{shards} shards, seeds {seeds:?}");
+                assert_eq!(sharded.sets_touching(&users(seeds)), scanned, "{label}");
+                assert_eq!(counts[q], scanned.len(), "{label}");
                 assert_eq!(
-                    counts[q],
                     sharded.coverage_count(&users(seeds)),
-                    "{shards} shards, query {q}"
+                    scanned.len(),
+                    "{label}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn excluding_coverage_splits_global_skip_ids_correctly() {
-        for shards in [1usize, 2, 3, 4] {
-            let sharded = store_with(shards, SETS);
-            let mut marked = vec![false; 8];
-            for u in [1usize, 6] {
-                marked[u] = true;
-            }
-            let all = sharded.coverage_count(&users(&[1, 6]));
-            assert_eq!(sharded.coverage_count_marked_excluding(&marked, &[]), all);
-            // Sets 0, 1, 3, 4 cover {1, 6}; skipping two of them drops two.
-            assert_eq!(
-                sharded.coverage_count_marked_excluding(&marked, &[0, 4]),
-                all - 2,
-                "{shards} shards"
-            );
-            // Skipping every covering set reaches zero.
-            assert_eq!(
-                sharded.coverage_count_marked_excluding(&marked, &[0, 1, 3, 4]),
-                0,
-                "{shards} shards"
-            );
         }
     }
 

@@ -88,6 +88,30 @@ pub(crate) fn prepare_heads(users: &[UserId], user_count: usize) -> Vec<u32> {
     heads
 }
 
+/// The queries of `masks` that a set with `members` hits: the OR of the
+/// members' masks, stopping once it reaches `full` (every bit of `masks`
+/// lies in `full`, so stopping early changes nothing).
+#[inline]
+pub(crate) fn query_hits(members: impl IntoIterator<Item = u32>, masks: &[u64], full: u64) -> u64 {
+    let mut acc = 0u64;
+    for u in members {
+        acc |= masks[u as usize];
+        if acc == full {
+            break;
+        }
+    }
+    acc
+}
+
+/// Calls `f(q)` for every query bit `q` set in `bits`, lowest first.
+#[inline]
+pub(crate) fn for_each_query(mut bits: u64, mut f: impl FnMut(usize)) {
+    while bits != 0 {
+        f(bits.trailing_zeros() as usize);
+        bits &= bits - 1;
+    }
+}
+
 /// Counters of the inverted-index maintenance work a store has performed.
 ///
 /// `full_rebuilds` counts counting-sort passes over the whole corpus (one
@@ -476,65 +500,23 @@ impl RrStore {
         true
     }
 
-    /// Number of sets containing at least one marked user (`marked` is a
-    /// dense user bitmap), so the sharded store can share one bitmap across
-    /// its shards.  Decodes each span with early exit on the first marked
-    /// member.
-    pub(crate) fn coverage_count_marked(&self, marked: &[bool]) -> usize {
-        self.spans
-            .iter()
-            .filter(|span| self.span_members(span).any(|u| marked[u as usize]))
-            .count()
-    }
-
     /// Multi-query coverage in **one pass over the arena**: `masks` is a
     /// dense per-user bitmask (bit `q` set on user `u` = query `q` seeds
     /// `u`), and `counts[q]` is incremented once per span containing at
     /// least one user with bit `q` set.  Each span is decoded exactly once
-    /// for up to 64 queries — the amortization behind the serving tier's
-    /// batched spread path — with early exit once the accumulated mask
-    /// reaches `full` (the union of bits any query could still contribute).
-    ///
-    /// Per query `q`, the increment happens iff some member has bit `q`
-    /// marked — exactly the predicate of [`RrStore::coverage_count_marked`]
-    /// with that query's seed bitmap — so the batched counts are equal (not
-    /// just close) to 64 independent single-query passes.
+    /// for up to 64 queries — the amortization behind every `f(N)` answer
+    /// of the sketch — with early exit once the accumulated mask reaches
+    /// `full` (the union of bits any query could still contribute).
     pub(crate) fn coverage_counts_masked(&self, masks: &[u64], full: u64, counts: &mut [usize]) {
         debug_assert_eq!(masks.len(), self.user_count);
         if full == 0 {
             return;
         }
         for span in &self.spans {
-            let mut acc = 0u64;
-            for u in self.span_members(span) {
-                acc |= masks[u as usize];
-                if acc == full {
-                    break;
-                }
-            }
-            let mut hit = acc;
-            while hit != 0 {
-                let q = hit.trailing_zeros() as usize;
-                counts[q] += 1;
-                hit &= hit - 1;
-            }
+            for_each_query(query_hits(self.span_members(span), masks, full), |q| {
+                counts[q] += 1
+            });
         }
-    }
-
-    /// [`RrStore::coverage_count_marked`] skipping the (sorted, shard-local)
-    /// set ids in `skip` — the base-store half of copy-on-write overlay
-    /// coverage, where the skipped sets are answered from the tenant's
-    /// replacement spans instead.
-    pub(crate) fn coverage_count_marked_excluding(&self, marked: &[bool], skip: &[SetId]) -> usize {
-        debug_assert!(skip.windows(2).all(|w| w[0] < w[1]), "skip must be sorted");
-        self.spans
-            .iter()
-            .enumerate()
-            .filter(|&(id, span)| {
-                skip.binary_search(&(id as SetId)).is_err()
-                    && self.span_members(span).any(|u| marked[u as usize])
-            })
-            .count()
     }
 
     /// Serializes the live spans: set count, then per set the member count,
@@ -607,13 +589,11 @@ mod tests {
         s.sets_touching(&prepare_heads(&users(ids), s.user_count()))
     }
 
-    /// Sets covered by `seeds`, through a dense seed bitmap.
+    /// Sets holding one of `seeds`, by a scan of the decoded sets.
     fn covered(s: &RrStore, seeds: &[u32]) -> usize {
-        let mut marked = vec![false; s.user_count()];
-        for &u in seeds {
-            marked[u as usize] = true;
-        }
-        s.coverage_count_marked(&marked)
+        (0..s.len() as SetId)
+            .filter(|&id| s.set_members(id).any(|u| seeds.contains(&u)))
+            .count()
     }
 
     #[test]
@@ -725,26 +705,13 @@ mod tests {
             assert_eq!(
                 counts[q],
                 covered(&s, seeds),
-                "query {q} diverged from the single-query pass"
+                "query {q} diverged from a scan of the sets"
             );
         }
         // A zero full-mask is a no-op.
         let mut untouched = vec![7usize; queries.len()];
         s.coverage_counts_masked(&vec![0; s.user_count()], 0, &mut untouched);
         assert!(untouched.iter().all(|&c| c == 7));
-    }
-
-    #[test]
-    fn excluding_coverage_subtracts_exactly_the_skipped_sets() {
-        let s = store_with(&[&[0, 1], &[1, 2], &[3], &[4, 5], &[0, 5]]);
-        let mut marked = vec![false; 6];
-        marked[1] = true;
-        marked[5] = true;
-        assert_eq!(s.coverage_count_marked(&marked), 4);
-        assert_eq!(s.coverage_count_marked_excluding(&marked, &[]), 4);
-        // Skipping a covered set drops it; skipping an uncovered one is free.
-        assert_eq!(s.coverage_count_marked_excluding(&marked, &[0, 2]), 3);
-        assert_eq!(s.coverage_count_marked_excluding(&marked, &[0, 1, 3, 4]), 0);
     }
 
     #[test]
