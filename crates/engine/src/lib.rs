@@ -265,6 +265,8 @@ struct EngineMetrics {
     batch_ns: Histogram,
     batch_size: Histogram,
     apply_ns: Histogram,
+    scenario_update_ns: Histogram,
+    oracle_clone_ns: Histogram,
     refresh_ns: Histogram,
     swap_ns: Histogram,
     writer_wait_ns: Histogram,
@@ -329,6 +331,8 @@ impl EngineMetrics {
             batch_ns: telemetry.histogram("engine.batch_ns"),
             batch_size: telemetry.histogram("engine.batch.size"),
             apply_ns: telemetry.histogram("engine.apply_ns"),
+            scenario_update_ns: telemetry.histogram("engine.scenario_update_ns"),
+            oracle_clone_ns: telemetry.histogram("engine.oracle_clone_ns"),
             refresh_ns: telemetry.histogram("engine.refresh_ns"),
             swap_ns: telemetry.histogram("engine.swap_ns"),
             writer_wait_ns: telemetry.histogram("engine.writer_wait_ns"),
@@ -649,8 +653,14 @@ impl Engine {
             } else {
                 None
             };
-            let updated = update.apply(snap.scenario());
-            let mut oracle = snap.oracle.clone();
+            let updated = {
+                let _span = self.metrics.scenario_update_ns.start();
+                update.apply(snap.scenario())
+            };
+            let mut oracle = {
+                let _span = self.metrics.oracle_clone_ns.start();
+                snap.oracle.clone()
+            };
             // Refresh borrows `updated` before it moves into the instance,
             // so the writer path copies the scenario exactly once.  A
             // sketch reports the per-item touched users the repair below
@@ -1288,6 +1298,16 @@ mod tests {
         assert!(applied.was_empty);
         assert_eq!(applied.refresh_fraction, 0.0);
         assert_eq!(applied.refresh, RefreshStats::default());
+        // Nothing was updated, cloned or refreshed, so no layer recorded.
+        let snap = engine.telemetry();
+        assert_eq!(snap.histogram("engine.apply_ns").map(|h| h.count), Some(1));
+        for hist in [
+            "engine.scenario_update_ns",
+            "engine.oracle_clone_ns",
+            "engine.refresh_ns",
+        ] {
+            assert_eq!(snap.histogram(hist).map(|h| h.count), Some(0), "{hist}");
+        }
     }
 
     #[test]
@@ -1491,6 +1511,8 @@ mod tests {
             "engine.spread_ns",
             "engine.static_spread_ns",
             "engine.apply_ns",
+            "engine.scenario_update_ns",
+            "engine.oracle_clone_ns",
             "engine.refresh_ns",
             "engine.swap_ns",
             "engine.writer_wait_ns",

@@ -5,8 +5,17 @@
 //! is the access pattern the diffusion simulator and the seed-selection
 //! algorithms need: "who does `u` influence?" and "who can influence `u`?"
 //! are both answered by one contiguous slice.
+//!
+//! The arrays are never mutated in place: [`CsrGraph::from_edges`] buckets
+//! an edge list, and [`CsrGraph::apply_edge_updates`] writes a new graph
+//! that copies every untouched row as it is and splices in the rows its
+//! updates edited.
 
 use crate::ids::UserId;
+use std::collections::BTreeMap;
+
+/// One node's adjacency row under edit: neighbour ids and edge weights.
+pub(crate) type Row = (Vec<u32>, Vec<f64>);
 
 /// A directed edge with a floating-point weight (influence strength).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -161,74 +170,35 @@ impl CsrGraph {
         self.edge_weight(u, v).is_some()
     }
 
-    /// Returns the edges in an order whose [`CsrGraph::from_edges`]
-    /// bucketing reproduces **both** the out- and the in-adjacency order of
-    /// every node of this graph.
-    ///
-    /// [`CsrGraph::to_edge_list`] only preserves out-adjacency order (it
-    /// enumerates by source, losing the construction order that shaped the
-    /// in-lists).  Both adjacencies are projections of the original
-    /// construction sequence, so a common linear extension always exists;
-    /// this recovers one by a Kahn merge of the per-source and
-    /// per-destination chains.  Used by [`CsrGraph::apply_edge_updates`],
-    /// where in-adjacency order is load-bearing (RNG-stream replay).
-    pub fn interleaved_edge_list(&self) -> Vec<WeightedEdge> {
-        // Edge ids in out-major order: per-source chains are consecutive runs.
-        let edges = self.to_edge_list();
-        let count = edges.len();
-        // Pair every in-list entry with its edge id: per-(src, dst) FIFOs in
-        // out-major order give a stable pairing even under parallel edges.
-        let mut by_pair: std::collections::HashMap<(u32, u32), std::collections::VecDeque<u32>> =
-            std::collections::HashMap::new();
-        for (id, e) in edges.iter().enumerate() {
-            by_pair
-                .entry((e.src.0, e.dst.0))
-                .or_default()
-                .push_back(id as u32);
+    /// The graph with the out-rows of `out_rows` and the in-rows of
+    /// `in_rows` replaced and every other row copied as it is.  The caller
+    /// keeps both directions describing the same edges.
+    pub(crate) fn with_rows(
+        &self,
+        out_rows: &BTreeMap<u32, Row>,
+        in_rows: &BTreeMap<u32, Row>,
+    ) -> CsrGraph {
+        let (out_offsets, out_targets, out_weights) = splice(
+            &self.out_offsets,
+            &self.out_targets,
+            &self.out_weights,
+            out_rows,
+        );
+        let (in_offsets, in_sources, in_weights) = splice(
+            &self.in_offsets,
+            &self.in_sources,
+            &self.in_weights,
+            in_rows,
+        );
+        CsrGraph {
+            node_count: self.node_count,
+            out_offsets,
+            out_targets,
+            out_weights,
+            in_offsets,
+            in_sources,
+            in_weights,
         }
-        // Predecessor constraints: previous edge in the same source chain,
-        // previous edge in the same destination (in-list) chain.
-        let mut indegree = vec![0u8; count];
-        let mut succs: Vec<[u32; 2]> = vec![[u32::MAX; 2]; count];
-        for (id, e) in edges.iter().enumerate().skip(1) {
-            if edges[id - 1].src == e.src {
-                succs[id - 1][0] = id as u32;
-                indegree[id] += 1;
-            }
-        }
-        for d in self.nodes() {
-            let mut prev: Option<u32> = None;
-            for (s, _) in self.in_edges(d) {
-                let id = by_pair
-                    .get_mut(&(s.0, d.0))
-                    .and_then(|q| q.pop_front())
-                    .expect("in-list entry must have a matching out-list edge");
-                if let Some(p) = prev {
-                    succs[p as usize][1] = id;
-                    indegree[id as usize] += 1;
-                }
-                prev = Some(id);
-            }
-        }
-        // Kahn merge, smallest ready id first for determinism.
-        let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<u32>> = (0..count as u32)
-            .filter(|&id| indegree[id as usize] == 0)
-            .map(std::cmp::Reverse)
-            .collect();
-        let mut order = Vec::with_capacity(count);
-        while let Some(std::cmp::Reverse(id)) = ready.pop() {
-            order.push(edges[id as usize]);
-            for &succ in &succs[id as usize] {
-                if succ != u32::MAX {
-                    indegree[succ as usize] -= 1;
-                    if indegree[succ as usize] == 0 {
-                        ready.push(std::cmp::Reverse(succ));
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(order.len(), count, "adjacency chains must be acyclic");
-        order
     }
 
     /// Returns all edges as a vector (mainly for tests and serialisation).
@@ -271,9 +241,44 @@ impl CsrGraph {
     }
 }
 
+/// One adjacency direction with the rows of `edited` in place of the old
+/// ones and every other row copied as it is, written in one pass into
+/// arrays of exactly their final length.
+fn splice(
+    offsets: &[u32],
+    values: &[u32],
+    weights: &[f64],
+    edited: &BTreeMap<u32, Row>,
+) -> (Vec<u32>, Vec<u32>, Vec<f64>) {
+    let row = |u: usize| offsets[u] as usize..offsets[u + 1] as usize;
+    let len = edited.iter().fold(values.len(), |len, (&u, (ids, _))| {
+        len + ids.len() - row(u as usize).len()
+    });
+    let mut out = (
+        Vec::with_capacity(offsets.len()),
+        Vec::with_capacity(len),
+        Vec::with_capacity(len),
+    );
+    out.0.push(0);
+    let mut edited = edited.iter().peekable();
+    for u in 0..offsets.len() - 1 {
+        let (ids, ws) = match edited.next_if(|&(&v, _)| v as usize == u) {
+            Some((_, (ids, ws))) => (ids.as_slice(), ws.as_slice()),
+            None => (&values[row(u)], &weights[row(u)]),
+        };
+        out.1.extend_from_slice(ids);
+        out.2.extend_from_slice(ws);
+        out.0.push(out.1.len() as u32);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::edits::EdgeUpdate;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn diamond() -> CsrGraph {
         // 0 -> 1 -> 3, 0 -> 2 -> 3
@@ -351,52 +356,115 @@ mod tests {
         }
     }
 
+    /// A random case: a graph over at most 12 nodes from at most 40 edges,
+    /// parallel edges and self-loops included, and two batches of up to 8
+    /// mixed updates, most of which name a pair named before, so one batch
+    /// often edits one pair more than once.
+    fn random_case(rng: &mut StdRng) -> (usize, Vec<WeightedEdge>, [Vec<EdgeUpdate>; 2]) {
+        let n = rng.gen_range(1..13usize);
+        let node = |rng: &mut StdRng| UserId(rng.gen_range(0..n as u32));
+        let edges: Vec<WeightedEdge> = (0..rng.gen_range(0..41))
+            .map(|_| WeightedEdge {
+                src: node(rng),
+                dst: node(rng),
+                weight: rng.gen(),
+            })
+            .collect();
+        let mut pairs: Vec<(UserId, UserId)> = edges.iter().map(|e| (e.src, e.dst)).collect();
+        let mut batch = |rng: &mut StdRng| -> Vec<EdgeUpdate> {
+            (0..rng.gen_range(0..9))
+                .map(|_| {
+                    let (src, dst) = if !pairs.is_empty() && rng.gen_bool(0.7) {
+                        pairs[rng.gen_range(0..pairs.len())]
+                    } else {
+                        (node(rng), node(rng))
+                    };
+                    pairs.push((src, dst));
+                    let weight = rng.gen();
+                    match rng.gen_range(0..3) {
+                        0 => EdgeUpdate::Insert { src, dst, weight },
+                        1 => EdgeUpdate::Remove { src, dst },
+                        _ => EdgeUpdate::Reweight { src, dst, weight },
+                    }
+                })
+                .collect()
+        };
+        let batches = [batch(rng), batch(rng)];
+        (n, edges, batches)
+    }
+
     #[test]
-    fn interleaved_edge_list_round_trip_preserves_both_adjacencies() {
-        // Construction order deliberately not sorted by source, so the
-        // in-lists interleave sources: plain `to_edge_list` round-trips
-        // would reorder them.
-        let edges = [
-            WeightedEdge {
-                src: UserId(2),
-                dst: UserId(0),
-                weight: 0.1,
-            },
-            WeightedEdge {
-                src: UserId(1),
-                dst: UserId(0),
-                weight: 0.2,
-            },
-            WeightedEdge {
-                src: UserId(2),
-                dst: UserId(1),
-                weight: 0.3,
-            },
-            WeightedEdge {
-                src: UserId(0),
-                dst: UserId(1),
-                weight: 0.4,
-            },
-            WeightedEdge {
-                src: UserId(0),
-                dst: UserId(0),
-                weight: 0.5,
-            },
-        ];
-        let g = CsrGraph::from_edges(3, &edges);
-        let g2 = CsrGraph::from_edges(3, &g.interleaved_edge_list());
-        for u in g.nodes() {
-            let out_a: Vec<_> = g.out_edges(u).collect();
-            let out_b: Vec<_> = g2.out_edges(u).collect();
-            assert_eq!(out_a, out_b, "out-adjacency of {u:?}");
-            let in_a: Vec<_> = g.in_edges(u).collect();
-            let in_b: Vec<_> = g2.in_edges(u).collect();
-            assert_eq!(in_a, in_b, "in-adjacency of {u:?}");
+    fn edge_updates_splice_rows_like_a_per_row_model() {
+        let mut rng = StdRng::seed_from_u64(0x5911CE);
+        for case in 0..400 {
+            let (n, edges, batches) = random_case(&mut rng);
+            let mut g = CsrGraph::from_edges(n, &edges);
+            // The model: the construction list, each update applied at the
+            // first live edge of its pair or appended; a node's out-row
+            // (in-row) lists the edges from (to) it in list order.
+            let mut model = edges;
+            for updates in &batches {
+                g = g.apply_edge_updates(updates);
+                for up in updates {
+                    let pair = (up.src(), up.dst());
+                    match (*up, model.iter().position(|e| (e.src, e.dst) == pair)) {
+                        (
+                            EdgeUpdate::Insert { weight, .. } | EdgeUpdate::Reweight { weight, .. },
+                            Some(i),
+                        ) => model[i].weight = weight,
+                        (EdgeUpdate::Insert { src, dst, weight }, None) => {
+                            model.push(WeightedEdge { src, dst, weight })
+                        }
+                        (EdgeUpdate::Remove { .. }, Some(i)) => drop(model.remove(i)),
+                        _ => {}
+                    }
+                }
+                let rows = |key: fn(&WeightedEdge) -> (UserId, UserId)| {
+                    let (mut offsets, mut ids, mut bits) = (vec![0u32], vec![], vec![]);
+                    for u in 0..n as u32 {
+                        for e in &model {
+                            if key(e).0 .0 == u {
+                                ids.push(key(e).1 .0);
+                                bits.push(e.weight.to_bits());
+                            }
+                        }
+                        offsets.push(ids.len() as u32);
+                    }
+                    (offsets, ids, bits)
+                };
+                let bits = |w: &[f64]| w.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    (
+                        g.out_offsets.clone(),
+                        g.out_targets.clone(),
+                        bits(&g.out_weights)
+                    ),
+                    rows(|e| (e.src, e.dst)),
+                    "case {case}: out-adjacency after {updates:?}"
+                );
+                assert_eq!(
+                    (
+                        g.in_offsets.clone(),
+                        g.in_sources.clone(),
+                        bits(&g.in_weights)
+                    ),
+                    rows(|e| (e.dst, e.src)),
+                    "case {case}: in-adjacency after {updates:?}"
+                );
+                let inserts = updates
+                    .iter()
+                    .filter(|up| matches!(up, EdgeUpdate::Insert { .. }))
+                    .count();
+                for (capacity, len) in [
+                    (g.out_targets.capacity(), g.out_targets.len()),
+                    (g.out_weights.capacity(), g.out_weights.len()),
+                    (g.in_sources.capacity(), g.in_sources.len()),
+                    (g.in_weights.capacity(), g.in_weights.len()),
+                ] {
+                    assert!(capacity <= len + inserts, "case {case}: spare capacity");
+                }
+            }
         }
-        // In particular node 0's in-list interleaves sources 2, 1, 0 — an
-        // order a by-source enumeration cannot produce.
-        let in0: Vec<_> = g2.in_edges(UserId(0)).map(|(s, _)| s.0).collect();
-        assert_eq!(in0, vec![2, 1, 0]);
     }
 
     #[test]

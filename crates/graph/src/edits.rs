@@ -9,17 +9,24 @@
 //! same order before and after the update, so [`CsrGraph::apply_edge_updates`]
 //! guarantees:
 //!
-//! * removals delete one entry without reordering the rest,
-//! * reweights change a weight in place,
-//! * insertions append at the end of the edge list (and hence at the end of
-//!   the destination's in-adjacency).
+//! * removals delete the first matching entry of the source's out-row and
+//!   of the destination's in-row without reordering the rest,
+//! * reweights change that entry's weight in place,
+//! * insertions of an absent edge append to the end of both rows,
+//! * every row no update touches is copied as it is.
+//!
+//! So each update edits copies of its two rows, `src`'s out-row and `dst`'s
+//! in-row, and the new graph's arrays are written in one pass per direction:
+//! a batch costs O(E + n + Σ touched rows), with no hashing, sorting or
+//! rebuild.
 //!
 //! Updates address *directed* edges.  For undirected social graphs (where a
 //! friendship is materialised as two directed influence edges) apply the
 //! update and its [`EdgeUpdate::mirrored`] counterpart together.
 
-use crate::csr::CsrGraph;
+use crate::csr::{CsrGraph, Row};
 use crate::ids::UserId;
+use std::collections::BTreeMap;
 
 /// A single mutation of a weighted directed graph.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -116,51 +123,42 @@ impl CsrGraph {
                 assert!(weight.is_finite(), "edge weight must be finite");
             }
         }
-        // Start from an order that reproduces both adjacency directions:
-        // `to_edge_list` alone is by-source and would scramble every node's
-        // in-adjacency, invalidating RNG replay for *untouched* sets.
-        //
-        // Removed entries are tombstoned (`None`) and a `(src, dst)` → slot
-        // index makes each update O(1), so a batch of `U` updates costs
-        // O(E + U) instead of O(U · E) linear scans.  Per-pair FIFOs handle
-        // (never-constructed-here but representable) parallel edges with
-        // the same first-match semantics a linear scan would have.
-        let mut slots: Vec<Option<crate::csr::WeightedEdge>> =
-            self.interleaved_edge_list().into_iter().map(Some).collect();
-        let mut index: std::collections::HashMap<(u32, u32), std::collections::VecDeque<usize>> =
-            std::collections::HashMap::new();
-        for (i, slot) in slots.iter().enumerate() {
-            let e = slot.as_ref().expect("freshly wrapped");
-            index.entry((e.src.0, e.dst.0)).or_default().push_back(i);
-        }
+        let mut out_rows: BTreeMap<u32, Row> = BTreeMap::new();
+        let mut in_rows: BTreeMap<u32, Row> = BTreeMap::new();
         for up in updates {
-            match *up {
-                EdgeUpdate::Insert { src, dst, weight } => {
-                    let queue = index.entry((src.0, dst.0)).or_default();
-                    match queue.front() {
-                        Some(&i) => {
-                            slots[i].as_mut().expect("indexed slots are live").weight = weight
-                        }
-                        None => {
-                            queue.push_back(slots.len());
-                            slots.push(Some(crate::csr::WeightedEdge { src, dst, weight }));
-                        }
-                    }
-                }
-                EdgeUpdate::Remove { src, dst } => {
-                    if let Some(i) = index.get_mut(&(src.0, dst.0)).and_then(|q| q.pop_front()) {
-                        slots[i] = None;
-                    }
-                }
-                EdgeUpdate::Reweight { src, dst, weight } => {
-                    if let Some(&i) = index.get(&(src.0, dst.0)).and_then(|q| q.front()) {
-                        slots[i].as_mut().expect("indexed slots are live").weight = weight;
-                    }
-                }
-            }
+            let (src, dst) = (up.src(), up.dst());
+            let out_row = out_rows
+                .entry(src.0)
+                .or_insert_with(|| self.out_edges(src).map(|(v, w)| (v.0, w)).unzip());
+            edit_row(out_row, dst, up);
+            let in_row = in_rows
+                .entry(dst.0)
+                .or_insert_with(|| self.in_edges(dst).map(|(v, w)| (v.0, w)).unzip());
+            edit_row(in_row, src, up);
         }
-        let edges: Vec<crate::csr::WeightedEdge> = slots.into_iter().flatten().collect();
-        CsrGraph::from_edges(self.node_count(), &edges)
+        self.with_rows(&out_rows, &in_rows)
+    }
+}
+
+/// Applies `up` to one of its two rows, the one listing `other` as the far
+/// endpoint.  The first entry naming `other` is the same edge in both rows
+/// (both list a node pair's parallel edges in construction order), so the
+/// two rows stay in step.
+fn edit_row((ids, weights): &mut Row, other: UserId, up: &EdgeUpdate) {
+    let slot = ids.iter().position(|&v| v == other.0);
+    match (*up, slot) {
+        (EdgeUpdate::Insert { weight, .. } | EdgeUpdate::Reweight { weight, .. }, Some(i)) => {
+            weights[i] = weight
+        }
+        (EdgeUpdate::Insert { weight, .. }, None) => {
+            ids.push(other.0);
+            weights.push(weight);
+        }
+        (EdgeUpdate::Remove { .. }, Some(i)) => {
+            ids.remove(i);
+            weights.remove(i);
+        }
+        (EdgeUpdate::Remove { .. } | EdgeUpdate::Reweight { .. }, None) => {}
     }
 }
 

@@ -24,9 +24,12 @@
 //! ## Incremental index maintenance
 //!
 //! The inverted index is *patched*, not rebuilt, when sets change: replacing
-//! set `s` tombstones `s`'s entries in the base CSR rows of its old members
-//! and appends `(user, s)` pairs for the new members to an overflow log.
-//! Queries merge the base rows (skipping tombstones) with the log.  Once
+//! set `s` appends `(user, s)` pairs for its new members to an overflow log
+//! as one contiguous block and tombstones its old entries where they are —
+//! in the base CSR rows (one binary search per member) if `s` has not been
+//! replaced since the last compaction, or else as the whole block its last
+//! replacement appended, whose start the store remembers (no search).
+//! Queries merge the base rows with the log, skipping tombstones.  Once
 //! tombstones or the log grow past a fraction of the base index the whole
 //! thing is folded back into a clean CSR — a *compaction*, amortized O(1)
 //! per patched entry.  A full counting build only ever happens at
@@ -39,28 +42,31 @@ use crate::arena::{encode_set, SetMembers};
 use crate::persist;
 use imdpp_diffusion::ImdppError;
 use imdpp_graph::{ItemId, UserId};
+use std::collections::HashMap;
 
 /// Identifier of one RR set inside a store.  Stable across replacements and
 /// equal to the RNG stream id that generated the set.
 pub type SetId = u32;
 
-/// Tombstone flag for dead entries in the base rows of the inverted index.
+/// Tombstone flag for dead entries of the inverted index, in the base rows
+/// and in the overflow log alike.
 ///
 /// The counting-sort build leaves every base row sorted ascending by set
 /// id; tombstoning an entry sets this high bit and *keeps the id*, so the
-/// row stays sorted under the masked comparison and [`RrStore::unindex`]
-/// can binary-search instead of scanning — O(log row) per patched entry
-/// even for hub users appearing in thousands of sets.  Ids with the high
-/// bit set cannot occur: [`RrStore::from_sets`] refuses to assign them.
+/// row stays sorted under the masked comparison and
+/// [`RrStore::replace_set`] can binary-search instead of scanning —
+/// O(log row) per patched entry even for hub users appearing in thousands
+/// of sets.  Ids with the high bit set cannot occur: [`RrStore::from_sets`]
+/// refuses to assign them.
 const TOMBSTONE_BIT: SetId = 1 << 31;
 
-/// The set id of a base-row entry, dead or alive.
+/// The set id of an index entry, dead or alive.
 #[inline]
 fn entry_id(entry: SetId) -> SetId {
     entry & !TOMBSTONE_BIT
 }
 
-/// True when a base-row entry is live (not tombstoned).
+/// True when an index entry is live (not tombstoned).
 #[inline]
 fn entry_live(entry: SetId) -> bool {
     entry & TOMBSTONE_BIT == 0
@@ -171,8 +177,13 @@ pub(crate) struct RrStore {
     /// [`TOMBSTONE_BIT`] (which preserves that order).
     inv_sets: Vec<SetId>,
     /// Overflow log of `(user index, set)` entries appended since the last
-    /// compaction.
+    /// compaction, one contiguous block per replacement; dead entries carry
+    /// [`TOMBSTONE_BIT`] on the set.
     inv_extra: Vec<(u32, SetId)>,
+    /// For each set replaced since the last compaction, the start of the
+    /// `inv_extra` block holding its current members (`span.members`
+    /// entries).  Every other set's entries are all in the base rows.
+    log_blocks: HashMap<SetId, usize>,
     /// Number of tombstoned entries in `inv_sets`.
     inv_dead: usize,
     /// Maintenance counters.
@@ -195,6 +206,7 @@ impl RrStore {
             inv_offsets: Vec::new(),
             inv_sets: Vec::new(),
             inv_extra: Vec::new(),
+            log_blocks: HashMap::new(),
             inv_dead: 0,
             index_stats: IndexStats::default(),
         }
@@ -300,53 +312,47 @@ impl RrStore {
 
     /// Replaces the contents of set `id`, tombstoning its old span.
     ///
-    /// The inverted index is patched incrementally: the old members'
-    /// entries are tombstoned and the new members' entries appended to the
-    /// overflow log — no counting pass over the corpus.
+    /// The inverted index is patched incrementally, in O(old + new members)
+    /// entries: the old members' entries are tombstoned and the new
+    /// members' entries appended to the overflow log as one block — no
+    /// counting pass over the corpus and no scan of the log.
     pub(crate) fn replace_set(&mut self, id: SetId, users: &[UserId]) {
         let old = self.spans[id as usize];
-        // Decode the old members up front: the encode below may relocate
-        // the arena allocation.
-        let old_members: Vec<u32> = self.span_members(&old).collect();
-        let span = self.encode(users);
-        for &u in &old_members {
-            self.unindex(u as usize, id);
+        match self.log_blocks.get(&id) {
+            // Replaced since the last compaction: one block of the log.
+            Some(&start) => {
+                for entry in &mut self.inv_extra[start..start + old.members as usize] {
+                    entry.1 |= TOMBSTONE_BIT;
+                }
+            }
+            // Otherwise the base rows, each sorted by set id.
+            None => {
+                let arena = &self.arena[old.offset as usize..][..old.bytes as usize];
+                for u in SetMembers::new(arena, old.members) {
+                    let row = &mut self.inv_sets[self.inv_offsets[u as usize] as usize
+                        ..self.inv_offsets[u as usize + 1] as usize];
+                    let slot = row.partition_point(|&e| entry_id(e) < id);
+                    let found = slot < row.len() && row[slot] == id;
+                    debug_assert!(found, "inverted index is missing (user {u}, set {id})");
+                    if found {
+                        row[slot] = id | TOMBSTONE_BIT;
+                        self.inv_dead += 1;
+                    }
+                }
+            }
         }
+        let span = self.encode(users);
         self.garbage_bytes += u64::from(old.bytes);
         self.live_members -= old.members as usize;
         self.live_members += span.members as usize;
         self.spans[id as usize] = span;
+        self.log_blocks.insert(id, self.inv_extra.len());
         self.inv_extra
             .extend(self.sort_scratch.iter().map(|&u| (u, id)));
         self.index_stats.entries_patched += u64::from(old.members) + u64::from(span.members);
         self.maybe_compact_index();
         if self.garbage_ratio() > 0.5 {
             self.compact();
-        }
-    }
-
-    /// Removes `(user, id)` from the index: tombstoned in the base rows
-    /// (binary search — rows are sorted by [`entry_id`], which tombstoning
-    /// preserves), or swap-removed from the overflow log.
-    fn unindex(&mut self, user: usize, id: SetId) {
-        let lo = self.inv_offsets[user] as usize;
-        let hi = self.inv_offsets[user + 1] as usize;
-        let row = &mut self.inv_sets[lo..hi];
-        let slot = row.partition_point(|&e| entry_id(e) < id);
-        if slot < row.len() && row[slot] == id {
-            row[slot] = id | TOMBSTONE_BIT;
-            self.inv_dead += 1;
-        } else if let Some(pos) = self
-            .inv_extra
-            .iter()
-            .position(|&(u, s)| u as usize == user && s == id)
-        {
-            self.inv_extra.swap_remove(pos);
-        } else {
-            debug_assert!(
-                false,
-                "inverted index is missing the entry (user {user}, set {id})"
-            );
         }
     }
 
@@ -411,6 +417,7 @@ impl RrStore {
         self.inv_offsets = counts;
         self.inv_sets = inv_sets;
         self.inv_extra.clear();
+        self.log_blocks.clear();
         self.inv_dead = 0;
     }
 
@@ -423,10 +430,11 @@ impl RrStore {
     }
 
     /// Folds tombstones and the overflow log back into a clean CSR once
-    /// they outgrow the base index.  The threshold keeps both the wasted
-    /// memory and the O(|log|) overflow scans of membership queries bounded
-    /// by a constant fraction of the live index, making compaction cost
-    /// amortized O(1) per patched entry.
+    /// they outgrow the base index.  The log's length counts its dead
+    /// entries too, so the threshold keeps both the wasted memory and the
+    /// O(|log|) overflow scans of membership queries bounded by a constant
+    /// fraction of the live index, making compaction cost amortized O(1)
+    /// per patched entry.
     fn maybe_compact_index(&mut self) {
         let base = self.inv_sets.len();
         if self.inv_dead * 2 > base || self.inv_extra.len() > base / 2 + 16 {
@@ -458,7 +466,7 @@ impl RrStore {
         ids.extend(
             self.inv_extra
                 .iter()
-                .filter(|&&(u, _)| heads.binary_search(&u).is_ok())
+                .filter(|&&(u, s)| entry_live(s) && heads.binary_search(&u).is_ok())
                 .map(|&(_, s)| s),
         );
         ids.sort_unstable();
@@ -476,6 +484,23 @@ impl RrStore {
             for u in self.span_members(span) {
                 reference[u as usize].push(id as SetId);
             }
+            // A replaced set's log block holds exactly its current members.
+            if let Some(&start) = self.log_blocks.get(&(id as SetId)) {
+                let block = self
+                    .inv_extra
+                    .get(start..start + span.members as usize)
+                    .unwrap_or_default();
+                let current = self.span_members(span).map(|u| (u, id as SetId));
+                if !block.iter().copied().eq(current) {
+                    return false;
+                }
+            }
+        }
+        let mut logged: Vec<Vec<SetId>> = vec![Vec::new(); self.user_count];
+        for &(u, s) in &self.inv_extra {
+            if entry_live(s) {
+                logged[u as usize].push(s);
+            }
         }
         for (user, expected) in reference.iter().enumerate() {
             let lo = self.inv_offsets[user] as usize;
@@ -485,12 +510,7 @@ impl RrStore {
                 .copied()
                 .filter(|&e| entry_live(e))
                 .collect();
-            got.extend(
-                self.inv_extra
-                    .iter()
-                    .filter(|&&(u, _)| u as usize == user)
-                    .map(|&(_, s)| s),
-            );
+            got.extend_from_slice(&logged[user]);
             got.sort_unstable();
             // `expected` is already sorted: spans ascend by id.
             if &got != expected {
@@ -642,6 +662,53 @@ mod tests {
         assert_eq!(s.index_stats().full_rebuilds, 1);
         // 2 tombstoned + 1 appended.
         assert_eq!(s.index_stats().entries_patched, 3);
+    }
+
+    #[test]
+    fn replacing_a_replaced_set_tombstones_its_log_block_in_place() {
+        let mut s = store_with(&[
+            &[0, 1, 2],
+            &[1, 3],
+            &[2, 4, 5],
+            &[0, 5],
+            &[3, 4],
+            &[1, 2, 5],
+        ]);
+        // Set 0 three times, set 1 once in between: from its second
+        // replacement on, set 0's members are a block of the log.
+        let steps: [(SetId, &[u32]); 4] = [
+            (0, &[3, 4]),
+            (1, &[0, 2, 4]),
+            (0, &[1, 5]),
+            (0, &[0, 1, 2, 3]),
+        ];
+        let mut superseded: Vec<(SetId, Vec<u32>)> = Vec::new();
+        for (id, members) in steps {
+            let in_log = s.log_blocks.contains_key(&id);
+            assert_eq!(in_log, superseded.iter().any(|&(set, _)| set == id));
+            let (patched, dead) = (s.index_stats().entries_patched, s.inv_dead);
+            let old = s.set(id);
+            s.replace_set(id, &users(members));
+            assert!(s.index_matches_rebuild(), "after replacing set {id}");
+            assert_eq!(
+                s.index_stats().entries_patched - patched,
+                (old.len() + members.len()) as u64
+            );
+            // A log-resident set leaves the base rows' tombstones alone.
+            let base_tombstones = if in_log { 0 } else { old.len() };
+            assert_eq!(s.inv_dead - dead, base_tombstones);
+            superseded.push((id, old));
+            for (set, version) in &superseded {
+                for &u in version {
+                    assert_eq!(
+                        touching(&s, &[u]).contains(set),
+                        s.set(*set).contains(&u),
+                        "set {set}, user {u}"
+                    );
+                }
+            }
+        }
+        assert_eq!(s.index_stats().compactions, 0);
     }
 
     #[test]
