@@ -21,7 +21,8 @@
 //!   full serialization under a busy writer shows up as ≤ 1.0×),
 //! * telemetry recording (the default engine) costs at most 5% of
 //!   single-reader throughput against an engine built with
-//!   `Telemetry::disabled()` (best-of-5 windows on each side),
+//!   `Telemetry::disabled()` (both freshly built, so their sketches share
+//!   one layout; best-of-5 windows on each side),
 //! * the serving tier's batched spread path answers a 32-query batch at
 //!   ≥ 2× the single-query loop's throughput (the batch makes one masked
 //!   arena pass per touched item per 64-query chunk instead of one pass
@@ -161,11 +162,20 @@ fn main() {
     // No concurrent writer here: on a single-core runner the scheduler's
     // reader/writer split swamps any per-query cost, and the quantity under
     // test is the recording overhead itself (one branch + a relaxed atomic
-    // per event).  Rounds alternate live/disabled so load drift hits both
-    // sides equally; best-of-5 absorbs the residual noise before the 5%
-    // gate fires.
+    // per event).  Both engines are freshly built: the windows above
+    // churned `engine`'s arenas with hundreds of applies, so timing it
+    // would also compare two sketch layouts.  Rounds alternate
+    // live/disabled so load drift hits both sides equally; best-of-5
+    // absorbs the residual noise before the 5% gate fires.
+    let live = Arc::new(build_engine(1, 1));
     let dark = Arc::new(build_engine_with(1, 1, Telemetry::disabled()));
+    assert!(live.telemetry_handle().is_enabled());
     assert!(!dark.telemetry_handle().is_enabled());
+    assert_eq!(
+        live.solve(),
+        seeds,
+        "a fresh engine must solve the same seeds"
+    );
     assert_eq!(dark.solve(), seeds, "telemetry must not change results");
     let read_qps_window = |engine: &Arc<Engine>| -> f64 {
         let start = Instant::now();
@@ -180,7 +190,7 @@ fn main() {
     let mut live_qps = 0.0f64;
     let mut dark_qps = 0.0f64;
     for _ in 0..5 {
-        live_qps = live_qps.max(read_qps_window(&engine));
+        live_qps = live_qps.max(read_qps_window(&live));
         dark_qps = dark_qps.max(read_qps_window(&dark));
     }
     let overhead = 1.0 - live_qps / dark_qps.max(1e-9);

@@ -166,13 +166,6 @@ impl DysimConfig {
         self.oracle = oracle;
         self
     }
-
-    /// Sets the maintained-solution repair bound (`None` = maintenance off;
-    /// see [`DysimConfig::maintain_bound`]).
-    pub fn with_maintain_bound(mut self, bound: Option<f64>) -> Self {
-        self.maintain_bound = bound;
-        self
-    }
 }
 
 /// Diagnostics collected during a Dysim run.

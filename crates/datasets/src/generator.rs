@@ -4,7 +4,7 @@ use crate::config::{DatasetConfig, ImportanceDistribution, SocialModel};
 use imdpp_core::{CostModel, ImdppInstance};
 use imdpp_diffusion::Scenario;
 use imdpp_graph::generators::{erdos_renyi, preferential_attachment, watts_strogatz};
-use imdpp_graph::{CsrGraph, SocialGraph, UserId};
+use imdpp_graph::{CsrGraph, SocialGraph};
 use imdpp_kg::hin::KnowledgeGraphBuilder;
 use imdpp_kg::{EdgeType, ItemCatalog, KnowledgeGraph, MetaGraph, NodeType, RelevanceModel};
 use rand::rngs::StdRng;
@@ -181,23 +181,6 @@ fn sample_importance(dist: &ImportanceDistribution, rng: &mut StdRng) -> f64 {
             (mu + sigma * z).exp().clamp(0.05, 20.0)
         }
     }
-}
-
-/// Convenience: average out-degree of a user sample, used by tests to verify
-/// the topology shape.
-pub fn average_out_degree(instance: &ImdppInstance) -> f64 {
-    let social = instance.scenario().social();
-    let n = social.user_count().max(1);
-    social
-        .users()
-        .map(|u| social.out_degree(u) as f64)
-        .sum::<f64>()
-        / n as f64
-}
-
-/// Convenience: a deterministic list of every user (used by experiments).
-pub fn all_users(instance: &ImdppInstance) -> Vec<UserId> {
-    instance.scenario().users().collect()
 }
 
 #[cfg(test)]

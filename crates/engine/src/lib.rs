@@ -30,14 +30,18 @@
 //!
 //! Sketch-backed engines additionally keep the last solve's report alive
 //! across applies (controlled by [`DysimConfig::maintain_bound`], on by
-//! default): each [`Engine::apply`] intersects the refresh's touched users
-//! with the cached greedy trace, re-runs CELF only from the first
-//! invalidated position, and serves the repaired seed set from
-//! [`Engine::solve`] while its sketch objective stays within the bound of a
-//! fresh greedy run — falling back to a full pipeline re-solve otherwise.
-//! Each apply reports what happened in [`ApplyReport::solve_repair`], and
-//! the `engine.maintain.*` telemetry aggregates it.  See
-//! `docs/ARCHITECTURE.md` ("Maintained solutions and the repair bound").
+//! default).  Each epoch's solution lives in its own snapshot, in a
+//! write-once cell: the first [`Engine::solve`] of an epoch fills it, and
+//! each [`Engine::apply`] intersects the refresh's touched users with the
+//! cached greedy trace, re-runs CELF only from the first invalidated
+//! position, and publishes the next snapshot with the repaired report in
+//! its cell while the report's sketch objective stays within the bound of a
+//! fresh greedy run — leaving the cell empty, so the next solve runs the
+//! full pipeline, otherwise.  A solution therefore cannot be served,
+//! repaired or persisted at an epoch other than its own.  Each apply
+//! reports what happened in [`ApplyReport::solve_repair`], and the
+//! `engine.maintain.*` telemetry aggregates it.  See `docs/ARCHITECTURE.md`
+//! ("Maintained solutions and the repair bound").
 //!
 //! ## Serving tier
 //!
@@ -54,9 +58,9 @@
 //!   tenant-scoped estimate and solve is bit-identical to running N
 //!   independent engines,
 //! * [`Engine::persist`] / [`EngineBuilder::restore`] — warm restart: the
-//!   sampled sketch, epoch counter and maintained solution round-trip
-//!   through disk so a restarted process serves immediately, re-sampling
-//!   zero RR sets.
+//!   sampled sketch, epoch counter and the persisted snapshot's maintained
+//!   solution round-trip through disk so a restarted process serves
+//!   immediately, re-sampling zero RR sets.
 //!
 //! ## Observability
 //!
@@ -121,7 +125,7 @@ use imdpp_diffusion::{DiffusionModel, Scenario, Seed, SeedGroup};
 use imdpp_graph::{EdgeUpdate, UserId};
 use imdpp_obs::{Counter, Gauge, Histogram};
 use imdpp_sketch::maintain::repair_nominees;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 mod persist;
@@ -139,7 +143,8 @@ pub use imdpp_sketch::maintain::RepairStats;
 
 /// An immutable, internally consistent view of the engine's world at one
 /// epoch: the instance (scenario + costs + budget + promotions), the
-/// resolved estimator, and the driver configuration.
+/// resolved estimator, the driver configuration, and the epoch's
+/// maintained solution once one exists.
 ///
 /// Snapshots are shared via [`Arc`]: grab one with [`Engine::snapshot`] to
 /// pin an epoch across several queries; single calls on [`Engine`] pin it
@@ -150,6 +155,12 @@ pub struct EngineSnapshot {
     instance: ImdppInstance,
     oracle: ConfiguredOracle,
     config: DysimConfig,
+    /// This epoch's maintained solution, written once: at publication by
+    /// the repair of the previous epoch's solution (or carried over by an
+    /// empty update, or read from a persisted image), else by the first
+    /// [`Engine::solve_report`] of the epoch.  Only a maintaining engine
+    /// (see [`DysimConfig::maintain_bound`]) serves or repairs it.
+    solution: OnceLock<DysimReport>,
 }
 
 impl EngineSnapshot {
@@ -359,16 +370,6 @@ impl EngineMetrics {
     }
 }
 
-/// The maintained solution: the last solve's full report, valid for one
-/// specific epoch.  [`Engine::solve_report`] serves it without re-running
-/// the pipeline while it is current; [`Engine::apply`] repairs or
-/// invalidates it as updates land (see [`DysimConfig::maintain_bound`]).
-#[derive(Clone, Debug)]
-struct MaintainedSolution {
-    epoch: u64,
-    report: DysimReport,
-}
-
 /// A long-lived, snapshot-isolated IMDPP session.
 ///
 /// Build one with [`Engine::builder`] (from a scenario) or
@@ -382,12 +383,6 @@ pub struct Engine {
     /// Serializes writers so concurrent `apply` calls cannot interleave
     /// their read-refresh-swap sequences (readers are never blocked by it).
     writer: Mutex<()>,
-    /// The maintained solution cache (sketch-backed engines with
-    /// [`DysimConfig::maintain_bound`] set).  Written by `solve_report`
-    /// (priming after a full pipeline run) and by `apply` (repair /
-    /// invalidation); both hold the lock only to read or install the entry,
-    /// never across pipeline work.
-    maintained: Mutex<Option<MaintainedSolution>>,
     /// The registry behind [`Engine::telemetry`]; the sketch (if any)
     /// records into the same registry through its own handles.
     telemetry: Telemetry,
@@ -490,8 +485,8 @@ impl Engine {
     }
 
     /// Solves against the current snapshot and returns the selected seed
-    /// group — serving the maintained solution when one is valid for this
-    /// epoch, running the full Dysim pipeline otherwise.
+    /// group — serving the epoch's maintained solution when it has one,
+    /// running the full Dysim pipeline otherwise.
     pub fn solve(&self) -> SeedGroup {
         self.solve_report().seeds
     }
@@ -501,9 +496,10 @@ impl Engine {
     ///
     /// On a sketch-backed engine with [`DysimConfig::maintain_bound`] set,
     /// the first solve of each epoch runs the full pipeline and caches its
-    /// report; subsequent solves at the same epoch serve the cached report,
-    /// and [`Engine::apply`] repairs the cache across epochs so a solve
-    /// after localized churn is typically a lookup, not a pipeline run.
+    /// report in the epoch's snapshot; subsequent solves at the same epoch
+    /// serve the cached report, and [`Engine::apply`] repairs it into the
+    /// next snapshot so a solve after localized churn is typically a
+    /// lookup, not a pipeline run.
     #[must_use = "the report carries the seeds and pipeline diagnostics; dropping it wastes the solve"]
     pub fn solve_report(&self) -> DysimReport {
         let snap = self.read_snapshot();
@@ -512,36 +508,15 @@ impl Engine {
         if !self.maintenance_enabled(&snap) {
             return self.metrics.tmi.pipeline(snap.solve_report());
         }
-        // Recover rather than panic on poisoning: every holder of this
-        // mutex (here and in `apply`) only reads or whole-value-assigns the
-        // Option slot, so a panicked holder cannot have left it
-        // mid-mutation — the cached entry is either intact or absent, and
-        // both are safe to serve from.
-        if let Some(m) = self
-            .maintained
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .as_ref()
-        {
-            if m.epoch == snap.epoch {
-                return m.report.clone();
-            }
+        if let Some(report) = snap.solution.get() {
+            return report.clone();
         }
         let report = self.metrics.tmi.pipeline(snap.solve_report());
         if !report.nominees.is_empty() {
-            // Same whole-value recovery argument as the read above.
-            let mut slot = self
-                .maintained
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            // Never clobber an entry a concurrent `apply` repaired forward
-            // to a newer epoch while this pipeline run was in flight.
-            if slot.as_ref().is_none_or(|m| m.epoch <= snap.epoch) {
-                *slot = Some(MaintainedSolution {
-                    epoch: snap.epoch,
-                    report: report.clone(),
-                });
-            }
+            // A concurrent solve of this epoch may have filled the cell
+            // first: it ran the same deterministic pipeline on the same
+            // snapshot, so losing the race changes nothing.
+            let _ = snap.solution.set(report.clone());
         }
         report
     }
@@ -617,22 +592,10 @@ impl Engine {
         let epoch = snap.epoch + 1;
         let (next, refresh, refresh_wall, solve_repair) = if update.is_empty() {
             // The world did not change, so a cached solution stays valid
-            // verbatim: carry it to the new epoch.
-            let solve_repair = {
-                let mut slot = self.maintained.lock().map_err(|_| ImdppError::Poisoned {
-                    what: "maintained-solution lock",
-                })?;
-                match slot.as_mut() {
-                    Some(m) if m.epoch == snap.epoch => {
-                        m.epoch = epoch;
-                        RepairStats {
-                            seeds_retained: m.report.nominees.len(),
-                            positions_repaired: 0,
-                            full_resolves: 0,
-                        }
-                    }
-                    _ => RepairStats::default(),
-                }
+            // verbatim: the cloned snapshot carries it to the new epoch.
+            let solve_repair = RepairStats {
+                seeds_retained: snap.solution.get().map_or(0, |r| r.nominees.len()),
+                ..RepairStats::default()
             };
             let next = Arc::new(EngineSnapshot {
                 epoch,
@@ -640,19 +603,10 @@ impl Engine {
             });
             (next, RefreshStats::default(), Duration::ZERO, solve_repair)
         } else {
-            let maintain_bound = snap.config.maintain_bound;
-            let cached = if self.maintenance_enabled(&snap) {
-                self.maintained
-                    .lock()
-                    .map_err(|_| ImdppError::Poisoned {
-                        what: "maintained-solution lock",
-                    })?
-                    .as_ref()
-                    .filter(|m| m.epoch == snap.epoch && !m.report.nominees.is_empty())
-                    .cloned()
-            } else {
-                None
-            };
+            let cached = snap
+                .solution
+                .get()
+                .filter(|r| self.maintenance_enabled(&snap) && !r.nominees.is_empty());
             let updated = {
                 let _span = self.metrics.scenario_update_ns.start();
                 update.apply(snap.scenario())
@@ -672,26 +626,19 @@ impl Engine {
             let refresh_wall = refresh_started.elapsed();
             self.metrics.refresh_ns.record_duration(refresh_wall);
             let instance = snap.instance.with_scenario(updated)?;
-            let solve_repair = match (cached, maintain_bound) {
+            let (solve_repair, solution) = match (cached, snap.config.maintain_bound) {
                 (Some(cached), Some(bound)) => {
                     let _maintain_span = self.metrics.maintain_ns.start();
-                    self.repair_maintained(
-                        &instance,
-                        &oracle,
-                        &snap.config,
-                        cached,
-                        touched,
-                        epoch,
-                        bound,
-                    )?
+                    self.repair_maintained(&instance, &oracle, &snap.config, cached, touched, bound)
                 }
-                _ => RepairStats::default(),
+                _ => (RepairStats::default(), None),
             };
             let next = Arc::new(EngineSnapshot {
                 epoch,
                 instance,
                 oracle,
                 config: snap.config.clone(),
+                solution: solution.map_or_else(OnceLock::new, OnceLock::from),
             });
             (next, refresh, refresh_wall, solve_repair)
         };
@@ -729,35 +676,28 @@ impl Engine {
         })
     }
 
-    /// Repairs (or invalidates) the cached solution against the refreshed
-    /// oracle and installs the outcome for `epoch`.  Called by `apply` with
-    /// the writer lock held, before the new snapshot is published.
-    ///
-    /// # Errors
-    /// [`ImdppError::Poisoned`] when the maintained-solution lock was
-    /// poisoned by a panicked thread.
-    #[allow(clippy::too_many_arguments)]
+    /// Repairs the previous epoch's solution against the refreshed oracle:
+    /// returns the repair's counters and the report the next snapshot
+    /// publishes in its cell, or `None` when the update invalidated it.
+    /// Called by `apply` with the writer lock held, before the new snapshot
+    /// is published.
     fn repair_maintained(
         &self,
         instance: &ImdppInstance,
         oracle: &ConfiguredOracle,
         config: &DysimConfig,
-        cached: MaintainedSolution,
+        cached: &DysimReport,
         touched: Option<Vec<Vec<UserId>>>,
-        epoch: u64,
         bound: f64,
-    ) -> Result<RepairStats, ImdppError> {
-        let invalidate = |stats: RepairStats| -> Result<RepairStats, ImdppError> {
-            *self.maintained.lock().map_err(|_| ImdppError::Poisoned {
-                what: "maintained-solution lock",
-            })? = None;
+    ) -> (RepairStats, Option<DysimReport>) {
+        let invalidate = || {
             self.metrics.maintain_full_resolves.incr();
-            Ok(stats)
-        };
-        let full_resolve = RepairStats {
-            seeds_retained: 0,
-            positions_repaired: 0,
-            full_resolves: 1,
+            let full_resolve = RepairStats {
+                seeds_retained: 0,
+                positions_repaired: 0,
+                full_resolves: 1,
+            };
+            (full_resolve, None)
         };
         // Paranoid mode: a repair can only certify the *sketch* objective;
         // DRE/TDSI run Monte-Carlo against the drifted scenario and may
@@ -765,12 +705,12 @@ impl Engine {
         // `bound >= 1.0` ("serve nothing weaker than fresh, ever") the only
         // honest answer to a non-empty update is a full re-solve.
         if bound >= 1.0 {
-            return invalidate(full_resolve);
+            return invalidate();
         }
         let Some(touched) = touched else {
             // Tracking unavailable (non-sketch oracle slipped through):
             // nothing certifies the cache, so drop it.
-            return invalidate(full_resolve);
+            return invalidate();
         };
         let universe = instance.nominee_universe(config.candidate_users);
         let selection_config = NomineeSelectionConfig {
@@ -782,7 +722,7 @@ impl Engine {
             oracle,
             &universe,
             &selection_config,
-            &cached.report.nominees,
+            &cached.nominees,
             &touched,
             bound,
         );
@@ -790,7 +730,7 @@ impl Engine {
             .tmi
             .record(outcome.queries, outcome.oracle_calls);
         if !outcome.kept {
-            return invalidate(full_resolve);
+            return invalidate();
         }
         let stats = RepairStats {
             seeds_retained: outcome.retained,
@@ -798,16 +738,13 @@ impl Engine {
             full_resolves: 0,
         };
         let report = repaired_report(
-            cached.report,
+            cached.clone(),
             &outcome.selection.nominees,
             outcome.retained,
             instance,
         );
-        *self.maintained.lock().map_err(|_| ImdppError::Poisoned {
-            what: "maintained-solution lock",
-        })? = Some(MaintainedSolution { epoch, report });
         self.metrics.maintain_repairs.incr();
-        Ok(stats)
+        (stats, Some(report))
     }
 }
 
@@ -1021,9 +958,9 @@ impl EngineBuilder {
                 instance,
                 oracle,
                 config,
+                solution: OnceLock::new(),
             })),
             writer: Mutex::new(()),
-            maintained: Mutex::new(None),
             telemetry,
             metrics,
         })
@@ -1389,35 +1326,6 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_maintained_lock_recovers_on_the_solve_path() {
-        let engine = engine(OracleKind::RrSketch {
-            sets_per_item: 128,
-            shards: 1,
-            threads: 0,
-        });
-        let first = engine.solve_report();
-        // lint: allow(spawn) — see the snapshot-lock regression above.
-        std::thread::scope(|s| {
-            let poisoner = s.spawn(|| {
-                let _guard = engine.maintained.lock();
-                panic!("simulated crash while holding the maintained lock");
-            });
-            assert!(poisoner.join().is_err());
-        });
-        // The cached entry is whole (holders only read or whole-value
-        // assign), so the solve path recovers and keeps serving it.
-        let served = engine.solve_report();
-        assert_eq!(served.seeds, first.seeds);
-        assert_eq!(served.nominees, first.nominees);
-        // The writer path stays conservative: it reports the poisoning.
-        let update = ScenarioUpdate::Preferences(vec![(UserId(1), ItemId(2), 0.9)]);
-        assert!(matches!(
-            engine.apply(&update).unwrap_err(),
-            ImdppError::Poisoned { .. }
-        ));
-    }
-
-    #[test]
     fn invalid_updates_are_rejected_and_publish_nothing() {
         let engine = engine(OracleKind::MonteCarlo);
         let bad_user = ScenarioUpdate::Preferences(vec![(UserId(99), ItemId(0), 0.5)]);
@@ -1674,25 +1582,27 @@ mod tests {
         });
         let first = engine.solve_report();
         assert!(!first.nominees.is_empty());
+        let before = engine.snapshot();
         let update = ScenarioUpdate::Preferences(vec![(UserId(5), ItemId(2), 0.4)]);
         let applied = engine.apply(&update).unwrap();
         let repair = applied.solve_repair;
+        // The repair is kept: it lands in the new epoch's cell, and the
+        // pinned epoch keeps the report it was solved with.
+        assert_eq!(repair.full_resolves, 0);
+        let cached = |snap: &EngineSnapshot| snap.solution.get().map(|r| r.nominees.clone());
+        assert_eq!(cached(&before), Some(first.nominees.clone()));
+        let repaired = cached(&engine.snapshot());
 
         // The repair decision is mirrored exactly in telemetry.
         let snap = engine.telemetry();
-        assert_eq!(
-            snap.counter("engine.maintain.repairs"),
-            Some(u64::from(repair.full_resolves == 0))
-        );
-        assert_eq!(
-            snap.counter("engine.maintain.full_resolves"),
-            Some(repair.full_resolves)
-        );
+        assert_eq!(snap.counter("engine.maintain.repairs"), Some(1));
+        assert_eq!(snap.counter("engine.maintain.full_resolves"), Some(0));
         assert_eq!(snap.histogram("engine.maintain_ns").unwrap().count, 1);
 
-        // Whatever `solve` serves now (maintained or re-solved) must sit
-        // within the configured bound of a fresh pipeline run.
+        // `solve` serves the repaired report, which must sit within the
+        // configured bound of a fresh pipeline run.
         let served = engine.solve_report();
+        assert_eq!(Some(served.nominees.clone()), repaired);
         let fresh = engine.snapshot().solve_report();
         let bound = engine.config().maintain_bound.unwrap();
         assert!(
@@ -1754,6 +1664,7 @@ mod tests {
             threads: 0,
         });
         let first = engine.solve_report();
+        let before = engine.snapshot();
         let applied = engine.apply(&ScenarioUpdate::Edges(Vec::new())).unwrap();
         assert_eq!(
             applied.solve_repair,
@@ -1763,6 +1674,12 @@ mod tests {
                 full_resolves: 0
             }
         );
+        // Both the pinned epoch and the new one hold the report.
+        let after = engine.snapshot();
+        for snap in [&before, &after] {
+            let cached = snap.solution.get().map(|r| &r.nominees);
+            assert_eq!(cached, Some(&first.nominees), "epoch {}", snap.epoch);
+        }
         let served = engine.solve_report();
         assert_eq!(served.seeds, first.seeds);
         assert_eq!(served.nominees, first.nominees);

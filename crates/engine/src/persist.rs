@@ -1,11 +1,11 @@
 //! Warm restart: serializing an engine's sampled state to disk and
 //! rebuilding a serving engine from it without re-sampling.
 //!
-//! [`Engine::persist`] writes, under the writer lock so the pair is
-//! consistent, the three things a restarted process cannot cheaply
-//! recompute: the **epoch counter**, the **RR sketch's sampled sets**
-//! (byte-for-byte, via [`imdpp_sketch::persist`]'s checked codec), and the
-//! **maintained solution** when one is valid for the persisted epoch.
+//! [`Engine::persist`] writes the three things a restarted process cannot
+//! cheaply recompute, all read from one snapshot: its **epoch counter**,
+//! its **RR sketch's sampled sets** (byte-for-byte, via
+//! [`imdpp_sketch::persist`]'s checked codec), and its **maintained
+//! solution** when its cell holds one.
 //! Everything else — scenario, costs, budget, configuration — is supplied
 //! again by the caller through the [`EngineBuilder`], exactly as at cold
 //! start, and [`EngineBuilder::restore`] validates a fingerprint of it
@@ -34,8 +34,7 @@
 //! cold-build.
 
 use crate::{
-    ConfiguredOracle, Engine, EngineBuilder, EngineMetrics, EngineSnapshot, ImdppError,
-    MaintainedSolution, OracleKind,
+    ConfiguredOracle, Engine, EngineBuilder, EngineMetrics, EngineSnapshot, ImdppError, OracleKind,
 };
 use imdpp_core::dysim::DysimReport;
 use imdpp_core::market::TargetMarket;
@@ -46,7 +45,7 @@ use imdpp_sketch::dispatch::sketch_config_for;
 use imdpp_sketch::persist as codec;
 use imdpp_sketch::SketchOracle;
 use std::path::Path;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// File magic: identifies an engine snapshot (the sketch payload inside has
 /// its own internal validation).
@@ -58,10 +57,10 @@ const TAG_MONTE_CARLO: u32 = 0;
 const TAG_RR_SKETCH: u32 = 1;
 
 impl Engine {
-    /// Serializes the engine's warm state — epoch, sampled sketch, and the
-    /// maintained solution when it is current — to `path`, atomically with
-    /// respect to writers (the writer lock is held while the state pair is
-    /// captured, so a concurrent [`Engine::apply`] can never tear it).
+    /// Serializes the engine's warm state — the current snapshot's epoch,
+    /// sampled sketch, and maintained solution when it has one — to `path`.
+    /// The writer lock is held throughout, so persists never interleave
+    /// with each other or with an [`Engine::apply`].
     ///
     /// The file is replaced, never rewritten in place: the image goes to
     /// `<path>.tmp` in the same directory, is synced, and is renamed over
@@ -77,21 +76,7 @@ impl Engine {
         let _writer = self.writer.lock().map_err(|_| ImdppError::Poisoned {
             what: "engine writer lock",
         })?;
-        let snap = self.read_snapshot();
-        let maintained = self
-            .maintained
-            .lock()
-            .map_err(|_| ImdppError::Poisoned {
-                what: "maintained-solution lock",
-            })?
-            .clone();
-        // Only a cache that is valid for the persisted epoch is worth
-        // carrying across the restart; a stale one would be dropped by the
-        // first solve anyway.
-        let current_report = maintained
-            .filter(|m| m.epoch == snap.epoch)
-            .map(|m| m.report);
-        let bytes = encode(&snap, current_report.as_ref());
+        let bytes = encode(&self.read_snapshot());
         replace_file(path.as_ref(), &bytes)
     }
 }
@@ -210,12 +195,9 @@ impl EngineBuilder {
             }
         };
 
-        let maintained = match codec::take(&mut input, 1)?[0] {
-            0 => None,
-            1 => Some(MaintainedSolution {
-                epoch,
-                report: decode_report(&mut input, &instance)?,
-            }),
+        let solution = match codec::take(&mut input, 1)?[0] {
+            0 => OnceLock::new(),
+            1 => OnceLock::from(decode_report(&mut input, &instance)?),
             _ => return Err(codec::corrupt("maintained-solution flag must be 0 or 1")),
         };
         if !input.is_empty() {
@@ -230,18 +212,17 @@ impl EngineBuilder {
                 instance,
                 oracle,
                 config,
+                solution,
             })),
             writer: Mutex::new(()),
-            maintained: Mutex::new(maintained),
             telemetry,
             metrics,
         })
     }
 }
 
-/// Serializes the consistent (snapshot, maintained-report) pair `persist`
-/// captured under the writer lock.
-fn encode(snap: &EngineSnapshot, maintained: Option<&DysimReport>) -> Vec<u8> {
+/// Serializes a snapshot together with its maintained solution.
+fn encode(snap: &EngineSnapshot) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     codec::write_varint(VERSION, &mut out);
@@ -252,7 +233,7 @@ fn encode(snap: &EngineSnapshot, maintained: Option<&DysimReport>) -> Vec<u8> {
         codec::write_varint(payload.len() as u64, &mut out);
         out.extend_from_slice(&payload);
     }
-    match maintained {
+    match snap.solution.get() {
         Some(report) => {
             out.push(1);
             encode_report(report, &mut out);
@@ -693,24 +674,24 @@ mod tests {
     }
 
     #[test]
-    fn maintained_solution_restores_with_the_engine() {
-        let engine = builder(sketch_kind(1)).build().unwrap();
+    fn maintained_solution_restores_with_the_engine() -> Result<(), ImdppError> {
+        let engine = builder(sketch_kind(1)).build()?;
         let first = engine.solve_report();
         let path = temp_path("maintained");
-        engine.persist(&path).unwrap();
-        let restored = builder(sketch_kind(1)).restore(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        // The cache came back installed for the restored epoch, so the
+        engine.persist(&path)?;
+        let restored = builder(sketch_kind(1)).restore(&path)?;
+        std::fs::remove_file(&path)?;
+        // The solution came back in the restored snapshot's cell, so the
         // first solve is a lookup, not a pipeline run...
-        {
-            let slot = restored.maintained.lock().unwrap();
-            let cached = slot.as_ref().expect("the persisted cache must restore");
-            assert_eq!(cached.epoch, 0);
-        }
+        let snap = restored.snapshot();
+        let cached = snap.solution.get().map(|r| &r.nominees);
+        assert_eq!(cached, Some(&first.nominees));
         // ...and it serves the identical report.
         let served = restored.solve_report();
         assert_eq!(served.seeds, first.seeds);
         assert_eq!(served.nominees, first.nominees);
+        assert_eq!(restored.telemetry().counter("core.tmi.queries"), Some(0));
+        Ok(())
     }
 
     #[test]

@@ -5,17 +5,19 @@
 //! pre-update scenario with the post-update estimator (or vice versa) — and
 //! after the run the incrementally refreshed sketch must be bit-identical
 //! to one rebuilt from scratch against the final world *through the
-//! façade*.
+//! façade*.  Solves racing applies must serve only the maintained solution
+//! of an epoch published during the solve, and a persisted engine must stay
+//! in lockstep with one that never restarted.
 
 use imdpp_suite::core::{
     DysimConfig, Evaluator, ImdppInstance, ItemId, OracleKind, ScenarioUpdate, Seed, SeedGroup,
     UserId,
 };
 use imdpp_suite::datasets::{generate, DatasetKind};
-use imdpp_suite::engine::Engine;
+use imdpp_suite::engine::{DysimReport, Engine, ImdppError};
 use imdpp_suite::sketch::{SketchConfig, SketchOracle};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 
 mod common;
 use common::churn::randomized_batches;
@@ -244,6 +246,124 @@ fn pinned_snapshots_survive_later_updates() {
     assert_eq!(pinned.epoch(), 0);
     assert_eq!(pinned.spread(&probe), before);
     assert_eq!(engine.epoch(), 4);
+}
+
+/// Whether two reports select the same seeds from the same nominee trace.
+fn same_solution(a: &DysimReport, b: &DysimReport) -> bool {
+    a.seeds == b.seeds && a.nominees == b.nominees
+}
+
+/// Solves racing applies: reader threads call `Engine::solve_report` in a
+/// loop while the writer solves and then applies each batch.  The writer's
+/// solve fills every epoch's solution cell that the repair did not, so
+/// each epoch serves exactly what a sequential solve-then-apply replay
+/// serves at that epoch — whatever the interleaving — and a reader's
+/// report must be the replay's report at an epoch published during its
+/// solve.  The default bound keeps the repairs of this stream, and
+/// paranoid mode invalidates every one of them, so the epochs' cells are
+/// filled by repairs in one run and by racing first solves in the other.
+/// The budget, nominee cap and stream are chosen so the served solution
+/// changes at several epochs of both runs: a report filed under the wrong
+/// epoch then shows.
+#[test]
+fn solves_racing_applies_serve_their_epochs_solution() -> Result<(), ImdppError> {
+    let instance = instance().with_budget(200.0);
+    let batches = randomized_batches(&instance, 0xC0FFEE, UPDATE_BATCHES);
+    let (mut kept, mut invalidated) = (0, 0);
+    for maintain_bound in [config().maintain_bound, Some(1.0)] {
+        let cfg = DysimConfig {
+            maintain_bound,
+            candidate_users: Some(16),
+            max_nominees: Some(6),
+            ..config()
+        };
+        let replay = Engine::for_instance(&instance)
+            .config(cfg.clone())
+            .build()?;
+        let mut expected = Vec::new();
+        let mut expected_repairs = Vec::new();
+        for update in &batches {
+            expected.push(replay.solve_report());
+            expected_repairs.push(replay.apply(update)?.solve_repair);
+        }
+        expected.push(replay.solve_report());
+        assert!(expected.iter().all(|r| !r.nominees.is_empty()));
+        assert!(
+            expected.windows(2).any(|w| !same_solution(&w[0], &w[1])),
+            "the served solution never changes (bound {maintain_bound:?})"
+        );
+        let repaired = expected_repairs.iter().zip(&batches);
+        kept += repaired
+            .clone()
+            .filter(|(r, b)| !b.is_empty() && r.full_resolves == 0)
+            .count();
+        invalidated += repaired.filter(|(r, _)| r.full_resolves > 0).count();
+
+        let engine = Engine::for_instance(&instance).config(cfg).build()?;
+        let start = Barrier::new(READERS + 1);
+        let done = AtomicBool::new(false);
+        let reader_solves = AtomicU64::new(0);
+        let mut writer_reports = Vec::new();
+        let mut repairs = Vec::new();
+        // lint: allow(spawn) — test harness readers racing the writer; no
+        // engine work is scheduled here.
+        let written = std::thread::scope(|s| {
+            for _ in 0..READERS {
+                s.spawn(|| {
+                    start.wait();
+                    // lint: allow(atomic-ordering) — advisory stop flag; a
+                    // stale read only yields one more solve.
+                    while !done.load(Ordering::Relaxed) {
+                        let first = engine.epoch() as usize;
+                        let report = engine.solve_report();
+                        let last = engine.epoch() as usize;
+                        assert!(
+                            expected[first..=last]
+                                .iter()
+                                .any(|e| same_solution(e, &report)),
+                            "a solve during epochs {first}..={last} served a \
+                             solution of none of them (bound {maintain_bound:?})"
+                        );
+                        // lint: allow(atomic-ordering) — a tally read after
+                        // the scope joins every reader.
+                        reader_solves.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+            // Every reader is running before the first apply.  The writer
+            // records instead of asserting, so a failure cannot leave the
+            // readers spinning.
+            start.wait();
+            let written = (|| -> Result<(), ImdppError> {
+                for update in &batches {
+                    writer_reports.push(engine.solve_report());
+                    repairs.push(engine.apply(update)?.solve_repair);
+                    std::thread::yield_now();
+                }
+                writer_reports.push(engine.solve_report());
+                Ok(())
+            })();
+            // lint: allow(atomic-ordering) — advisory stop flag; the
+            // scope's join is the real synchronisation point.
+            done.store(true, Ordering::Relaxed);
+            written
+        });
+        written?;
+
+        assert!(reader_solves.into_inner() > 0, "readers never ran");
+        assert_eq!(writer_reports.len(), expected.len());
+        for (epoch, (served, replayed)) in writer_reports.iter().zip(&expected).enumerate() {
+            assert!(
+                same_solution(served, replayed),
+                "epoch {epoch}: the writer's solve diverged from the replay \
+                 (bound {maintain_bound:?})"
+            );
+        }
+        assert_eq!(repairs, expected_repairs, "bound {maintain_bound:?}");
+    }
+    assert!(kept > 0, "no run kept a repaired solution");
+    assert!(invalidated > 0, "no run invalidated a solution");
+    Ok(())
 }
 
 /// Warm restart equivalence: persist an engine mid-churn, restore it into a
