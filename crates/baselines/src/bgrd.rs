@@ -75,7 +75,7 @@ impl Algorithm for Bgrd {
 
     fn select(&self, instance: &ImdppInstance) -> SeedGroup {
         let evaluator = Evaluator::new(instance, self.config.mc_samples, self.config.base_seed);
-        let candidates = crate::classic::candidate_users(instance, self.config.candidate_users);
+        let candidates = crate::common::candidate_users(instance, self.config.candidate_users);
         let mut assignments: Vec<(UserId, Vec<ItemId>)> = Vec::new();
         let mut spent = 0.0;
         let mut current = 0.0;

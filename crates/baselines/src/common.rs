@@ -1,6 +1,6 @@
-//! Shared configuration and the common algorithm interface.
+//! Shared configuration, candidate users and the common algorithm interface.
 
-use imdpp_core::{ImdppInstance, SeedGroup};
+use imdpp_core::{ImdppInstance, SeedGroup, UserId};
 
 /// Configuration shared by all baseline algorithms.
 #[derive(Clone, Copy, Debug)]
@@ -35,6 +35,30 @@ impl BaselineConfig {
     }
 }
 
+/// Candidate seed users of an instance, optionally restricted to the
+/// highest-out-degree users.  Only users with at least one affordable item
+/// count toward the cap, so expensive hubs cannot crowd out every affordable
+/// candidate under small budgets.
+pub fn candidate_users(instance: &ImdppInstance, cap: Option<usize>) -> Vec<UserId> {
+    let mut users: Vec<UserId> = instance.scenario().users().collect();
+    users.sort_by_key(|u| std::cmp::Reverse(instance.scenario().social().out_degree(*u)));
+    let cap = cap.unwrap_or(usize::MAX);
+    let mut kept = Vec::new();
+    for u in users {
+        if kept.len() >= cap {
+            break;
+        }
+        let affordable = instance
+            .scenario()
+            .items()
+            .any(|x| instance.cost(u, x) <= instance.budget());
+        if affordable || cap == usize::MAX {
+            kept.push(u);
+        }
+    }
+    kept
+}
+
 /// The common interface of every seed-selection algorithm in this suite
 /// (Dysim, the baselines and OPT), used by the experiment harness.
 pub trait Algorithm {
@@ -47,6 +71,19 @@ pub trait Algorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imdpp_core::CostModel;
+    use imdpp_diffusion::scenario::toy_scenario;
+
+    #[test]
+    fn candidate_users_are_sorted_by_degree() {
+        let scenario = toy_scenario();
+        let costs = CostModel::uniform(scenario.user_count(), scenario.item_count(), 1.0);
+        let inst = ImdppInstance::new(scenario, costs, 3.0, 1).unwrap();
+        let users = candidate_users(&inst, Some(3));
+        assert_eq!(users.len(), 3);
+        // User 5 has out-degree 0 and cannot be in the top 3.
+        assert!(!users.contains(&UserId(5)));
+    }
 
     #[test]
     fn default_config_is_sensible() {

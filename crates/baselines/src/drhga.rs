@@ -36,7 +36,7 @@ impl Algorithm for Drhga {
 
     fn select(&self, instance: &ImdppInstance) -> SeedGroup {
         let evaluator = Evaluator::new(instance, self.config.mc_samples, self.config.base_seed);
-        let users = crate::classic::candidate_users(instance, self.config.candidate_users);
+        let users = crate::common::candidate_users(instance, self.config.candidate_users);
         let items: Vec<ItemId> = instance.scenario().items().collect();
         if items.is_empty() {
             return SeedGroup::new();

@@ -35,7 +35,7 @@ impl Algorithm for Hag {
 
     fn select(&self, instance: &ImdppInstance) -> SeedGroup {
         let evaluator = Evaluator::new(instance, self.config.mc_samples, self.config.base_seed);
-        let users = crate::classic::candidate_users(instance, self.config.candidate_users);
+        let users = crate::common::candidate_users(instance, self.config.candidate_users);
         let pairs: Vec<(UserId, ItemId)> = users
             .iter()
             .flat_map(|&u| instance.scenario().items().map(move |x| (u, x)))

@@ -1,8 +1,7 @@
 //! # imdpp-baselines
 //!
 //! The baseline algorithms the paper compares Dysim against (Sec. VI), plus
-//! the brute-force optimum used on small instances and classic single-item
-//! influence maximization:
+//! the brute-force optimum used on small instances:
 //!
 //! * [`opt`] — OPT: exhaustive search over feasible seed groups (Fig. 8),
 //! * [`bgrd`] — BGRD \[38\]: utility-driven greedy that promotes all items as
@@ -13,11 +12,7 @@
 //! * [`drhga`] — DRHGA \[19\]: per-item user selection with dynamic
 //!   preference awareness,
 //! * [`crgreedy`] — the CR-Greedy \[39\] timing wrapper used to extend the
-//!   single-promotion baselines to `T` promotions,
-//! * [`classic`] — classic IM (greedy / CELF / degree / random) on a single
-//!   item, used as building blocks and sanity baselines,
-//! * [`ris`] — TIM/IMM-flavoured selection driven by the `imdpp-sketch`
-//!   reverse-reachable oracle instead of forward Monte-Carlo.
+//!   single-promotion baselines to `T` promotions.
 //!
 //! All baselines are re-implementations from the behavioural descriptions in
 //! the paper (the original systems are not publicly available); DESIGN.md §3
@@ -29,14 +24,12 @@
 #![warn(rust_2018_idioms)]
 
 pub mod bgrd;
-pub mod classic;
 pub mod common;
 pub mod crgreedy;
 pub mod drhga;
 pub mod hag;
 pub mod opt;
 pub mod ps;
-pub mod ris;
 
 pub use bgrd::Bgrd;
 pub use common::{Algorithm, BaselineConfig};
@@ -45,4 +38,3 @@ pub use drhga::Drhga;
 pub use hag::Hag;
 pub use opt::Opt;
 pub use ps::PathScore;
-pub use ris::sketch_greedy_single_item;

@@ -59,7 +59,7 @@ impl Algorithm for PathScore {
     }
 
     fn select(&self, instance: &ImdppInstance) -> SeedGroup {
-        let users = crate::classic::candidate_users(instance, self.config.candidate_users);
+        let users = crate::common::candidate_users(instance, self.config.candidate_users);
         let scenario = instance.scenario();
         let mut reach_cache: HashMap<u32, Vec<f64>> = HashMap::new();
 

@@ -70,7 +70,6 @@ fn main() {
     };
     let selection_config = NomineeSelectionConfig {
         max_nominees: config.max_nominees,
-        stop_on_nonpositive_gain: true,
     };
     let universe = instance.nominee_universe(config.candidate_users);
 

@@ -65,7 +65,6 @@ fn main() {
     // budget while coverage gains can hit zero and stop).
     let selection_config = NomineeSelectionConfig {
         max_nominees: Some(5),
-        ..NomineeSelectionConfig::default()
     };
     // A denser sketch for selection: per-singleton coverage noise must be
     // well under the 5% agreement target (relative error ~ 1/sqrt(coverage)).

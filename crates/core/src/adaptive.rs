@@ -123,7 +123,6 @@ pub fn adaptive_dysim_with_oracle<O: RefreshableOracle>(
             &universe,
             &NomineeSelectionConfig {
                 max_nominees: config.max_nominees,
-                stop_on_nonpositive_gain: true,
             },
         );
 

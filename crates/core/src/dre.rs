@@ -33,6 +33,9 @@ pub struct ItemImpactModel {
     related: HashMap<u32, Vec<ItemId>>,
 }
 
+/// Most market members [`ItemImpactModel::new`] averages relevance over.
+const IMPACT_USER_CAP: usize = 64;
+
 fn pair_key(x: ItemId, y: ItemId) -> (u32, u32) {
     if x.0 < y.0 {
         (x.0, y.0)
@@ -44,14 +47,14 @@ fn pair_key(x: ItemId, y: ItemId) -> (u32, u32) {
 impl ItemImpactModel {
     /// Builds the impact model for a market from (expected) perceptions.
     ///
-    /// `users` is capped at `user_cap` evenly-spaced members to keep the cost
-    /// bounded on very large markets.
-    pub fn new(perception: &PersonalPerception, users: &[UserId], user_cap: usize) -> Self {
-        let sampled: Vec<UserId> = if users.len() <= user_cap.max(1) {
+    /// `users` is capped at `IMPACT_USER_CAP` (64) evenly-spaced members to
+    /// keep the cost bounded on very large markets.
+    pub fn new(perception: &PersonalPerception, users: &[UserId]) -> Self {
+        let sampled: Vec<UserId> = if users.len() <= IMPACT_USER_CAP {
             users.to_vec()
         } else {
-            let step = users.len() / user_cap.max(1);
-            users.iter().step_by(step.max(1)).copied().collect()
+            let step = users.len() / IMPACT_USER_CAP;
+            users.iter().step_by(step).copied().collect()
         };
         let model = perception.model().clone();
         let mut avg_c = HashMap::new();
@@ -256,7 +259,7 @@ mod tests {
     fn impact_model() -> (ItemImpactModel, ItemCatalog) {
         let scenario = toy_scenario();
         let users: Vec<UserId> = scenario.users().collect();
-        let model = ItemImpactModel::new(scenario.initial_perception(), &users, 64);
+        let model = ItemImpactModel::new(scenario.initial_perception(), &users);
         (model, scenario.catalog().clone())
     }
 
@@ -264,7 +267,7 @@ mod tests {
     fn averages_match_uniform_perception() {
         let scenario = toy_scenario();
         let users: Vec<UserId> = scenario.users().collect();
-        let m = ItemImpactModel::new(scenario.initial_perception(), &users, 64);
+        let m = ItemImpactModel::new(scenario.initial_perception(), &users);
         let direct = scenario
             .initial_perception()
             .complementary(UserId(0), ItemId(0), ItemId(1));
@@ -326,7 +329,7 @@ mod tests {
     fn best_item_selection_prefers_highest_dr() {
         let scenario = toy_scenario();
         let users: Vec<UserId> = scenario.users().collect();
-        let m = ItemImpactModel::new(scenario.initial_perception(), &users, 64);
+        let m = ItemImpactModel::new(scenario.initial_perception(), &users);
         let market = TargetMarket {
             index: 0,
             nominees: vec![(UserId(0), ItemId(0)), (UserId(1), ItemId(3))],

@@ -96,8 +96,6 @@ pub struct DysimConfig {
     /// When true TDSI searches every timing in `[t̂, T]` instead of the
     /// two-slot window (ablation of the window restriction).
     pub full_timing_search: bool,
-    /// Cap on the users sampled when averaging relevance within a market.
-    pub impact_user_cap: usize,
     /// Which estimator answers nominee selection's static `f(N)` queries.
     ///
     /// Honoured by the config-driven `imdpp-engine` `Engine`;
@@ -132,7 +130,6 @@ impl Default for DysimConfig {
             use_item_priority: true,
             use_guard_solutions: true,
             full_timing_search: false,
-            impact_user_cap: 64,
             oracle: OracleKind::MonteCarlo,
             maintain_bound: Some(0.95),
         }
@@ -242,7 +239,6 @@ impl Dysim {
             &universe,
             &NomineeSelectionConfig {
                 max_nominees: cfg.max_nominees,
-                stop_on_nonpositive_gain: true,
             },
         );
         let (tmi_queries, tmi_oracle_calls) = (selection.evaluations, selection.oracle_calls);
@@ -300,7 +296,7 @@ impl Dysim {
 
                 // DRE: expected perceptions after the group's seeds so far.
                 let expected = evaluator.expected_perception(&group_seeds, &market.users);
-                let impact = ItemImpactModel::new(&expected, &market.users, cfg.impact_user_cap);
+                let impact = ItemImpactModel::new(&expected, &market.users);
 
                 let mut pending_items: Vec<ItemId> = market.items();
                 let mut promoted_items: Vec<ItemId> = group_seeds.items();

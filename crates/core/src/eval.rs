@@ -55,11 +55,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// The underlying instance.
-    pub fn instance(&self) -> &ImdppInstance {
-        self.instance
-    }
-
     /// Number of Monte-Carlo samples per query.
     pub fn samples(&self) -> usize {
         self.samples

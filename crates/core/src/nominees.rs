@@ -14,13 +14,13 @@
 //! upper-bound fresh ones, so the classic CELF lazy evaluation applies and
 //! drastically reduces the number of spread estimations.
 //!
-//! Every `f(N)` query goes through a [`crate::oracle::SpreadOracle`]: the
-//! forward Monte-Carlo [`Evaluator`] (the paper's reference, used by
-//! [`select_nominees`]) or the RR-sketch oracle of `imdpp-sketch`
-//! (via [`select_nominees_with_oracle`]), which answers each query from an
-//! amortized coverage scan instead of fresh simulations.
+//! Every `f(N)` query goes through the [`crate::oracle::SpreadOracle`] passed
+//! to [`select_nominees_with_oracle`]: the forward Monte-Carlo
+//! [`crate::eval::Evaluator`] (the paper's reference) or the RR-sketch oracle
+//! of `imdpp-sketch`, which answers each query from an amortized coverage
+//! scan instead of fresh simulations.  Selection stops at the first
+//! non-positive marginal gain.
 
-use crate::eval::Evaluator;
 use crate::oracle::SpreadOracle;
 use crate::problem::ImdppInstance;
 use imdpp_graph::{ItemId, UserId};
@@ -31,22 +31,11 @@ use std::collections::BinaryHeap;
 pub type Nominee = (UserId, ItemId);
 
 /// Configuration of the nominee-selection procedure.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct NomineeSelectionConfig {
     /// Hard cap on the number of nominees selected (`None` = budget-limited
     /// only).
     pub max_nominees: Option<usize>,
-    /// Stop as soon as the best available marginal gain is non-positive.
-    pub stop_on_nonpositive_gain: bool,
-}
-
-impl Default for NomineeSelectionConfig {
-    fn default() -> Self {
-        NomineeSelectionConfig {
-            max_nominees: None,
-            stop_on_nonpositive_gain: true,
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -102,22 +91,12 @@ pub struct NomineeSelection {
     pub oracle_calls: usize,
 }
 
-/// Runs MCP nominee selection over the given universe with the forward
-/// Monte-Carlo estimator (the paper's reference configuration); a shorthand
-/// for [`select_nominees_with_oracle`] with the evaluator as the oracle.
+/// Runs MCP nominee selection over the given universe with an arbitrary
+/// [`SpreadOracle`] estimating the static objective `f(N)` — forward
+/// Monte-Carlo ([`crate::eval::Evaluator`], the paper's reference) or the
+/// RR-sketch oracle of `imdpp-sketch`.
 ///
 /// `universe` is typically [`crate::problem::ImdppInstance::nominee_universe`].
-pub fn select_nominees(
-    evaluator: &Evaluator<'_>,
-    universe: &[Nominee],
-    config: &NomineeSelectionConfig,
-) -> NomineeSelection {
-    select_nominees_with_oracle(evaluator.instance(), evaluator, universe, config)
-}
-
-/// Runs MCP nominee selection with an arbitrary [`SpreadOracle`] estimating
-/// the static objective `f(N)` — forward Monte-Carlo
-/// ([`crate::eval::Evaluator`]) or the RR-sketch oracle of `imdpp-sketch`.
 pub fn select_nominees_with_oracle(
     instance: &ImdppInstance,
     oracle: &dyn SpreadOracle,
@@ -199,7 +178,7 @@ pub fn select_nominees_with_prefix(
         }
         if top.evaluated_at == selected.len() {
             // Fresh evaluation: accept or stop.
-            if config.stop_on_nonpositive_gain && top.gain <= 0.0 {
+            if top.gain <= 0.0 {
                 break;
             }
             selected.push((u, x));
@@ -230,18 +209,10 @@ pub fn select_nominees_with_prefix(
     queries.finish(oracle, selected, spent)
 }
 
-/// Plain (non-lazy) greedy MCP selection.  Exists for the ablation benchmark
-/// comparing CELF lazy evaluation against the textbook greedy; produces the
-/// same selection when the objective is submodular.
-pub fn select_nominees_plain_greedy(
-    evaluator: &Evaluator<'_>,
-    universe: &[Nominee],
-    config: &NomineeSelectionConfig,
-) -> NomineeSelection {
-    select_nominees_plain_greedy_with_oracle(evaluator.instance(), evaluator, universe, config)
-}
-
-/// Plain greedy MCP selection with an arbitrary [`SpreadOracle`].
+/// Plain (non-lazy) greedy MCP selection with an arbitrary [`SpreadOracle`].
+/// Exists for the ablation benchmark comparing CELF lazy evaluation against
+/// the textbook greedy; produces the same selection when the objective is
+/// submodular.
 pub fn select_nominees_plain_greedy_with_oracle(
     instance: &ImdppInstance,
     oracle: &dyn SpreadOracle,
@@ -286,7 +257,7 @@ pub fn select_nominees_plain_greedy_with_oracle(
         }
         match best {
             Some((i, gain, value_with, _)) => {
-                if config.stop_on_nonpositive_gain && gain <= 0.0 {
+                if gain <= 0.0 {
                     break;
                 }
                 let (u, x) = remaining.remove(i);
@@ -373,6 +344,7 @@ impl QueryCount {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::Evaluator;
     use crate::problem::{CostModel, ImdppInstance};
     use imdpp_diffusion::scenario::toy_scenario;
 
@@ -387,7 +359,8 @@ mod tests {
         let inst = instance(2.0);
         let ev = Evaluator::new(&inst, 8, 1);
         let universe = inst.nominee_universe(None);
-        let sel = select_nominees(&ev, &universe, &NomineeSelectionConfig::default());
+        let sel =
+            select_nominees_with_oracle(&inst, &ev, &universe, &NomineeSelectionConfig::default());
         assert!(sel.total_cost <= inst.budget() + 1e-9);
         assert!(sel.nominees.len() <= 2);
         assert!(!sel.nominees.is_empty());
@@ -398,7 +371,8 @@ mod tests {
         let inst = instance(1.0);
         let ev = Evaluator::new(&inst, 32, 2);
         let universe = inst.nominee_universe(None);
-        let sel = select_nominees(&ev, &universe, &NomineeSelectionConfig::default());
+        let sel =
+            select_nominees_with_oracle(&inst, &ev, &universe, &NomineeSelectionConfig::default());
         assert_eq!(sel.nominees.len(), 1);
         // User 5 has no out-edges; it can never be the single best nominee.
         assert_ne!(sel.nominees[0].0, UserId(5));
@@ -412,9 +386,8 @@ mod tests {
         let universe = inst.nominee_universe(None);
         let cfg = NomineeSelectionConfig {
             max_nominees: Some(2),
-            ..Default::default()
         };
-        let sel = select_nominees(&ev, &universe, &cfg);
+        let sel = select_nominees_with_oracle(&inst, &ev, &universe, &cfg);
         assert_eq!(sel.nominees.len(), 2);
     }
 
@@ -422,7 +395,7 @@ mod tests {
     fn empty_universe_selects_nothing() {
         let inst = instance(3.0);
         let ev = Evaluator::new(&inst, 4, 4);
-        let sel = select_nominees(&ev, &[], &NomineeSelectionConfig::default());
+        let sel = select_nominees_with_oracle(&inst, &ev, &[], &NomineeSelectionConfig::default());
         assert!(sel.nominees.is_empty());
         assert_eq!(sel.objective, 0.0);
         assert_eq!(sel.total_cost, 0.0);
@@ -434,8 +407,8 @@ mod tests {
         let ev = Evaluator::new(&inst, 64, 5);
         let universe = inst.nominee_universe(Some(4));
         let cfg = NomineeSelectionConfig::default();
-        let lazy = select_nominees(&ev, &universe, &cfg);
-        let plain = select_nominees_plain_greedy(&ev, &universe, &cfg);
+        let lazy = select_nominees_with_oracle(&inst, &ev, &universe, &cfg);
+        let plain = select_nominees_plain_greedy_with_oracle(&inst, &ev, &universe, &cfg);
         // Objectives must be very close (identical estimator seeds).
         assert!((lazy.objective - plain.objective).abs() < 0.5);
         // CELF must not use more evaluations than plain greedy.
@@ -454,6 +427,42 @@ mod tests {
         assert_eq!(plain.objective, prefixed.objective);
         assert_eq!(plain.total_cost, prefixed.total_cost);
         assert_eq!(plain.evaluations, prefixed.evaluations);
+    }
+
+    /// f(N) = number of distinct users in N.
+    struct DistinctUsers;
+
+    impl SpreadOracle for DistinctUsers {
+        fn static_spread(&self, nominees: &[Nominee]) -> f64 {
+            let mut users: Vec<UserId> = nominees.iter().map(|&(u, _)| u).collect();
+            users.sort_unstable();
+            users.dedup();
+            users.len() as f64
+        }
+    }
+
+    #[test]
+    fn selection_stops_at_the_first_non_positive_gain() {
+        // Budget 3 at unit cost leaves room for all three nominees, but
+        // (u0, x1) adds no user once (u0, x0) is in.
+        let inst = instance(3.0);
+        let universe = [
+            (UserId(0), ItemId(0)),
+            (UserId(0), ItemId(1)),
+            (UserId(1), ItemId(0)),
+        ];
+        let cfg = NomineeSelectionConfig::default();
+        let lazy = select_nominees_with_oracle(&inst, &DistinctUsers, &universe, &cfg);
+        let plain =
+            select_nominees_plain_greedy_with_oracle(&inst, &DistinctUsers, &universe, &cfg);
+        for sel in [lazy, plain] {
+            assert_eq!(
+                sel.nominees,
+                vec![(UserId(0), ItemId(0)), (UserId(1), ItemId(0))]
+            );
+            assert_eq!(sel.total_cost, 2.0);
+            assert_eq!(sel.objective, 2.0);
+        }
     }
 
     /// A deterministic, *exactly* submodular coverage oracle: nominee
@@ -535,7 +544,8 @@ mod tests {
         let inst = ImdppInstance::new(scenario, costs, 2.0, 2).unwrap();
         let ev = Evaluator::new(&inst, 8, 6);
         let universe = inst.nominee_universe(None);
-        let sel = select_nominees(&ev, &universe, &NomineeSelectionConfig::default());
+        let sel =
+            select_nominees_with_oracle(&inst, &ev, &universe, &NomineeSelectionConfig::default());
         assert!(sel.nominees.iter().all(|(u, _)| *u != UserId(0)));
     }
 }

@@ -1,12 +1,11 @@
 //! The [`SpreadOracle`] estimation interface and its dynamic-maintenance
 //! extension [`RefreshableOracle`].
 //!
-//! Nominee selection (Procedure 2), the Dysim driver's TMI stage and the
-//! RIS-flavoured baselines only ever query one quantity: the *static
-//! first-promotion spread* `f(N)` of a nominee set under frozen dynamics
-//! (the conditions of Lemma 1 that make `f` monotone and submodular).  This
-//! module abstracts over how `f` is estimated so callers can choose the
-//! estimator:
+//! Nominee selection (Procedure 2) and the Dysim driver's TMI stage only
+//! ever query one quantity: the *static first-promotion spread* `f(N)` of
+//! a nominee set under frozen dynamics (the conditions of Lemma 1 that make
+//! `f` monotone and submodular).  This module abstracts over how `f` is
+//! estimated so callers can choose the estimator:
 //!
 //! * **forward Monte-Carlo** ([`crate::eval::Evaluator`], or the owned
 //!   [`crate::eval::MonteCarloOracle`]) — the paper's reference estimator;

@@ -23,24 +23,6 @@ impl CostModel {
         }
     }
 
-    /// Explicit cost matrix in row-major `(user, item)` order.
-    pub fn from_matrix(costs: Vec<f64>, user_count: usize, item_count: usize) -> Self {
-        assert_eq!(
-            costs.len(),
-            user_count * item_count,
-            "cost matrix size mismatch"
-        );
-        assert!(
-            costs.iter().all(|c| c.is_finite() && *c > 0.0),
-            "all costs must be positive and finite"
-        );
-        CostModel {
-            costs,
-            user_count,
-            item_count,
-        }
-    }
-
     /// The cost model used throughout the paper's experiments (following
     /// \[3\], \[67\] and the empirical study): proportional to the user's
     /// out-degree
@@ -79,11 +61,6 @@ impl CostModel {
     pub fn set_cost(&mut self, u: UserId, x: ItemId, cost: f64) {
         assert!(cost.is_finite() && cost > 0.0, "cost must be positive");
         self.costs[u.index() * self.item_count + x.index()] = cost;
-    }
-
-    /// The cheapest cost in the model.
-    pub fn min_cost(&self) -> f64 {
-        self.costs.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
     /// Number of users covered.
@@ -258,7 +235,6 @@ mod tests {
     fn uniform_costs_apply_to_all_pairs() {
         let c = CostModel::uniform(3, 2, 2.0);
         assert_eq!(c.cost(UserId(2), ItemId(1)), 2.0);
-        assert_eq!(c.min_cost(), 2.0);
     }
 
     #[test]

@@ -306,7 +306,7 @@ mod tests {
     #[test]
     fn heavy_tail_degree_distribution_for_preferential_attachment() {
         let ds = generate(&DatasetKind::YelpSmall.config().scaled(0.5));
-        let stats = ds.instance.scenario().social().degree_stats();
+        let stats = imdpp_graph::stats::DegreeStats::of(ds.instance.scenario().social().graph());
         assert!(stats.max_out_degree as f64 > 3.0 * stats.mean_out_degree);
     }
 }

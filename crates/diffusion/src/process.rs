@@ -74,11 +74,6 @@ impl SimulationOutcome {
     pub fn adoptions_of(&self, item: ItemId) -> usize {
         self.records.iter().filter(|r| r.item == item).count()
     }
-
-    /// Number of adoptions that happened in a specific promotion.
-    pub fn adoptions_in_promotion(&self, t: u32) -> usize {
-        self.records.iter().filter(|r| r.promotion == t).count()
-    }
 }
 
 /// Runs one stochastic realisation of the campaign described by `seeds` over
@@ -434,12 +429,6 @@ mod tests {
         for r in out.records() {
             assert!(r.promotion >= 1 && r.promotion <= 3);
         }
-        assert_eq!(
-            out.adoptions_in_promotion(1)
-                + out.adoptions_in_promotion(2)
-                + out.adoptions_in_promotion(3),
-            out.adoption_count()
-        );
     }
 
     #[test]

@@ -115,18 +115,6 @@ impl SeedGroup {
         g
     }
 
-    /// Returns a copy of the group with every seed moved to promotion 1.
-    /// (The `S*_first` construction used in the paper's proofs and by the
-    /// nominee-selection objective.)
-    pub fn flattened_to_first_promotion(&self) -> SeedGroup {
-        let seeds = self
-            .seeds
-            .iter()
-            .map(|s| Seed::new(s.user, s.item, 1))
-            .collect();
-        SeedGroup::from_seeds(seeds)
-    }
-
     /// Total hiring cost under a cost function `cost(u, x)`.
     pub fn total_cost(&self, mut cost: impl FnMut(UserId, ItemId) -> f64) -> f64 {
         self.seeds.iter().map(|s| cost(s.user, s.item)).sum()
@@ -200,14 +188,6 @@ mod tests {
         let g2 = g.with(s(1, 1, 2));
         assert_eq!(g.len(), 1);
         assert_eq!(g2.len(), 2);
-    }
-
-    #[test]
-    fn flattening_moves_everything_to_first_promotion() {
-        let g = SeedGroup::from_seeds(vec![s(0, 0, 3), s(1, 1, 2)]);
-        let f = g.flattened_to_first_promotion();
-        assert!(f.seeds().iter().all(|s| s.promotion == 1));
-        assert_eq!(f.len(), 2);
     }
 
     #[test]

@@ -54,14 +54,6 @@ impl DiffusionState {
         self.adoption_count
     }
 
-    /// Users that have adopted `x`.
-    pub fn adopters_of(&self, x: ItemId) -> Vec<UserId> {
-        (0..self.adopted.len())
-            .filter(|&u| self.adopted[u].binary_search(&x).is_ok())
-            .map(UserId::from_index)
-            .collect()
-    }
-
     /// Records a batch of new adoptions (the end-of-step bookkeeping of the
     /// diffusion process): adds the items to the adoption sets and applies
     /// the *relevance measurement* update to each affected user's
@@ -188,17 +180,6 @@ impl DiffusionState {
         }
         total
     }
-
-    /// Importance-weighted count of all adoptions in the state.
-    pub fn weighted_adoptions(&self, scenario: &Scenario) -> f64 {
-        let mut total = 0.0;
-        for items in &self.adopted {
-            for &x in items {
-                total += scenario.catalog().importance(x);
-            }
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -212,8 +193,6 @@ mod tests {
         let st = DiffusionState::new(&s);
         assert_eq!(st.adoption_count(), 0);
         assert!(!st.has_adopted(UserId(0), ItemId(0)));
-        assert!(st.adopters_of(ItemId(0)).is_empty());
-        assert_eq!(st.weighted_adoptions(&s), 0.0);
     }
 
     #[test]
@@ -224,9 +203,6 @@ mod tests {
         assert_eq!(n, 2);
         assert!(st.has_adopted(UserId(1), ItemId(0)));
         assert_eq!(st.adopted_items(UserId(1)), &[ItemId(0), ItemId(1)]);
-        assert_eq!(st.adopters_of(ItemId(0)), vec![UserId(1)]);
-        // Importance of iPhone (1.0) + AirPods (0.5).
-        assert!((st.weighted_adoptions(&s) - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -715,7 +715,6 @@ impl Engine {
         let universe = instance.nominee_universe(config.candidate_users);
         let selection_config = NomineeSelectionConfig {
             max_nominees: config.max_nominees,
-            stop_on_nonpositive_gain: true,
         };
         let outcome = repair_nominees(
             instance,
@@ -1554,7 +1553,6 @@ mod tests {
         let universe = snap.instance().nominee_universe(config.candidate_users);
         let selection_config = NomineeSelectionConfig {
             max_nominees: config.max_nominees,
-            stop_on_nonpositive_gain: true,
         };
         let retained = applied.solve_repair.seeds_retained;
         for prefix in [&first.nominees[..retained], &[]] {

@@ -16,8 +16,7 @@
 //!   scenario (`tests/serving_tier.rs` proves this across the shard grid).
 
 use crate::{
-    validate_update, ConfiguredOracle, DysimReport, Engine, EngineSnapshot, ImdppError,
-    ScenarioUpdate, TmiCounters,
+    validate_update, DysimReport, Engine, EngineSnapshot, ImdppError, ScenarioUpdate, TmiCounters,
 };
 use imdpp_core::dysim::Dysim;
 use imdpp_core::nominees::Nominee;
@@ -273,14 +272,14 @@ impl TenantOverlay {
             (Some(sketch), Some(patch)) => {
                 driver.solve_with(&instance, &PatchedSketch::new(sketch, patch))
             }
-            _ => {
-                let oracle = ConfiguredOracle::MonteCarlo(MonteCarloOracle::new(
+            _ => driver.solve_with(
+                &instance,
+                &MonteCarloOracle::new(
                     instance.scenario(),
                     self.base.config().mc_samples,
                     self.base.config().base_seed,
-                ));
-                driver.solve_with(&instance, &oracle)
-            }
+                ),
+            ),
         };
         Ok(self.tmi.pipeline(report))
     }

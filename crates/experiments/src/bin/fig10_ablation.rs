@@ -50,8 +50,7 @@ fn main() {
                 .with_budget(budget)
                 .with_promotions(promotions);
             for variant in variants {
-                let r = run_algorithm(variant, &instance, &config)
-                    .expect("metrics/persist side channel");
+                let r = run_algorithm(variant, &instance, &config).expect("metrics side channel");
                 println!(
                     "{} {label} {:<12} sigma={:.1} ({} seeds, {:.1}s)",
                     kind.name(),

@@ -47,7 +47,7 @@ fn main() {
                 .with_promotions(promotions);
             for ordering in MarketOrdering::all() {
                 let r = run_dysim_with_ordering(&instance, &config, ordering)
-                    .expect("metrics/persist side channel");
+                    .expect("metrics side channel");
                 println!(
                     "{} {label} {:<3} sigma={:.1} ({} seeds, {:.1}s)",
                     kind.name(),

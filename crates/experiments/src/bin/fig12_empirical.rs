@@ -31,7 +31,7 @@ fn main() {
         ]);
         let instance = generate_class(&spec);
         for algo in algorithms {
-            let r = run_algorithm(algo, &instance, &config).expect("metrics/persist side channel");
+            let r = run_algorithm(algo, &instance, &config).expect("metrics side channel");
             // All course importances are 1, so σ equals the expected number of
             // course selections; report it rounded as the figure does.
             let selections = Evaluator::new(&instance, config.eval_samples, 0xC1A55)

@@ -31,7 +31,7 @@ fn main() {
                 .with_budget(100.0)
                 .with_promotions(3);
             let r = run_algorithm(AlgorithmKind::Dysim, &instance, &config)
-                .expect("metrics/persist side channel");
+                .expect("metrics side channel");
             println!(
                 "{} m={metagraphs} sigma={:.1} ({} seeds, {:.1}s)",
                 kind.name(),

@@ -34,8 +34,7 @@ fn main() {
             for &t in &promotions {
                 let instance = dataset.instance.with_budget(100.0).with_promotions(t);
                 for kind in algorithms {
-                    let r = run_algorithm(kind, &instance, &config)
-                        .expect("metrics/persist side channel");
+                    let r = run_algorithm(kind, &instance, &config).expect("metrics side channel");
                     println!(
                         "T={t} {:<6} sigma={:.2} ({} seeds, {:.2}s)",
                         r.algorithm,
@@ -62,8 +61,7 @@ fn main() {
             for &b in &budgets {
                 let instance = dataset.instance.with_budget(b).with_promotions(2);
                 for kind in algorithms {
-                    let r = run_algorithm(kind, &instance, &config)
-                        .expect("metrics/persist side channel");
+                    let r = run_algorithm(kind, &instance, &config).expect("metrics side channel");
                     println!(
                         "b={b} {:<6} sigma={:.2} ({} seeds, {:.2}s)",
                         r.algorithm,

@@ -47,8 +47,8 @@ fn main() {
                 for &t in &sweep {
                     let instance = dataset.instance.with_budget(500.0).with_promotions(t);
                     for algo in algorithms() {
-                        let r = run_algorithm(algo, &instance, &config)
-                            .expect("metrics/persist side channel");
+                        let r =
+                            run_algorithm(algo, &instance, &config).expect("metrics side channel");
                         println!(
                             "{} T={t} {:<6} sigma={:.1} ({} seeds, {:.1}s)",
                             kind.name(),
@@ -77,8 +77,8 @@ fn main() {
                 for &b in &sweep {
                     let instance = dataset.instance.with_budget(b).with_promotions(10);
                     for algo in algorithms() {
-                        let r = run_algorithm(algo, &instance, &config)
-                            .expect("metrics/persist side channel");
+                        let r =
+                            run_algorithm(algo, &instance, &config).expect("metrics side channel");
                         println!(
                             "{} b={b} {:<6} sigma={:.1} ({} seeds, {:.1}s)",
                             kind.name(),

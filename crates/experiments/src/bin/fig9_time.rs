@@ -27,7 +27,7 @@ fn main() {
                 let dataset = generate(&kind.config().scaled(config.scale));
                 let instance = dataset.instance.with_budget(500.0).with_promotions(10);
                 let r = run_algorithm(AlgorithmKind::Dysim, &instance, &config)
-                    .expect("metrics/persist side channel");
+                    .expect("metrics side channel");
                 println!(
                     "{} Dysim {:.2}s sigma={:.1}",
                     kind.name(),
@@ -53,8 +53,7 @@ fn main() {
             for &t in &sweep {
                 let instance = dataset.instance.with_budget(500.0).with_promotions(t);
                 for algo in algorithms() {
-                    let r = run_algorithm(algo, &instance, &config)
-                        .expect("metrics/persist side channel");
+                    let r = run_algorithm(algo, &instance, &config).expect("metrics side channel");
                     println!("amazon T={t} {:<6} {:.2}s", r.algorithm, r.seconds);
                     table.push_row(vec![
                         "amazon".to_string(),
@@ -76,8 +75,7 @@ fn main() {
             for &b in &sweep {
                 let instance = dataset.instance.with_budget(b).with_promotions(10);
                 for algo in algorithms() {
-                    let r = run_algorithm(algo, &instance, &config)
-                        .expect("metrics/persist side channel");
+                    let r = run_algorithm(algo, &instance, &config).expect("metrics side channel");
                     println!("amazon b={b} {:<6} {:.2}s", r.algorithm, r.seconds);
                     table.push_row(vec![
                         "amazon".to_string(),

@@ -31,13 +31,6 @@ pub struct HarnessConfig {
     /// after a multi-algorithm sweep the file holds the *last* Dysim run's
     /// telemetry — pass a distinct path per invocation to keep them all.
     pub metrics_out: Option<PathBuf>,
-    /// Where to persist the engine state after a solve (`IMDPP_PERSIST`).
-    ///
-    /// `None` (the default) disables persistence.  When set, every
-    /// engine-backed run rewrites the file via [`Engine::persist`], so a
-    /// later process can warm-restart from it with
-    /// `Engine::for_instance(..).restore(path)` without resampling.
-    pub persist_path: Option<PathBuf>,
 }
 
 impl Default for HarnessConfig {
@@ -50,7 +43,6 @@ impl Default for HarnessConfig {
             out_dir: "results".to_string(),
             oracle: OracleKind::MonteCarlo,
             metrics_out: None,
-            persist_path: None,
         }
     }
 }
@@ -134,11 +126,6 @@ impl HarnessConfig {
             }
         }
         cfg.metrics_out = imdpp_obs::metrics_env_path();
-        if let Ok(v) = std::env::var("IMDPP_PERSIST") {
-            if !v.trim().is_empty() {
-                cfg.persist_path = Some(PathBuf::from(v));
-            }
-        }
         cfg
     }
 
@@ -226,9 +213,9 @@ pub struct RunResult {
 /// Runs one algorithm on an instance and evaluates the resulting seed group
 /// with the harness's evaluation sample count.
 ///
-/// Fails only on side-channel I/O: an unwritable `IMDPP_METRICS` or
-/// `IMDPP_PERSIST` path surfaces as [`ImdppError::Io`] with the offending
-/// path in the message, instead of silently dropping the artifact.
+/// Fails only on side-channel I/O: an unwritable `IMDPP_METRICS` path
+/// surfaces as [`ImdppError::Io`] with the offending path in the message,
+/// instead of silently dropping the artifact.
 pub fn run_algorithm(
     kind: AlgorithmKind,
     instance: &ImdppInstance,
@@ -276,9 +263,7 @@ pub fn run_algorithm(
 }
 
 /// Writes `engine`'s telemetry snapshot to [`HarnessConfig::metrics_out`]
-/// (the `IMDPP_METRICS` knob) and persists the engine state to
-/// [`HarnessConfig::persist_path`] (the `IMDPP_PERSIST` knob); a no-op for
-/// whichever knob is unset.
+/// (the `IMDPP_METRICS` knob); a no-op when the knob is unset.
 ///
 /// An unwritable path is an error, not a stderr note: the caller asked for
 /// the artifact by setting the knob, so losing it must sink the run.  The
@@ -290,15 +275,6 @@ pub fn dump_artifacts(engine: &Engine, config: &HarnessConfig) -> Result<(), Imd
                 e.kind(),
                 format!("IMDPP_METRICS: cannot write {}: {e}", path.display()),
             ))
-        })?;
-    }
-    if let Some(path) = &config.persist_path {
-        engine.persist(path).map_err(|e| match e {
-            ImdppError::Io(io) => ImdppError::Io(std::io::Error::new(
-                io.kind(),
-                format!("IMDPP_PERSIST: cannot write {}: {io}", path.display()),
-            )),
-            other => other,
         })?;
     }
     Ok(())
@@ -327,8 +303,8 @@ pub fn evaluate_spread(instance: &ImdppInstance, seeds: &SeedGroup, config: &Har
 }
 
 /// Runs Dysim with a specific market ordering (the Fig. 11 comparison).
-/// Shares [`run_algorithm`]'s error contract for the `IMDPP_METRICS` /
-/// `IMDPP_PERSIST` side channels.
+/// Shares [`run_algorithm`]'s error contract for the `IMDPP_METRICS` side
+/// channel.
 pub fn run_dysim_with_ordering(
     instance: &ImdppInstance,
     config: &HarnessConfig,
@@ -375,7 +351,6 @@ mod tests {
             out_dir: "/tmp/imdpp-test-results".to_string(),
             oracle: OracleKind::MonteCarlo,
             metrics_out: None,
-            persist_path: None,
         }
     }
 
@@ -539,48 +514,6 @@ mod tests {
             other => panic!("expected Io error, got {other:?}"),
         }
         std::fs::remove_file(&blocker).unwrap();
-    }
-
-    #[test]
-    fn unwritable_persist_path_is_a_typed_error_too() {
-        let inst = tiny_instance();
-        // `Engine::persist` uses fs::write, which never creates parent
-        // directories — a missing nested directory is enough to fail.
-        let cfg = HarnessConfig {
-            persist_path: Some(
-                std::env::temp_dir()
-                    .join("imdpp-harness-no-such-dir")
-                    .join("engine.bin"),
-            ),
-            ..tiny_config()
-        };
-        let err = run_algorithm(AlgorithmKind::Dysim, &inst, &cfg).unwrap_err();
-        match err {
-            ImdppError::Io(e) => {
-                let msg = e.to_string();
-                assert!(msg.contains("IMDPP_PERSIST"), "{msg}");
-                assert!(msg.contains("engine.bin"), "{msg}");
-            }
-            other => panic!("expected Io error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn persist_knob_writes_a_restorable_engine_image() {
-        let inst = tiny_instance();
-        let path = std::env::temp_dir().join("imdpp-harness-persist-test.bin");
-        let _ = std::fs::remove_file(&path);
-        let cfg = HarnessConfig {
-            persist_path: Some(path.clone()),
-            ..tiny_config()
-        };
-        let result = run_algorithm(AlgorithmKind::Dysim, &inst, &cfg).unwrap();
-        let restored = Engine::for_instance(&inst)
-            .config(cfg.dysim_config())
-            .restore(&path)
-            .unwrap();
-        assert_eq!(restored.solve(), result.seeds);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -29,11 +29,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// The table title.
     pub fn title(&self) -> &str {
         &self.title
@@ -109,7 +104,7 @@ mod tests {
         let text = t.render();
         assert!(text.contains("== demo =="));
         assert!(text.contains("Dysim"));
-        assert_eq!(t.row_count(), 2);
+        assert!(text.contains("BGRD"));
     }
 
     #[test]

@@ -4,29 +4,15 @@ use crate::csr::{CsrGraph, WeightedEdge};
 use crate::ids::UserId;
 use std::collections::HashMap;
 
-/// How duplicate `(src, dst)` edges are merged by the builder.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DuplicatePolicy {
-    /// Keep the first weight seen.
-    KeepFirst,
-    /// Keep the last weight seen.
-    KeepLast,
-    /// Keep the maximum weight.
-    KeepMax,
-    /// Sum the weights (clamped to 1.0 for probability graphs by the caller).
-    Sum,
-}
-
 /// Builder accumulating weighted directed edges before freezing them into a
 /// [`CsrGraph`].
 ///
-/// The builder validates endpoints, grows the node count on demand and merges
-/// duplicate edges according to a [`DuplicatePolicy`].
+/// The builder validates weights, grows the node count on demand and keeps
+/// the last weight given to a duplicate `(src, dst)` edge.
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
     node_count: usize,
     edges: HashMap<(u32, u32), f64>,
-    policy: DuplicatePolicy,
     insertion_order: Vec<(u32, u32)>,
 }
 
@@ -43,15 +29,8 @@ impl GraphBuilder {
         GraphBuilder {
             node_count,
             edges: HashMap::new(),
-            policy: DuplicatePolicy::KeepLast,
             insertion_order: Vec::new(),
         }
-    }
-
-    /// Sets the duplicate-edge merge policy.
-    pub fn with_duplicate_policy(mut self, policy: DuplicatePolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Ensures the node `u` exists (extending the node count if needed).
@@ -71,27 +50,15 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Adds a directed edge `src -> dst` with the given weight.
+    /// Adds a directed edge `src -> dst` with the given weight, replacing the
+    /// weight of an earlier `src -> dst` edge.
     pub fn add_edge(&mut self, src: UserId, dst: UserId, weight: f64) -> &mut Self {
         assert!(weight.is_finite(), "edge weight must be finite");
         self.ensure_node(src);
         self.ensure_node(dst);
         let key = (src.0, dst.0);
-        match self.edges.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let old = *e.get();
-                let new = match self.policy {
-                    DuplicatePolicy::KeepFirst => old,
-                    DuplicatePolicy::KeepLast => weight,
-                    DuplicatePolicy::KeepMax => old.max(weight),
-                    DuplicatePolicy::Sum => old + weight,
-                };
-                e.insert(new);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(weight);
-                self.insertion_order.push(key);
-            }
+        if self.edges.insert(key, weight).is_none() {
+            self.insertion_order.push(key);
         }
         self
     }
@@ -144,38 +111,13 @@ mod tests {
     }
 
     #[test]
-    fn keep_last_policy_overwrites() {
-        let mut b = GraphBuilder::new(2).with_duplicate_policy(DuplicatePolicy::KeepLast);
+    fn duplicate_edges_keep_the_last_weight() {
+        let mut b = GraphBuilder::new(2);
         b.add_edge(UserId(0), UserId(1), 0.2);
         b.add_edge(UserId(0), UserId(1), 0.9);
         let g = b.build();
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.edge_weight(UserId(0), UserId(1)), Some(0.9));
-    }
-
-    #[test]
-    fn keep_first_policy_ignores_later() {
-        let mut b = GraphBuilder::new(2).with_duplicate_policy(DuplicatePolicy::KeepFirst);
-        b.add_edge(UserId(0), UserId(1), 0.2);
-        b.add_edge(UserId(0), UserId(1), 0.9);
-        assert_eq!(b.build().edge_weight(UserId(0), UserId(1)), Some(0.2));
-    }
-
-    #[test]
-    fn keep_max_policy_takes_maximum() {
-        let mut b = GraphBuilder::new(2).with_duplicate_policy(DuplicatePolicy::KeepMax);
-        b.add_edge(UserId(0), UserId(1), 0.9);
-        b.add_edge(UserId(0), UserId(1), 0.2);
-        assert_eq!(b.build().edge_weight(UserId(0), UserId(1)), Some(0.9));
-    }
-
-    #[test]
-    fn sum_policy_accumulates() {
-        let mut b = GraphBuilder::new(2).with_duplicate_policy(DuplicatePolicy::Sum);
-        b.add_edge(UserId(0), UserId(1), 0.25);
-        b.add_edge(UserId(0), UserId(1), 0.5);
-        let w = b.build().edge_weight(UserId(0), UserId(1)).unwrap();
-        assert!((w - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -173,30 +173,6 @@ pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> CsrGraph {
     CsrGraph::from_edges(n, &edges)
 }
 
-/// Assigns influence strengths to an unweighted topology using the weighted
-/// cascade convention `p(u, v) = min(1, base / in_degree(v))` perturbed by a
-/// multiplicative jitter in `[1 - jitter, 1 + jitter]`.
-///
-/// The weighted-cascade convention is the standard way the IM literature
-/// (including \[1\], \[23\]) derives influence probabilities from topology; the
-/// jitter avoids exactly identical strengths so that Table II's average
-/// initial strength can be tuned.
-pub fn weighted_cascade_strengths(graph: &CsrGraph, base: f64, jitter: f64, seed: u64) -> CsrGraph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    graph.map_weights(|_, v, _| {
-        let indeg = graph.in_degree(v).max(1) as f64;
-        let jit = 1.0 + jitter * (rng.gen::<f64>() * 2.0 - 1.0);
-        ((base / indeg) * jit).clamp(0.001, 1.0)
-    })
-}
-
-/// Assigns uniform influence strengths drawn from `[lo, hi]`.
-pub fn uniform_strengths(graph: &CsrGraph, lo: f64, hi: f64, seed: u64) -> CsrGraph {
-    assert!(lo <= hi, "lo must not exceed hi");
-    let mut rng = StdRng::seed_from_u64(seed);
-    graph.map_weights(|_, _, _| rng.gen_range(lo..=hi).clamp(0.0, 1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,24 +235,6 @@ mod tests {
         let g = watts_strogatz(10, 4, 0.0, 5);
         for u in g.nodes() {
             assert_eq!(g.out_degree(u), 4);
-        }
-    }
-
-    #[test]
-    fn weighted_cascade_clamps_to_probability_range() {
-        let g = preferential_attachment(100, 3, 1);
-        let w = weighted_cascade_strengths(&g, 1.0, 0.2, 2);
-        for e in w.to_edge_list() {
-            assert!(e.weight > 0.0 && e.weight <= 1.0);
-        }
-    }
-
-    #[test]
-    fn uniform_strengths_stay_in_range() {
-        let g = erdos_renyi(50, 0.1, 3);
-        let w = uniform_strengths(&g, 0.05, 0.15, 4);
-        for e in w.to_edge_list() {
-            assert!(e.weight >= 0.05 && e.weight <= 0.15);
         }
     }
 

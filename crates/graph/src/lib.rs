@@ -11,8 +11,7 @@
 //! * order-preserving edge updates — insertions, deletions, strength
 //!   changes — for dynamic-graph maintenance ([`edits::EdgeUpdate`]),
 //! * the influence-weighted social graph wrapper ([`social::SocialGraph`]),
-//! * traversal primitives (BFS / DFS / weakly connected components)
-//!   ([`traversal`]),
+//! * breadth-first traversal ([`traversal`]),
 //! * maximum-influence paths, MIOA-style influence regions and hop diameters
 //!   ([`paths`]), used by Dysim's Target Market Identification phase,
 //! * clustering utilities (label propagation and agglomerative clustering)

@@ -48,35 +48,12 @@ pub struct InfluencePaths {
     /// Best path probability from the source set to each node (0.0 when
     /// unreachable, 1.0 for the sources themselves).
     probabilities: Vec<f64>,
-    /// Predecessor on the best path (`None` for sources / unreachable nodes).
-    predecessors: Vec<Option<UserId>>,
 }
 
 impl InfluencePaths {
     /// Probability of the maximum influence path reaching `u`.
     pub fn probability(&self, u: UserId) -> f64 {
         self.probabilities[u.index()]
-    }
-
-    /// Predecessor of `u` on its maximum influence path.
-    pub fn predecessor(&self, u: UserId) -> Option<UserId> {
-        self.predecessors[u.index()]
-    }
-
-    /// Reconstructs the best path from the source set to `u` (source first).
-    /// Returns `None` if `u` is unreachable.
-    pub fn path_to(&self, u: UserId) -> Option<Vec<UserId>> {
-        if self.probabilities[u.index()] <= 0.0 {
-            return None;
-        }
-        let mut path = vec![u];
-        let mut cur = u;
-        while let Some(p) = self.predecessors[cur.index()] {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        Some(path)
     }
 
     /// Nodes whose maximum-influence-path probability is at least `threshold`.
@@ -95,7 +72,6 @@ impl InfluencePaths {
 pub fn max_influence_paths(graph: &CsrGraph, sources: &[UserId]) -> InfluencePaths {
     let n = graph.node_count();
     let mut probabilities = vec![0.0f64; n];
-    let mut predecessors = vec![None; n];
     let mut heap = BinaryHeap::new();
     for &s in sources {
         if probabilities[s.index()] < 1.0 {
@@ -114,7 +90,6 @@ pub fn max_influence_paths(graph: &CsrGraph, sources: &[UserId]) -> InfluencePat
             let candidate = prob * w;
             if candidate > probabilities[v.index()] {
                 probabilities[v.index()] = candidate;
-                predecessors[v.index()] = Some(node);
                 heap.push(HeapEntry {
                     prob: candidate,
                     node: v,
@@ -122,10 +97,7 @@ pub fn max_influence_paths(graph: &CsrGraph, sources: &[UserId]) -> InfluencePat
             }
         }
     }
-    InfluencePaths {
-        probabilities,
-        predecessors,
-    }
+    InfluencePaths { probabilities }
 }
 
 /// MIOA-style influence region: users reachable from `sources` with a
@@ -228,10 +200,6 @@ mod tests {
         let g = probabilistic_diamond();
         let paths = max_influence_paths(&g, &[UserId(0)]);
         assert!((paths.probability(UserId(3)) - 0.81).abs() < 1e-12);
-        assert_eq!(
-            paths.path_to(UserId(3)).unwrap(),
-            vec![UserId(0), UserId(1), UserId(3)]
-        );
     }
 
     #[test]
@@ -239,7 +207,6 @@ mod tests {
         let g = probabilistic_diamond();
         let paths = max_influence_paths(&g, &[UserId(0)]);
         assert_eq!(paths.probability(UserId(0)), 1.0);
-        assert_eq!(paths.predecessor(UserId(0)), None);
     }
 
     #[test]
@@ -249,7 +216,6 @@ mod tests {
         let g = b.build();
         let paths = max_influence_paths(&g, &[UserId(0)]);
         assert_eq!(paths.probability(UserId(2)), 0.0);
-        assert!(paths.path_to(UserId(2)).is_none());
     }
 
     #[test]

@@ -4,7 +4,6 @@ use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
 use crate::edits::EdgeUpdate;
 use crate::ids::UserId;
-use crate::stats::DegreeStats;
 
 /// The social network of the IMDPP problem: a directed graph whose edge
 /// weights are the *initial* influence strengths `P_act(u, v, 0)`.
@@ -151,11 +150,6 @@ impl SocialGraph {
             return 0.0;
         }
         self.graph.total_weight() / self.graph.edge_count() as f64
-    }
-
-    /// Degree statistics of the social graph.
-    pub fn degree_stats(&self) -> DegreeStats {
-        DegreeStats::of(&self.graph)
     }
 }
 

@@ -55,38 +55,6 @@ impl DegreeStats {
     }
 }
 
-/// Out-degree histogram of a graph, as `(degree, node_count)` pairs sorted by
-/// degree.  Used to check that synthetic generators reproduce heavy-tailed
-/// degree distributions.
-pub fn out_degree_histogram(graph: &CsrGraph) -> Vec<(usize, usize)> {
-    use std::collections::BTreeMap;
-    let mut hist: BTreeMap<usize, usize> = BTreeMap::new();
-    for u in graph.nodes() {
-        *hist.entry(graph.out_degree(u)).or_insert(0) += 1;
-    }
-    hist.into_iter().collect()
-}
-
-/// Fits the exponent of a power-law `P(k) ∝ k^(-α)` to the out-degree
-/// distribution using the discrete maximum-likelihood estimator over degrees
-/// `>= k_min`.  Returns `None` when fewer than two nodes qualify.
-pub fn power_law_exponent(graph: &CsrGraph, k_min: usize) -> Option<f64> {
-    let k_min = k_min.max(1);
-    let mut sum_log = 0.0f64;
-    let mut count = 0usize;
-    for u in graph.nodes() {
-        let k = graph.out_degree(u);
-        if k >= k_min {
-            sum_log += (k as f64 / (k_min as f64 - 0.5)).ln();
-            count += 1;
-        }
-    }
-    if count < 2 || sum_log <= 0.0 {
-        return None;
-    }
-    Some(1.0 + count as f64 / sum_log)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,38 +88,6 @@ mod tests {
         b.add_edge(UserId(0), UserId(1), 1.0);
         let s = DegreeStats::of(&b.build());
         assert_eq!(s.isolated_nodes, 2);
-    }
-
-    #[test]
-    fn histogram_groups_by_degree() {
-        let g = star(3);
-        let hist = out_degree_histogram(&g);
-        assert_eq!(hist, vec![(0, 3), (3, 1)]);
-    }
-
-    #[test]
-    fn power_law_estimator_needs_enough_nodes() {
-        let g = star(2);
-        assert!(power_law_exponent(&g, 5).is_none());
-    }
-
-    #[test]
-    fn power_law_estimator_returns_plausible_exponent() {
-        // A graph where degrees roughly follow k^-2: many degree-1, few high.
-        let mut b = GraphBuilder::new(200);
-        let mut next = 1u32;
-        for hub in 0..10u32 {
-            let fanout = if hub == 0 { 60 } else { 6 };
-            for _ in 0..fanout {
-                if next as usize >= 199 {
-                    break;
-                }
-                b.add_edge(UserId(hub), UserId(next), 1.0);
-                next += 1;
-            }
-        }
-        let alpha = power_law_exponent(&b.build(), 1).unwrap();
-        assert!(alpha > 1.0 && alpha < 5.0, "alpha = {alpha}");
     }
 
     #[test]

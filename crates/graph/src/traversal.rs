@@ -1,4 +1,4 @@
-//! Breadth-first / depth-first traversal and connectivity helpers.
+//! Breadth-first traversal over out-edges or over both edge directions.
 
 use crate::csr::CsrGraph;
 use crate::ids::UserId;
@@ -28,11 +28,6 @@ impl BfsDistances {
             .enumerate()
             .filter(|(_, &d)| d != UNREACHABLE)
             .map(|(i, _)| UserId::from_index(i))
-    }
-
-    /// Number of reachable nodes.
-    pub fn reachable_count(&self) -> usize {
-        self.distances.iter().filter(|&&d| d != UNREACHABLE).count()
     }
 
     /// Largest finite hop distance (the eccentricity of the source set).
@@ -74,7 +69,7 @@ pub fn bfs(graph: &CsrGraph, sources: &[UserId], max_hops: Option<u32>) -> BfsDi
 }
 
 /// Multi-source BFS that treats every edge as undirected (follows both out-
-/// and in-edges).  Used for weakly-connected components and social distance.
+/// and in-edges).  Used for social distance and hop diameters.
 pub fn bfs_undirected(graph: &CsrGraph, sources: &[UserId], max_hops: Option<u32>) -> BfsDistances {
     let mut distances = vec![UNREACHABLE; graph.node_count()];
     let mut queue = VecDeque::new();
@@ -105,74 +100,6 @@ pub fn bfs_undirected(graph: &CsrGraph, sources: &[UserId], max_hops: Option<u32
     BfsDistances { distances }
 }
 
-/// Iterative DFS preorder from a single source over out-edges.
-pub fn dfs_preorder(graph: &CsrGraph, source: UserId) -> Vec<UserId> {
-    let mut visited = vec![false; graph.node_count()];
-    let mut order = Vec::new();
-    let mut stack = vec![source];
-    while let Some(u) = stack.pop() {
-        if visited[u.index()] {
-            continue;
-        }
-        visited[u.index()] = true;
-        order.push(u);
-        // Push in reverse so lower-indexed neighbours are visited first.
-        let mut neigh: Vec<UserId> = graph.out_edges(u).map(|(v, _)| v).collect();
-        neigh.sort_unstable_by(|a, b| b.cmp(a));
-        for v in neigh {
-            if !visited[v.index()] {
-                stack.push(v);
-            }
-        }
-    }
-    order
-}
-
-/// Weakly-connected component labelling.
-///
-/// Returns `(labels, component_count)` where `labels[i]` is the component of
-/// node `i` in `0..component_count`.
-pub fn weakly_connected_components(graph: &CsrGraph) -> (Vec<u32>, usize) {
-    let n = graph.node_count();
-    let mut labels = vec![u32::MAX; n];
-    let mut next = 0u32;
-    for start in 0..n {
-        if labels[start] != u32::MAX {
-            continue;
-        }
-        let mut queue = VecDeque::new();
-        labels[start] = next;
-        queue.push_back(UserId::from_index(start));
-        while let Some(u) = queue.pop_front() {
-            let neighbours = graph
-                .out_edges(u)
-                .map(|(v, _)| v)
-                .chain(graph.in_edges(u).map(|(v, _)| v));
-            for v in neighbours {
-                if labels[v.index()] == u32::MAX {
-                    labels[v.index()] = next;
-                    queue.push_back(v);
-                }
-            }
-        }
-        next += 1;
-    }
-    (labels, next as usize)
-}
-
-/// Size of the largest weakly-connected component.
-pub fn largest_component_size(graph: &CsrGraph) -> usize {
-    let (labels, count) = weakly_connected_components(graph);
-    if count == 0 {
-        return 0;
-    }
-    let mut sizes = vec![0usize; count];
-    for l in labels {
-        sizes[l as usize] += 1;
-    }
-    sizes.into_iter().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,7 +119,7 @@ mod tests {
         let d = bfs(&g, &[UserId(0)], None);
         assert_eq!(d.distance(UserId(0)), Some(0));
         assert_eq!(d.distance(UserId(4)), Some(4));
-        assert_eq!(d.reachable_count(), 5);
+        assert_eq!(d.reachable().count(), 5);
         assert_eq!(d.eccentricity(), 4);
     }
 
@@ -202,21 +129,21 @@ mod tests {
         let d = bfs(&g, &[UserId(0)], Some(2));
         assert_eq!(d.distance(UserId(2)), Some(2));
         assert_eq!(d.distance(UserId(3)), None);
-        assert_eq!(d.reachable_count(), 3);
+        assert_eq!(d.reachable().count(), 3);
     }
 
     #[test]
     fn bfs_is_directed() {
         let g = path_graph(3);
         let d = bfs(&g, &[UserId(2)], None);
-        assert_eq!(d.reachable_count(), 1);
+        assert_eq!(d.reachable().count(), 1);
     }
 
     #[test]
     fn undirected_bfs_ignores_direction() {
         let g = path_graph(3);
         let d = bfs_undirected(&g, &[UserId(2)], None);
-        assert_eq!(d.reachable_count(), 3);
+        assert_eq!(d.reachable().count(), 3);
         assert_eq!(d.distance(UserId(0)), Some(2));
     }
 
@@ -226,41 +153,5 @@ mod tests {
         let d = bfs(&g, &[UserId(0), UserId(4)], None);
         assert_eq!(d.distance(UserId(5)), Some(1));
         assert_eq!(d.distance(UserId(3)), Some(3));
-    }
-
-    #[test]
-    fn dfs_preorder_visits_reachable_nodes_once() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(UserId(0), UserId(1), 1.0);
-        b.add_edge(UserId(0), UserId(2), 1.0);
-        b.add_edge(UserId(1), UserId(3), 1.0);
-        b.add_edge(UserId(2), UserId(3), 1.0);
-        let g = b.build();
-        let order = dfs_preorder(&g, UserId(0));
-        assert_eq!(order.len(), 4);
-        assert_eq!(order[0], UserId(0));
-        assert_eq!(order[1], UserId(1)); // lower-index neighbour first
-    }
-
-    #[test]
-    fn components_on_disconnected_graph() {
-        let mut b = GraphBuilder::new(5);
-        b.add_edge(UserId(0), UserId(1), 1.0);
-        b.add_edge(UserId(2), UserId(3), 1.0);
-        let g = b.build();
-        let (labels, count) = weakly_connected_components(&g);
-        assert_eq!(count, 3);
-        assert_eq!(labels[0], labels[1]);
-        assert_eq!(labels[2], labels[3]);
-        assert_ne!(labels[0], labels[2]);
-        assert_eq!(largest_component_size(&g), 2);
-    }
-
-    #[test]
-    fn components_of_empty_graph() {
-        let g = CsrGraph::from_edges(0, &[]);
-        let (_, count) = weakly_connected_components(&g);
-        assert_eq!(count, 0);
-        assert_eq!(largest_component_size(&g), 0);
     }
 }

@@ -68,12 +68,6 @@ impl ItemCatalog {
         }
         self.importance.iter().sum::<f64>() / self.importance.len() as f64
     }
-
-    /// Replaces the importance of an item (used by experiment setups).
-    pub fn set_importance(&mut self, x: ItemId, w: f64) {
-        assert!(w.is_finite() && w >= 0.0, "importance must be non-negative");
-        self.importance[x.index()] = w;
-    }
 }
 
 #[cfg(test)]
@@ -97,13 +91,6 @@ mod tests {
         );
         assert_eq!(c.name(ItemId(0)), "iPhone");
         assert!((c.average_importance() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn set_importance_updates_value() {
-        let mut c = ItemCatalog::uniform(2);
-        c.set_importance(ItemId(0), 2.5);
-        assert_eq!(c.importance(ItemId(0)), 2.5);
     }
 
     #[test]

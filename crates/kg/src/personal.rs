@@ -45,24 +45,6 @@ impl PersonalPerception {
         }
     }
 
-    /// Creates perceptions with explicit per-user initial weightings
-    /// (`initial[u]` must have one entry per meta-graph).
-    pub fn from_weights(model: Arc<RelevanceModel>, initial: &[Vec<f64>]) -> Self {
-        let m = model.len();
-        let mut weights = Vec::with_capacity(initial.len() * m);
-        for row in initial {
-            assert_eq!(row.len(), m, "one weight per meta-graph is required");
-            for &w in row {
-                weights.push(w.clamp(MIN_WEIGHT, 1.0));
-            }
-        }
-        PersonalPerception {
-            model,
-            user_count: initial.len(),
-            weights,
-        }
-    }
-
     /// The shared relevance model.
     pub fn model(&self) -> &Arc<RelevanceModel> {
         &self.model
@@ -164,18 +146,6 @@ impl PersonalPerception {
         } else {
             sum / count as f64
         }
-    }
-
-    /// Items `y` related to `x` in `u`'s perception, with their
-    /// `(complementary, substitutable)` relevances.  Only items that have a
-    /// positive score under at least one meta-graph are returned.
-    pub fn personal_item_network(&self, u: UserId, x: ItemId) -> Vec<(ItemId, f64, f64)> {
-        self.model
-            .related_items(x)
-            .iter()
-            .map(|&y| (y, self.complementary(u, x, y), self.substitutable(u, x, y)))
-            .filter(|(_, c, s)| *c > 0.0 || *s > 0.0)
-            .collect()
     }
 
     /// Updates `u`'s weightings after new adoptions (the paper's *relevance
@@ -358,17 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn personal_item_network_lists_related_items() {
-        let p = perception(1);
-        let net = p.personal_item_network(UserId(0), ItemId(0));
-        let ids: Vec<ItemId> = net.iter().map(|(y, _, _)| *y).collect();
-        assert_eq!(ids, vec![ItemId(1), ItemId(2), ItemId(3)]);
-        for (_, c, s) in net {
-            assert!((0.0..=1.0).contains(&c) && (0.0..=1.0).contains(&s));
-        }
-    }
-
-    #[test]
     fn average_relevance_over_users() {
         let mut p = perception(2);
         p.update_on_adoption(UserId(0), &[ItemId(1)], &[ItemId(0), ItemId(1)], 0.5);
@@ -381,26 +340,5 @@ mod tests {
         let r0 = p.complementary(UserId(0), ItemId(0), ItemId(1));
         let r1 = p.complementary(UserId(1), ItemId(0), ItemId(1));
         assert!((avg - (r0 + r1) / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn explicit_weights_are_clamped_on_construction() {
-        let model = Arc::new(RelevanceModel::compute(
-            &figure1_knowledge_graph(),
-            vec![MetaGraph::shared_feature()],
-        ));
-        let p = PersonalPerception::from_weights(model, &[vec![5.0], vec![0.0]]);
-        assert_eq!(p.weight(UserId(0), MetaGraphId(0)), 1.0);
-        assert_eq!(p.weight(UserId(1), MetaGraphId(0)), MIN_WEIGHT);
-    }
-
-    #[test]
-    #[should_panic(expected = "one weight per meta-graph")]
-    fn from_weights_validates_row_length() {
-        let model = Arc::new(RelevanceModel::compute(
-            &figure1_knowledge_graph(),
-            MetaGraph::default_set(),
-        ));
-        let _ = PersonalPerception::from_weights(model, &[vec![0.2]]);
     }
 }

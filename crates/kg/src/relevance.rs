@@ -62,11 +62,6 @@ impl RelevanceMatrix {
         RelevanceMatrix { rows }
     }
 
-    /// Number of items covered by the matrix.
-    pub fn item_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// The relevance score between two items (0.0 when absent).
     pub fn score(&self, x: ItemId, y: ItemId) -> f64 {
         if x == y {
@@ -183,24 +178,6 @@ impl RelevanceModel {
         let mut matrices = Vec::with_capacity(metagraphs.len());
         for mg in &metagraphs {
             matrices.push(Self::compute_matrix(kg, mg));
-        }
-        Self::assemble(metagraphs, matrices, item_count)
-    }
-
-    /// Builds a model from precomputed matrices (used by tests and synthetic
-    /// dataset generators that author relevance directly).
-    pub fn from_matrices(
-        metagraphs: Vec<MetaGraph>,
-        matrices: Vec<RelevanceMatrix>,
-        item_count: usize,
-    ) -> Self {
-        assert_eq!(
-            metagraphs.len(),
-            matrices.len(),
-            "one matrix per meta-graph is required"
-        );
-        for m in &matrices {
-            assert_eq!(m.item_count(), item_count, "matrix item count mismatch");
         }
         Self::assemble(metagraphs, matrices, item_count)
     }

@@ -36,7 +36,7 @@ use crate::sharded::ShardedRrStore;
 use crate::store::{for_each_query, query_hits, SetId};
 use imdpp_core::nominees::Nominee;
 use imdpp_core::SpreadOracle;
-use imdpp_diffusion::{DynamicsConfig, Scenario};
+use imdpp_diffusion::Scenario;
 use imdpp_graph::{ItemId, UserId};
 
 /// One tenant's copy-on-write delta over a base [`SketchOracle`]: for each
@@ -59,14 +59,15 @@ impl SketchPatch {
     ///
     /// For each changed pair the base store's sets containing that user are
     /// invalidated (the frontier a preference refresh of the base sketch
-    /// would re-sample), and each invalidated stream is replayed against the
-    /// tenant's frozen scenario — set id equals RNG stream id, so the
-    /// replacements are bit-identical to the sets a tenant-owned sketch
-    /// would hold.  One sampling scratch (stamp-based visit marks) serves
-    /// every replayed stream of the patch.
+    /// would re-sample), and each invalidated stream is replayed against
+    /// `tenant` — set id equals RNG stream id, so the replacements are
+    /// bit-identical to the sets a tenant-owned sketch would hold.  The
+    /// sampler reads only base preferences and in-edge strengths, which
+    /// freezing the dynamics leaves as they are, so `tenant` is sampled
+    /// directly rather than through a frozen copy.  One sampling scratch
+    /// (stamp-based visit marks) serves every replayed stream of the patch.
     pub fn build(base: &SketchOracle, tenant: &Scenario, changes: &[(UserId, ItemId)]) -> Self {
-        let frozen = tenant.with_dynamics(DynamicsConfig::frozen());
-        let item_count = frozen.item_count();
+        let item_count = tenant.item_count();
         let base_seed = base.config().base_seed;
         let mut by_item: Vec<Vec<UserId>> = vec![Vec::new(); item_count];
         for &(u, x) in changes {
@@ -75,7 +76,7 @@ impl SketchPatch {
             }
         }
         let mut replaced: Vec<Vec<(SetId, Vec<u32>)>> = vec![Vec::new(); item_count];
-        let mut scratch = sampler::Scratch::new(frozen.user_count());
+        let mut scratch = sampler::Scratch::new(tenant.user_count());
         for (x, users) in by_item.iter().enumerate() {
             if users.is_empty() {
                 continue;
@@ -85,7 +86,7 @@ impl SketchPatch {
             for id in store.sets_touching(users) {
                 // Global set id == RNG stream id, for any shard count.
                 let stream = u64::from(id);
-                let set = sampler::sample_set_with(&frozen, item, base_seed, stream, &mut scratch);
+                let set = sampler::sample_set_with(tenant, item, base_seed, stream, &mut scratch);
                 let mut members: Vec<u32> = set.iter().map(|u| u.0).collect();
                 members.sort_unstable();
                 members.dedup();

@@ -63,7 +63,6 @@ fn main() {
         &universe,
         &NomineeSelectionConfig {
             max_nominees: Some(5),
-            ..NomineeSelectionConfig::default()
         },
     );
     println!(

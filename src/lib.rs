@@ -5,7 +5,7 @@
 //! - [`imdpp_kg`]: knowledge graph, meta-graphs, personal item networks
 //! - [`imdpp_diffusion`]: dynamic-perception diffusion process and Monte-Carlo engine
 //! - [`imdpp_core`]: the IMDPP problem and the Dysim algorithm
-//! - [`imdpp_baselines`]: OPT, BGRD, HAG, PS, DRHGA and classic IM baselines
+//! - [`imdpp_baselines`]: the OPT, BGRD, HAG, PS and DRHGA baselines
 //! - [`imdpp_sketch`]: RR-sketch influence oracle with incremental sample reuse
 //! - [`imdpp_datasets`]: synthetic dataset generators
 //! - [`imdpp_engine`]: the snapshot-isolated session façade (`Engine`) — the

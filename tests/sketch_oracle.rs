@@ -168,10 +168,7 @@ fn sketch_greedy_matches_monte_carlo_greedy_within_5_percent() {
         // equalizes the seed count on the generated instance (MC gains are
         // never exactly zero, so uncapped MC-CELF spends the whole budget
         // while coverage gains can reach zero and stop).
-        let selection_config = NomineeSelectionConfig {
-            max_nominees,
-            ..NomineeSelectionConfig::default()
-        };
+        let selection_config = NomineeSelectionConfig { max_nominees };
         let universe: Vec<(UserId, ItemId)> =
             frozen.scenario().users().map(|u| (u, ItemId(0))).collect();
         let oracle = SketchOracle::build(
